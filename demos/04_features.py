@@ -15,7 +15,7 @@ print(f"window {cfg.window} samples, comm range {cfg.comm_range_m} m, "
 # a sender pulling ahead on the ego's left
 ego = [(23.9700, 120.9800, 0.0, 8.0)] * 4
 sender = [(23.9700 + 1e-5 * i, 120.9800 - 8e-6 * i, 0.0, 12.0) for i in range(1, 5)]
-fv = features.build_feature_vector(sender, None, ego, cfg)
+fv = features.build_feature_vector(sender, ego, cfg)
 print("\nfull window:")
 print(f"  deltas (lat,lng, oldest first):\n{fv.latlng_deltas.round(4)}")
 print(f"  speeds (sender, ego): {fv.spd_y_norm:.3f}, {fv.spd_x_norm:.3f}")
@@ -23,7 +23,7 @@ print(f"  gamma: {fv.gamma:+.3f}  (positive = left of the ego)")
 print(f"  mask: {fv.validity_mask.tolist()}")
 
 # a sender that only just came into range: leading slots zero-filled
-fv1 = features.build_feature_vector(sender[-1:], None, ego[-1:], cfg)
+fv1 = features.build_feature_vector(sender[-1:], ego[-1:], cfg)
 print(f"\nfresh sender mask: {fv1.validity_mask.tolist()}")
 
 # gamma's three branches around the wrap

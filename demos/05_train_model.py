@@ -31,8 +31,8 @@ for e in (0, 9, 19, 39):
     print(f"  epoch {e + 1:3d}: loss {losses[e]:.5f}")
 
 row = int(np.argmax(arrays.Y[:, 4]))  # a sender that was inside the image
-out = mdl.predict(trainer.params, arrays.X[row], arrays.FB[row])
-print(f"\nprediction for an inside row: box {out.bbx.round(3)}, inside {out.inside:.3f}")
+out, _ = mdl.forward_batch(trainer.params, arrays.X[row:row + 1], arrays.FB[row:row + 1])
+print(f"\nprediction for an inside row: box {out[0, :4].round(3)}, inside {out[0, 4]:.3f}")
 print(f"                      target: box {arrays.Y[row, :4].round(3)}, inside {arrays.Y[row, 4]:.0f}")
 
 path = Path(tempfile.mkdtemp(prefix="fedvid_model_")) / "model.fmdf"

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,10 +39,7 @@ def _world_from_args(args) -> scenario.WorldConfig:
         overrides["seed"] = args.seed
     if "seed" not in overrides:
         raise UsageError("a scenario seed is required (--seed or config file)")
-    camera_keys = {"front_camera", "rear_camera"}
-    for key in camera_keys & set(overrides):
-        overrides[key] = scenario.CameraModel(**overrides[key])
-    return scenario.WorldConfig(**overrides)
+    return scenario.WorldConfig.from_dict(overrides)
 
 
 def _out_dir(args) -> Path:
@@ -57,15 +55,7 @@ def cmd_gen(args) -> int:
     _, observations = scenario.run_scenario(cfg, ticks=ticks)
     scenario.write_run(out, observations)
     with open(out / "world.json", "w") as f:
-        json.dump({
-            "seed": cfg.seed, "num_vehicles": cfg.num_vehicles,
-            "tick_interval": cfg.tick_interval, "duration": cfg.duration,
-            "comm_range": cfg.comm_range, "road_layout": cfg.road_layout,
-            "weather": cfg.weather, "gps_noise_sigma": cfg.gps_noise_sigma,
-            "miss_rate": cfg.miss_rate, "merge_threshold": cfg.merge_threshold,
-            "speed_profile": cfg.speed_profile, "ocr_channel": cfg.ocr_channel,
-            "ticks": ticks,
-        }, f, indent=2)
+        json.dump({**dataclasses.asdict(cfg), "ticks": ticks}, f, indent=2)
     print(f"wrote {ticks} ticks to {out}")
     return 0
 
@@ -77,7 +67,7 @@ def _load_world(run_dir: Path) -> scenario.WorldConfig:
     with open(meta) as f:
         data = json.load(f)
     data.pop("ticks", None)
-    return scenario.WorldConfig(**data)
+    return scenario.WorldConfig.from_dict(data)
 
 
 def cmd_label(args) -> int:
@@ -101,8 +91,9 @@ def cmd_label(args) -> int:
 def cmd_train(args) -> int:
     arrays = labeling.read_dataset_jsonl(args.dataset)
     cfg = mdl.ModelConfig(input_dim=arrays.X.shape[1])
-    params = mdl.init_model(cfg, np.random.default_rng(args.seed or 7))
-    trainer = mdl.Trainer(params, mdl.OptConfig(), args.seed or 7)
+    seed = 7 if args.seed is None else args.seed
+    params = mdl.init_model(cfg, np.random.default_rng(seed))
+    trainer = mdl.Trainer(params, mdl.OptConfig(), seed)
     losses = trainer.run_epochs(arrays, args.epochs)
     out = _out_dir(args)
     path = out / "model.fmdf"
@@ -112,8 +103,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    cfg = mdl.ModelConfig()
-    params = mdl.init_model(cfg, np.random.default_rng(args.seed or 7))
+    seed = 7 if args.seed is None else args.seed
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(seed))
     server = fed.FedServer(
         params, expected_clients=args.clients, rounds=args.rounds,
         round_cfg=fed.RoundConfig(local_epochs=args.local_epochs, min_clients=args.min_clients,
@@ -134,8 +125,9 @@ def cmd_serve(args) -> int:
 
 def cmd_client(args) -> int:
     arrays = labeling.read_dataset_jsonl(args.dataset)
+    seed = 1000 + args.id if args.seed is None else args.seed
     client = fed.FedClient(client_id=args.id, dataset=arrays, opt_cfg=mdl.OptConfig(),
-                           seed=args.seed or (1000 + args.id), local_epochs=args.local_epochs)
+                           seed=seed, local_epochs=args.local_epochs)
     rounds = client.run(args.host, args.port, timeout=args.timeout)
     print(f"client {args.id} finished after {rounds} rounds")
     return 0

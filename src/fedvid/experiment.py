@@ -68,13 +68,10 @@ def predict_run(params: mdl.ModelParams, run: labeling.LabeledRun,
             ])
             FB = np.stack([prev_feedback.get(m.id, np.zeros(4)) for m in msgs])
             y, _ = mdl.forward_batch(params, X, FB, training=False)
-            estimates = mapping.EstimateSet(
-                entries=[
-                    mapping.ModelEstimate(msg_id=m.id, bbx=y[i, :4], inside=float(y[i, 4]))
-                    for i, m in enumerate(msgs)
-                ],
-                threshold_inside=mcfg.threshold_inside,
-            )
+            estimates = mapping.EstimateSet(entries=[
+                mapping.ModelEstimate(msg_id=m.id, bbx=y[i, :4], inside=float(y[i, 4]))
+                for i, m in enumerate(msgs)
+            ])
             boxes = [b.bb_norm for b in obs.front_boxes]
             result = mapping.decide_mapping(estimates, boxes, mcfg)
             mapped = result.as_dict()
@@ -125,14 +122,14 @@ def autolabel_rates(state: scenario.ScenarioState, run: labeling.LabeledRun,
     return matched_with / inside, matched_without / inside
 
 
-def train_central(arrays, cfg: ExperimentConfig) -> mdl.ModelParams:
+def train_central(arrays: labeling.TrainingArrays, cfg: ExperimentConfig) -> mdl.ModelParams:
     params = mdl.init_model(cfg.model_cfg, np.random.default_rng(cfg.train_seed))
     trainer = mdl.Trainer(params, cfg.opt_cfg, cfg.train_seed)
     trainer.run_epochs(arrays, cfg.epochs)
     return trainer.params
 
 
-def split_shards(arrays, n: int) -> list[labeling.TrainingArrays]:
+def split_shards(arrays: labeling.TrainingArrays, n: int) -> list[labeling.TrainingArrays]:
     """Disjoint round-robin shards of a training array set."""
     shards = []
     for i in range(n):
@@ -142,7 +139,7 @@ def split_shards(arrays, n: int) -> list[labeling.TrainingArrays]:
     return shards
 
 
-def train_federated(arrays, n_clients: int, cfg: ExperimentConfig,
+def train_federated(arrays: labeling.TrainingArrays, n_clients: int, cfg: ExperimentConfig,
                     eval_dataset=None):
     params0 = mdl.init_model(cfg.model_cfg, np.random.default_rng(cfg.train_seed))
     shards = split_shards(arrays, n_clients)

@@ -76,7 +76,7 @@ def speed_norm(spd: float, v_max: float) -> float:
     return float(np.clip(spd / v_max, 0.0, 1.0))
 
 
-def build_feature_vector(history, msg, ego_records, cfg: FeatureConfig) -> FeatureVector:
+def build_feature_vector(history, ego_records, cfg: FeatureConfig) -> FeatureVector:
     """Assemble the model input for one (sender, tick).
 
     history: sender samples as (lat, lng, ori, spd), oldest first, newest = the
@@ -108,7 +108,7 @@ def build_feature_vector(history, msg, ego_records, cfg: FeatureConfig) -> Featu
     gamma = orientation_gamma(ego_now[2], brg)
     return FeatureVector(
         latlng_deltas=deltas,
-        spd_y_norm=speed_norm(msg.spd if hasattr(msg, "spd") else newest[3], cfg.v_max),
+        spd_y_norm=speed_norm(newest[3], cfg.v_max),
         spd_x_norm=speed_norm(ego_now[3], cfg.v_max),
         gamma=gamma,
         validity_mask=mask,

@@ -14,11 +14,15 @@ import json
 import socket
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import model as mdl
 from .plates import fnv1a64
+
+if TYPE_CHECKING:
+    from .labeling import TrainingArrays
 
 PROTOCOL_TIMEOUT_S = 30.0
 
@@ -55,19 +59,18 @@ class ClientState:
     """
 
     client_id: int
-    dataset: object          # TrainingArrays or (X, FB, Y)
+    dataset: TrainingArrays
     trainer: mdl.Trainer
     round: int = 0
 
     @classmethod
-    def create(cls, client_id: int, dataset, params: mdl.ModelParams,
+    def create(cls, client_id: int, dataset: TrainingArrays, params: mdl.ModelParams,
                opt_cfg: mdl.OptConfig, seed: int) -> "ClientState":
         return cls(client_id=client_id, dataset=dataset,
                    trainer=mdl.Trainer(params.copy(), opt_cfg, seed))
 
     def example_count(self) -> int:
-        X = self.dataset.X if hasattr(self.dataset, "X") else self.dataset[0]
-        return int(X.shape[0])
+        return int(self.dataset.X.shape[0])
 
 
 def local_train(client: ClientState, global_params: mdl.ModelParams,
@@ -134,6 +137,19 @@ class ServerState:
     global_params: mdl.ModelParams
     records: list[RoundRecord] = field(default_factory=list)
 
+    def aggregate(self, updates: list[tuple[int, mdl.ModelParams, int]]) -> RoundRecord:
+        """Install the FedAvg of (client id, params, example count) updates,
+        reduced in ascending client-id order, and record the round."""
+        updates = sorted(updates, key=lambda u: u[0])
+        self.global_params = fed_avg([(p, n) for _, p, n in updates])
+        record = RoundRecord(
+            round=len(self.records) + 1, participants=[cid for cid, _, _ in updates],
+            example_counts={cid: n for cid, _, n in updates},
+            digest=params_digest(self.global_params),
+        )
+        self.records.append(record)
+        return record
+
 
 def run_round(server: ServerState, clients: list[ClientState],
               cfg: RoundConfig = RoundConfig()) -> RoundRecord:
@@ -142,18 +158,11 @@ def run_round(server: ServerState, clients: list[ClientState],
         raise ProtocolError(
             f"need at least {max(1, cfg.min_clients)} clients, have {len(clients)}"
         )
-    r = len(server.records) + 1
     updates = []
-    counts = {}
     for client in sorted(clients, key=lambda c: c.client_id):
         params, n = local_train(client, server.global_params, cfg.local_epochs)
-        updates.append((params, n))
-        counts[client.client_id] = n
-    server.global_params = fed_avg(updates)
-    record = RoundRecord(round=r, participants=sorted(c.client_id for c in clients),
-                         example_counts=counts, digest=params_digest(server.global_params))
-    server.records.append(record)
-    return record
+        updates.append((client.client_id, params, n))
+    return server.aggregate(updates)
 
 
 # --- TCP transport -----------------------------------------------------------
@@ -185,9 +194,9 @@ class FedServer:
 
     Accepts `expected_clients` hello frames, then runs `rounds` rounds of
     broadcast/collect/aggregate. A client that times out or misbehaves is
-    dropped and the round is retried with the remainder while at least
-    `min_clients` survive. Every frame sent or received is appended to the
-    transcript for audit.
+    dropped for the rest of the session, and each round averages the updates
+    that arrived, provided at least `min_clients` did. Every frame sent or
+    received is appended to the transcript for audit.
     """
 
     def __init__(self, global_params: mdl.ModelParams, expected_clients: int,
@@ -247,54 +256,39 @@ class FedServer:
             self._listener.close()
 
     def _run_tcp_round(self, r: int, conns: dict) -> None:
-        while True:
-            if len(conns) < max(1, self.cfg.min_clients):
-                raise ProtocolError(
-                    f"round {r}: only {len(conns)} clients left, need {self.cfg.min_clients}"
-                )
-            blob = params_b64(self.state.global_params)
-            for cid in sorted(conns):
-                sock, _ = conns[cid]
-                self._send(sock, {"type": "round_begin", "round": r, "params_b64": blob})
+        blob = params_b64(self.state.global_params)
+        for cid in sorted(conns):
+            sock, _ = conns[cid]
+            self._send(sock, {"type": "round_begin", "round": r, "params_b64": blob})
 
-            updates: list[tuple[int, mdl.ModelParams, int]] = []
-            dropped: list[int] = []
-            for cid in sorted(conns):
-                sock, reader = conns[cid]
-                try:
-                    frame = self._recv(reader, self.cfg.timeout_s)
-                    if frame.get("type") != "update" or int(frame.get("round", -1)) != r:
-                        self._send(sock, {"type": "error", "reason": "expected update"})
-                        raise ProtocolError(f"client {cid}: bad frame in round {r}")
-                    params = params_from_b64(frame["params_b64"])
-                    updates.append((cid, params, int(frame["examples"])))
-                except (ProtocolError, socket.timeout, OSError, KeyError, ValueError):
-                    sock.close()
-                    dropped.append(cid)
-            for cid in dropped:
+        updates: list[tuple[int, mdl.ModelParams, int]] = []
+        for cid in sorted(conns):
+            sock, reader = conns[cid]
+            try:
+                frame = self._recv(reader, self.cfg.timeout_s)
+                if frame.get("type") != "update" or int(frame.get("round", -1)) != r:
+                    self._send(sock, {"type": "error", "reason": "expected update"})
+                    raise ProtocolError(f"client {cid}: bad frame in round {r}")
+                params = params_from_b64(frame["params_b64"])
+                updates.append((cid, params, int(frame["examples"])))
+            except (ProtocolError, socket.timeout, OSError, KeyError, ValueError):
+                sock.close()
                 del conns[cid]
-            if dropped:
-                continue  # retry the round with the remaining clients
+        need = max(1, self.cfg.min_clients)
+        if len(updates) < need:
+            raise ProtocolError(f"round {r}: only {len(updates)} updates arrived, need {need}")
 
-            updates.sort(key=lambda u: u[0])
-            self.state.global_params = fed_avg([(p, n) for _, p, n in updates])
-            digest = params_digest(self.state.global_params)
-            record = RoundRecord(
-                round=r, participants=[cid for cid, _, _ in updates],
-                example_counts={cid: n for cid, _, n in updates}, digest=digest,
-            )
-            self.state.records.append(record)
-            for cid in sorted(conns):
-                sock, _ = conns[cid]
-                self._send(sock, {"type": "round_end", "round": r, "digest": digest})
-            return
+        record = self.state.aggregate(updates)
+        for cid in sorted(conns):
+            sock, _ = conns[cid]
+            self._send(sock, {"type": "round_end", "round": r, "digest": record.digest})
 
 
 class FedClient:
     """Federated participant over TCP; holds its trainer across rounds."""
 
-    def __init__(self, client_id: int, dataset, opt_cfg: mdl.OptConfig, seed: int,
-                 local_epochs: int = 1):
+    def __init__(self, client_id: int, dataset: TrainingArrays, opt_cfg: mdl.OptConfig,
+                 seed: int, local_epochs: int = 1):
         self.client_id = client_id
         self.dataset = dataset
         self.opt_cfg = opt_cfg
@@ -307,8 +301,8 @@ class FedClient:
         rounds = 0
         with socket.create_connection((host, port), timeout=timeout) as sock:
             reader = _LineReader(sock)
-            n = self.dataset.X.shape[0] if hasattr(self.dataset, "X") else self.dataset[0].shape[0]
-            _send_frame(sock, {"type": "hello", "client_id": self.client_id, "examples": int(n)})
+            n = int(self.dataset.X.shape[0])
+            _send_frame(sock, {"type": "hello", "client_id": self.client_id, "examples": n})
             while True:
                 frame = json.loads(reader.readline(timeout))
                 kind = frame.get("type")

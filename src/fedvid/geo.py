@@ -37,11 +37,6 @@ def initial_bearing(lat1: float, lng1: float, lat2: float, lng2: float) -> float
     return initial_bearing_flagged(lat1, lng1, lat2, lng2)[0]
 
 
-def wrap_deg(angle: float) -> float:
-    """Wrap an angle to [0, 360)."""
-    return angle % 360.0
-
-
 def angle_diff_deg(a: float, b: float) -> float:
     """Smallest signed difference a-b in degrees, in [-180, 180)."""
     return (a - b + 180.0) % 360.0 - 180.0

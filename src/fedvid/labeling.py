@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -21,17 +20,12 @@ from . import features as feats
 from . import geo, plates
 from .scenario import OUTSIDE, Observation, WorldConfig
 
-# re-exported: the bearing used by the field-of-view test
-bearing = geo.initial_bearing
-bearing_flagged = geo.initial_bearing_flagged
-
 
 class PairSource(str, Enum):
     AUTO_FRONT = "AUTO_FRONT"
     AUTO_REAR = "AUTO_REAR"
     AUTO_FOV = "AUTO_FOV"   # outside negatives from the field-of-view test
     MANUAL = "MANUAL"
-    MODEL = "MODEL"
 
 
 class DatasetMode(str, Enum):
@@ -227,7 +221,7 @@ def feature_for(run: LabeledRun, msg, t: int) -> feats.FeatureVector:
         ego_records.append(run.ego_history[tt])
     history.reverse()
     ego_records.reverse()
-    return feats.build_feature_vector(history, msg, ego_records, run.feature_cfg)
+    return feats.build_feature_vector(history, ego_records, run.feature_cfg)
 
 
 def assemble_dataset(run: LabeledRun, mode: DatasetMode) -> list[LabeledExample]:

@@ -10,7 +10,6 @@ included as a test oracle only.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -31,15 +30,11 @@ class ModelEstimate:
 @dataclass
 class EstimateSet:
     entries: list[ModelEstimate]
-    threshold_inside: float = 0.5
 
     def __post_init__(self):
         ids = [e.msg_id for e in self.entries]
         if len(ids) != len(set(ids)):
             raise ValueError("estimate message ids must be distinct")
-
-    def inside_filtered(self) -> list[ModelEstimate]:
-        return [e for e in self.entries if e.inside > self.threshold_inside]
 
 
 @dataclass
@@ -61,7 +56,6 @@ class ConfidenceTable:
 class MappingConfig:
     omega: float = 0.5
     threshold_inside: float = 0.5
-    score_eps: float = SCORE_EPS
 
 
 @dataclass
@@ -160,7 +154,7 @@ def decide_mapping(estimates: EstimateSet, boxes, cfg: MappingConfig = MappingCo
 
     st = build_score_table(e_inside, boxes, cfg.omega)
     ct = build_confidence_table(st)
-    raw = _greedy_pairs(st.scores, ct.conf, cfg.score_eps)
+    raw = _greedy_pairs(st.scores, ct.conf, SCORE_EPS)
     pairs = [(st.row_ids[i], st.col_ids[j]) for i, j in raw]
     for msg_id, box_idx in pairs:
         feedback[msg_id] = np.asarray(boxes[box_idx], dtype=float).copy()
@@ -209,12 +203,3 @@ def optimal_assignment(st: ScoreTable, eps: float = SCORE_EPS) -> tuple[list[tup
     pairs = [(st.row_ids[i], st.col_ids[j]) for i, j in best_pairs]
     return pairs, best_value
 
-
-def dump_tables_csv(st: ScoreTable, ct: ConfidenceTable, score_path, conf_path) -> None:
-    """Write score and confidence tables as CSV for audit."""
-    for table, path in ((st.scores, score_path), (ct.conf, conf_path)):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow([""] + [f"v{j}" for j in st.col_ids])
-            for i, rid in enumerate(st.row_ids):
-                w.writerow([rid] + [f"{x:.9g}" for x in table[i]])

@@ -11,9 +11,13 @@ encoding for federated exchange.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .labeling import TrainingArrays
 
 FMDF_MAGIC = b"FMDF"
 FMDF_VERSION = 1
@@ -65,18 +69,6 @@ class ModelParams:
 
     def hidden_layer_count(self) -> int:
         return len(self.weights) - 1
-
-    def feedback_dim(self) -> int:
-        return self.weights[-1].shape[0] - self.weights[-2].shape[1]
-
-
-@dataclass
-class ModelOutput:
-    bbx: np.ndarray   # (4,) predicted normalized box
-    inside: float     # probability the sender is inside the image
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.bbx, [self.inside]])
 
 
 def init_model(cfg: ModelConfig, rng) -> ModelParams:
@@ -139,29 +131,9 @@ def forward_batch(params: ModelParams, x: np.ndarray, fb: np.ndarray,
     return y, cache
 
 
-def forward(params: ModelParams, features, fb, training: bool = False, rng=None) -> ModelOutput:
-    """Single-example forward; `features` may be a FeatureVector or an array."""
-    x = features.as_array() if hasattr(features, "as_array") else np.asarray(features, dtype=float)
-    f = fb.prev_box if hasattr(fb, "prev_box") else np.asarray(fb, dtype=float)
-    y, _ = forward_batch(params, x[None, :], f[None, :], training=training, rng=rng)
-    return ModelOutput(bbx=y[0, :4].copy(), inside=float(y[0, 4]))
-
-
-def predict(params: ModelParams, features, fb) -> ModelOutput:
-    """Deterministic inference (dropout disabled)."""
-    return forward(params, features, fb, training=False)
-
-
-@dataclass
-class FeedbackInput:
-    """Previous tick's decided box for this sender; zeros when unmatched."""
-
-    prev_box: np.ndarray = field(default_factory=lambda: np.zeros(4))
-
-
 def loss_bbx(pred, target, mu: float) -> float:
     """Quarter mean-square error on the box plus mu-weighted inside error."""
-    p = pred.as_array() if hasattr(pred, "as_array") else np.asarray(pred, dtype=float)
+    p = np.asarray(pred, dtype=float)
     t = np.asarray(target, dtype=float)
     box = 0.25 * np.sum((t[:4] - p[:4]) ** 2)
     return float(box + mu * (t[4] - p[4]) ** 2)
@@ -247,17 +219,14 @@ class Adam:
                 p -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
 
 
-def train_epoch(params: ModelParams, dataset, opt, rng) -> tuple[ModelParams, float]:
-    """One pass of seeded, shuffled mini-batch Adam over (X, FB, Y) arrays.
+def train_epoch(params: ModelParams, dataset: TrainingArrays, opt,
+                rng) -> tuple[ModelParams, float]:
+    """One pass of seeded, shuffled mini-batch Adam over a dataset.
 
-    `dataset` is a tuple of arrays or an object with .X, .FB, .Y. Mutates
-    `params` in place and returns it with the mean batch loss. Aborts on a
-    non-finite loss.
+    Mutates `params` in place and returns it with the mean batch loss.
+    Aborts on a non-finite loss.
     """
-    if hasattr(dataset, "X"):
-        X, FB, Y = dataset.X, dataset.FB, dataset.Y
-    else:
-        X, FB, Y = dataset
+    X, FB, Y = dataset.X, dataset.FB, dataset.Y
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty training dataset")
@@ -297,7 +266,7 @@ class Trainer:
         self.opt = Adam(opt_cfg)
         self.rng = np.random.default_rng(seed)
 
-    def run_epochs(self, dataset, epochs: int) -> list[float]:
+    def run_epochs(self, dataset: TrainingArrays, epochs: int) -> list[float]:
         losses = []
         for _ in range(epochs):
             _, loss = train_epoch(self.params, dataset, self.opt, self.rng)
@@ -305,14 +274,10 @@ class Trainer:
         return losses
 
 
-def mean_loss(params: ModelParams, dataset) -> float:
+def mean_loss(params: ModelParams, dataset: TrainingArrays) -> float:
     """Eval-mode mean loss over a dataset (no dropout, no updates)."""
-    if hasattr(dataset, "X"):
-        X, FB, Y = dataset.X, dataset.FB, dataset.Y
-    else:
-        X, FB, Y = dataset
-    y, _ = forward_batch(params, X, FB, training=False)
-    loss, _ = _loss_grad_batch(y, Y, params.mu)
+    y, _ = forward_batch(params, dataset.X, dataset.FB, training=False)
+    loss, _ = _loss_grad_batch(y, dataset.Y, params.mu)
     return loss
 
 

@@ -134,6 +134,16 @@ class WorldConfig:
         if self.ocr_channel not in ("builtin", "identity"):
             raise ValueError(f"unknown ocr_channel {self.ocr_channel!r}")
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "WorldConfig":
+        """Inverse of `dataclasses.asdict`: camera fields, when present, are
+        dicts of CameraModel fields."""
+        data = dict(data)
+        for key in ("front_camera", "rear_camera"):
+            if key in data:
+                data[key] = CameraModel(**data[key])
+        return cls(**data)
+
     def weather_condition(self) -> WeatherCondition:
         return WEATHER_BY_NAME[self.weather]
 
@@ -167,7 +177,6 @@ class Message:
     ori: float
     spd: float
     id: int
-    state: str = "cruising"
 
 
 @dataclass
@@ -278,8 +287,7 @@ def build_scenario(cfg: WorldConfig, placements: list[Placement],
     if len(placements) != cfg.num_vehicles:
         raise ValueError("placements must match num_vehicles")
     cct = cct if cct is not None else plates.default_conversion_table()
-    ss = np.random.SeedSequence(cfg.seed)
-    plate_ss, state_ss = ss.spawn(2)
+    plate_ss, state_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     plate_rng = np.random.default_rng(plate_ss)
     auto = _assign_plates(cfg.num_vehicles, plate_rng, cct)
     vehicles = []
@@ -359,19 +367,15 @@ def _initial_speed(cfg: WorldConfig, rng) -> float:
 
 def generate_scenario(cfg: WorldConfig, cct: plates.ConversionTable | None = None) -> ScenarioState:
     """Seeded random world: same (cfg, seed) gives a bit-identical state."""
-    cct = cct if cct is not None else plates.default_conversion_table()
-    ss = np.random.SeedSequence(cfg.seed)
-    plate_ss, state_ss, layout_ss = ss.spawn(3)
+    # the seed's third child draws the layout; build_scenario spawns the first
+    # two for the plates and the simulation state
+    layout_ss = np.random.SeedSequence(cfg.seed).spawn(3)[2]
     layout_rng = np.random.default_rng(layout_ss)
     if cfg.road_layout == "straight":
         placements = _straight_placements(cfg, layout_rng)
     else:
         placements = _grid_placements(cfg, layout_rng)
-
-    plate_rng = np.random.default_rng(plate_ss)
-    plate_list = _assign_plates(cfg.num_vehicles, plate_rng, cct)
-    vehicles = [_build_vehicle(p, cct, pl) for p, pl in zip(plate_list, placements)]
-    return ScenarioState(cfg, vehicles, cct, state_ss)
+    return build_scenario(cfg, placements, cct)
 
 
 # --- motion ------------------------------------------------------------------
@@ -644,7 +648,7 @@ def write_run(out_dir, observations: list[Observation]) -> None:
                 "t": obs.t,
                 "messages": [{
                     "lat": _sig9(m.lat), "lng": _sig9(m.lng), "ori": _sig9(m.ori),
-                    "spd": _sig9(m.spd), "id": m.id, "state": m.state,
+                    "spd": _sig9(m.spd), "id": m.id,
                 } for m in obs.messages],
             }) + "\n")
             sf.write(json.dumps({
@@ -685,7 +689,8 @@ def read_run(run_dir) -> list[Observation]:
             t=fr["t"],
             front_boxes=[box(b) for b in fr["front_boxes"]],
             rear_boxes=[box(b) for b in fr["rear_boxes"]],
-            messages=[Message(**m) for m in mr["messages"]],
+            messages=[Message(lat=m["lat"], lng=m["lng"], ori=m["ori"], spd=m["spd"], id=m["id"])
+                      for m in mr["messages"]],
             ego_sensors=SensorRecord(lat=sr["lat"], lng=sr["lng"], ori=sr["ori"], spd=sr["spd"]),
             truth_pairs={int(k): v for k, v in tr["truth_pairs"].items()},
         ))

@@ -1,10 +1,11 @@
 import json
 import socket
 import threading
+from dataclasses import replace
 
 import pytest
 
-from fedvid import cli
+from fedvid import cli, labeling, plates, scenario
 
 
 def test_no_arguments_usage_exit_1(capsys):
@@ -110,3 +111,53 @@ def test_serve_and_client_subcommands(tmp_path):
     assert rc["serve"] == 0
     assert (serve_dir / "model.fmdf").exists()
     assert (serve_dir / "transcript.log").exists()
+
+
+def _gen_and_label(tmp_path, cfg):
+    """gen a seed-79 run from `cfg` and label it as ALDA; returns (run dir, dataset)."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    run_dir = tmp_path / "run"
+    assert cli.cli_main(["--seed", "79", "--config", str(cfg_path),
+                         "--out", str(run_dir), "gen"]) == 0
+    label_dir = tmp_path / "labels"
+    assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_dir),
+                         "--mode", "ALDA"]) == 0
+    return run_dir, label_dir / "dataset.jsonl"
+
+
+def test_train_seed_zero_is_honoured(tmp_path):
+    _, dataset = _gen_and_label(tmp_path, {"num_vehicles": 10, "duration": 10.0})
+    models = {}
+    for seed in ("0", "7"):
+        out = tmp_path / f"model{seed}"
+        assert cli.cli_main(["--seed", seed, "--out", str(out), "train",
+                             "--dataset", str(dataset), "--epochs", "1"]) == 0
+        models[seed] = (out / "model.fmdf").read_bytes()
+    assert models["0"] != models["7"]
+
+
+def test_world_json_round_trips_camera_config(tmp_path):
+    front = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720,
+             "facing": "front", "max_range": 60.0}
+    world = {"num_vehicles": 20, "duration": 30.0, "front_camera": front}
+    run_dir, dataset = _gen_and_label(tmp_path, world)
+
+    cfg = cli._load_world(run_dir)
+    assert cfg.front_camera.hfov_deg == 60.0
+    assert cfg == scenario.WorldConfig.from_dict({**world, "seed": 79})
+
+    # label must run the field-of-view test with the 60 degree camera
+    observations = scenario.read_run(run_dir)
+    cct = plates.default_conversion_table()
+
+    def alda_jsonl(world_cfg, name):
+        run = labeling.label_run(observations, cct, world_cfg)
+        examples = labeling.assemble_dataset(run, labeling.DatasetMode.ALDA)
+        path = tmp_path / name
+        labeling.write_dataset_jsonl(path, examples)
+        return path.read_bytes()
+
+    wide = replace(cfg, front_camera=scenario.default_front_camera())
+    assert dataset.read_bytes() == alda_jsonl(cfg, "narrow.jsonl")
+    assert dataset.read_bytes() != alda_jsonl(wide, "wide.jsonl")

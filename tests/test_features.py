@@ -69,7 +69,7 @@ def _samples(n, lat0=23.97, lng0=120.98):
 def test_full_window_mask_all_true():
     cfg = features.FeatureConfig()
     sender, ego = _samples(4)
-    fv = features.build_feature_vector(sender, None, ego, cfg)
+    fv = features.build_feature_vector(sender, ego, cfg)
     assert fv.validity_mask.tolist() == [True] * 4
     assert fv.as_array().shape == (11,)
 
@@ -77,7 +77,7 @@ def test_full_window_mask_all_true():
 def test_single_sample_pads_leading_slots():
     cfg = features.FeatureConfig()
     sender, ego = _samples(1)
-    fv = features.build_feature_vector(sender, None, ego, cfg)
+    fv = features.build_feature_vector(sender, ego, cfg)
     assert fv.validity_mask.tolist() == [False, False, False, True]
     assert np.all(fv.latlng_deltas[:3] == 0.0)
     assert np.any(fv.latlng_deltas[3] != 0.0)
@@ -85,17 +85,17 @@ def test_single_sample_pads_leading_slots():
 
 def test_empty_history_rejected():
     with pytest.raises(ValueError):
-        features.build_feature_vector([], None, [], features.FeatureConfig())
+        features.build_feature_vector([], [], features.FeatureConfig())
 
 
 def test_translation_invariance():
     cfg = features.FeatureConfig()
     sender, ego = _samples(4)
-    base = features.build_feature_vector(sender, None, ego, cfg)
+    base = features.build_feature_vector(sender, ego, cfg)
     off = 0.3  # degrees of longitude applied to everyone
     sender2 = [(la, ln + off, o, s) for la, ln, o, s in sender]
     ego2 = [(la, ln + off, o, s) for la, ln, o, s in ego]
-    moved = features.build_feature_vector(sender2, None, ego2, cfg)
+    moved = features.build_feature_vector(sender2, ego2, cfg)
     assert np.allclose(base.latlng_deltas, moved.latlng_deltas, atol=1e-6)
     assert moved.gamma == pytest.approx(base.gamma, abs=0.01)
     assert moved.spd_x_norm == base.spd_x_norm
@@ -106,5 +106,5 @@ def test_gamma_sign_matches_side():
     # sender due west of a north-facing ego is on the left: gamma > 0
     sender = [(23.97, 120.97, 0.0, 5.0)]
     ego = [(23.97, 120.98, 0.0, 5.0)]
-    fv = features.build_feature_vector(sender, None, ego, features.FeatureConfig())
+    fv = features.build_feature_vector(sender, ego, features.FeatureConfig())
     assert fv.gamma > 0

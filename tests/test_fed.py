@@ -233,6 +233,69 @@ def test_tcp_unknown_frame_gets_error_and_close():
     assert json.loads(result["reply"])["type"] == "error"
 
 
+def test_tcp_round_aggregates_survivors_without_retraining():
+    # client 2 hangs up after its first round_begin; client 1 must train once
+    # per round, and every round averages client 1's update alone
+    data = _toy_dataset(n=20)
+    init = mdl.init_model(NARROW, np.random.default_rng(17))
+    server = fed.FedServer(init, expected_clients=2, rounds=2,
+                           round_cfg=fed.RoundConfig(timeout_s=5.0, min_clients=1))
+    host, port = server.address
+    trained = {}
+
+    def survivor():
+        client = fed.FedClient(1, data, mdl.OptConfig(), seed=51)
+        trained["rounds"] = client.run(host, port, timeout=10.0)
+
+    def quitter():
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(b'{"type":"hello","client_id":2,"examples":4}\n')
+            fed._LineReader(sock).readline(5.0)  # round_begin, then hang up
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (survivor, quitter)]
+    for t in threads:
+        t.start()
+    records = server.serve()
+    for t in threads:
+        t.join(timeout=10.0)
+    assert not any(t.is_alive() for t in threads)
+    assert trained["rounds"] == 2
+    assert [r.round for r in records] == [1, 2]
+    assert all(r.participants == [1] for r in records)
+    assert all(r.example_counts == {1: 20} for r in records)
+
+
+def test_tcp_round_below_min_clients_after_drop_errors():
+    init = mdl.init_model(NARROW, np.random.default_rng(18))
+    server = fed.FedServer(init, expected_clients=2, rounds=1,
+                           round_cfg=fed.RoundConfig(timeout_s=5.0, min_clients=2))
+    host, port = server.address
+
+    def client(cid, reply):
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(json.dumps({"type": "hello", "client_id": cid,
+                                     "examples": 4}).encode() + b"\n")
+            reader = fed._LineReader(sock)
+            frame = json.loads(reader.readline(5.0))
+            if reply:
+                sock.sendall(json.dumps({"type": "update", "round": 1, "examples": 4,
+                                         "params_b64": frame["params_b64"]}).encode() + b"\n")
+                try:
+                    reader.readline(5.0)
+                except (fed.ProtocolError, OSError):
+                    pass
+
+    threads = [threading.Thread(target=client, args=(cid, cid == 1), daemon=True)
+               for cid in (1, 2)]
+    for t in threads:
+        t.start()
+    with pytest.raises(fed.ProtocolError, match="need 2"):
+        server.serve()
+    for t in threads:
+        t.join(timeout=10.0)
+    assert not any(t.is_alive() for t in threads)
+
+
 def test_transcript_carries_no_training_payloads():
     data = _toy_dataset(n=20)
     init = mdl.init_model(NARROW, np.random.default_rng(16))

@@ -29,11 +29,6 @@ def _noisy_run(seed=37, n=40, ticks=120, **kw):
 
 # --- bearing / fov ------------------------------------------------------------
 
-def test_bearing_reexport():
-    assert labeling.bearing(0.0, 0.0, 1.0, 0.0) == pytest.approx(0.0)
-    assert labeling.bearing_flagged(1.0, 2.0, 1.0, 2.0) == (0.0, True)
-
-
 def test_fov_contains_center_and_boundary():
     assert labeling.fov_contains(0.0, 90.0, 0.0)
     assert labeling.fov_contains(0.0, 90.0, 45.0)   # boundary inclusive

@@ -123,7 +123,7 @@ def test_worked_mapping_decision():
 
 
 def test_decide_mapping_empty():
-    est = mapping.EstimateSet(entries=[], threshold_inside=0.5)
+    est = mapping.EstimateSet(entries=[])
     result = mapping.decide_mapping(est, [np.array([0.0, 0.0, 0.1, 0.1])])
     assert result.pairs == []
 
@@ -171,11 +171,10 @@ def test_raising_threshold_never_adds_pairs():
             for i in range(n)
         ]
         boxes = [_rand_box(rng) for _ in range(m)]
-        counts = []
-        for thr in (0.2, 0.5, 0.8):
-            est = mapping.EstimateSet(entries=est_entries, threshold_inside=thr)
-            counts.append(len(mapping.decide_mapping(
-                est, boxes, mapping.MappingConfig(threshold_inside=thr)).pairs))
+        est = mapping.EstimateSet(entries=est_entries)
+        counts = [len(mapping.decide_mapping(
+                      est, boxes, mapping.MappingConfig(threshold_inside=thr)).pairs)
+                  for thr in (0.2, 0.5, 0.8)]
         assert counts[0] >= counts[1] >= counts[2]
 
 

@@ -60,20 +60,26 @@ def test_init_rejects_zero_width():
 
 # --- forward ------------------------------------------------------------------
 
+def _predict(params, x, fb):
+    """Eval-mode output row for one example."""
+    y, _ = mdl.forward_batch(params, x[None, :], fb[None, :])
+    return y[0]
+
+
 def test_forward_eval_deterministic():
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(1))
     x = np.random.default_rng(2).random(11)
     fb = np.zeros(4)
-    a = mdl.predict(params, x, fb)
-    b = mdl.predict(params, x, fb)
-    assert np.array_equal(a.as_array(), b.as_array())
+    a = _predict(params, x, fb)
+    b = _predict(params, x, fb)
+    assert np.array_equal(a, b)
 
 
 def test_forward_outputs_in_open_unit_interval():
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(4))
     rng = np.random.default_rng(5)
     for _ in range(20):
-        out = mdl.predict(params, rng.random(11) * 10 - 5, rng.random(4)).as_array()
+        out = _predict(params, rng.random(11) * 10 - 5, rng.random(4))
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
@@ -81,13 +87,13 @@ def test_forward_rejects_nonfinite():
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(4))
     x = np.full(11, np.nan)
     with pytest.raises(ValueError):
-        mdl.predict(params, x, np.zeros(4))
+        _predict(params, x, np.zeros(4))
 
 
 def test_forward_requires_rng_when_training():
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(4))
     with pytest.raises(ValueError):
-        mdl.forward(params, np.zeros(11), np.zeros(4), training=True)
+        mdl.forward_batch(params, np.zeros((1, 11)), np.zeros((1, 4)), training=True)
 
 
 def test_inverted_dropout_identity_per_layer_monte_carlo():
@@ -124,8 +130,8 @@ def test_dropout_monte_carlo_tracks_eval_through_network():
 def test_feedback_changes_output():
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(10))
     x = np.random.default_rng(11).random(11)
-    a = mdl.predict(params, x, np.zeros(4)).as_array()
-    b = mdl.predict(params, x, np.ones(4)).as_array()
+    a = _predict(params, x, np.zeros(4))
+    b = _predict(params, x, np.ones(4))
     assert not np.array_equal(a, b)
 
 

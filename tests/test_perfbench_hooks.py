@@ -1,0 +1,60 @@
+"""The benchmark's tracer must still find and exercise the functions it wraps.
+
+`perfbench/tracing.py` patches fedvid attributes by name, where their callers
+look them up. A refactor that renames or re-binds one of them would leave the
+benchmark's per-layer metrics reading zero, so this test installs the tracer
+(read-only: nothing under perfbench/ is written) around a toy federated run.
+"""
+
+import importlib
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+from fedvid import fed, labeling, model as mdl
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FED_SPANS = ("fed.round", "fed.fed_avg", "fed.params_digest", "fed.params_b64",
+             "fed.params_from_b64", "model.params_to_bytes", "model.params_from_bytes")
+
+
+def _resolve(target):
+    owner = importlib.import_module(target.owner)
+    *path, attr = target.attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
+def test_tracer_installs_restores_and_sees_the_fed_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    from perfbench import tracing
+
+    originals = []
+    for target in tracing.TARGETS:
+        owner, attr = _resolve(target)
+        originals.append((owner, attr, getattr(owner, attr)))
+    rng = np.random.default_rng(3)
+    shards = [labeling.TrainingArrays(X=rng.random((6, 11)), FB=rng.random((6, 4)),
+                                      Y=rng.random((6, 5)))
+              for _ in range(2)]
+    init = mdl.init_model(mdl.ModelConfig(hidden_width=8), np.random.default_rng(4))
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert not tracer.problems
+        fed.train_federated_tcp(shards, init, mdl.OptConfig(), rounds=1, seeds=[5, 6],
+                                timeout=10.0)
+    finally:
+        tracer.restore()
+
+    for owner, attr, original in originals:
+        assert getattr(owner, attr) is original, f"{attr} not restored"
+    values = tracer.unit_metrics((0, Counter()))
+    for name in FED_SPANS:
+        assert values.get(f"{name}.calls", 0) >= 1, f"{name} recorded no calls"

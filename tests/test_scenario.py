@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -312,6 +313,22 @@ def test_run_files_roundtrip(tmp_path):
         for mx, my in zip(a.messages, b.messages):
             assert mx.id == my.id
             assert abs(mx.lat - my.lat) < 1e-7
+
+
+def test_read_run_ignores_legacy_message_state(tmp_path):
+    # record files from before the always-"cruising" state field was dropped
+    cfg = _world(num_vehicles=15, seed=19, duration=5.0)
+    _, observations = scenario.run_scenario(cfg)
+    scenario.write_run(tmp_path, observations)
+    path = tmp_path / "messages.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        for m in rec["messages"]:
+            m["state"] = "cruising"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    back = scenario.read_run(tmp_path)
+    ids = [[m.id for m in o.messages] for o in observations]
+    assert [[m.id for m in o.messages] for o in back] == ids
 
 
 def test_run_files_nine_significant_digits(tmp_path):
