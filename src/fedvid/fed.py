@@ -46,7 +46,7 @@ def params_b64(params: mdl.ModelParams) -> str:
 
 
 def params_from_b64(text: str) -> mdl.ModelParams:
-    return decode_params(base64.b64decode(text.encode("ascii")))
+    return decode_params(base64.b64decode(text))
 
 
 @dataclass
@@ -61,7 +61,6 @@ class ClientState:
     client_id: int
     dataset: TrainingArrays
     trainer: mdl.Trainer
-    round: int = 0
 
     @classmethod
     def create(cls, client_id: int, dataset: TrainingArrays, params: mdl.ModelParams,
@@ -79,8 +78,15 @@ def local_train(client: ClientState, global_params: mdl.ModelParams,
     updated parameters and the local example count."""
     client.trainer.params = global_params.copy()
     client.trainer.run_epochs(client.dataset, epochs)
-    client.round += 1
     return client.trainer.params, client.example_count()
+
+
+def _check_compatible(params: mdl.ModelParams, ref: mdl.ModelParams) -> None:
+    """Raise ProtocolError unless `params` has the layer shapes and model config of `ref`."""
+    if params.shapes != ref.shapes:
+        raise ProtocolError(f"parameter dimensions {params.shapes} differ from {ref.shapes}")
+    if params.mu != ref.mu or params.dropout != ref.dropout:
+        raise ProtocolError("model config (mu, dropout) differs")
 
 
 def fed_avg(updates: list[tuple[mdl.ModelParams, int]]) -> mdl.ModelParams:
@@ -95,25 +101,14 @@ def fed_avg(updates: list[tuple[mdl.ModelParams, int]]) -> mdl.ModelParams:
         if count <= 0:
             raise ProtocolError("update example counts must be positive")
     first, _ = updates[0]
-    shapes = [w.shape for w in first.weights]
     for params, _ in updates[1:]:
-        if [w.shape for w in params.weights] != shapes:
-            raise ProtocolError("parameter dimensions differ between updates")
-        if params.mu != first.mu or params.dropout != first.dropout:
-            raise ProtocolError("model config differs between updates")
+        _check_compatible(params, first)
 
     total = sum(c for _, c in updates)
-    out = mdl.ModelParams(
-        weights=[np.zeros_like(w) for w in first.weights],
-        biases=[np.zeros_like(b) for b in first.biases],
-        dropout=first.dropout,
-        mu=first.mu,
-    )
+    out = mdl.ModelParams(np.zeros_like(first.flat), first.shapes,
+                          dropout=first.dropout, mu=first.mu)
     for params, count in updates:
-        w = count / total
-        for i in range(len(out.weights)):
-            out.weights[i] += w * params.weights[i]
-            out.biases[i] += w * params.biases[i]
+        out.flat += (count / total) * params.flat
     return out
 
 
@@ -193,10 +188,13 @@ class FedServer:
     """Synchronous-barrier federated server.
 
     Accepts `expected_clients` hello frames, then runs `rounds` rounds of
-    broadcast/collect/aggregate. A client that times out or misbehaves is
-    dropped for the rest of the session, and each round averages the updates
-    that arrived, provided at least `min_clients` did. Every frame sent or
-    received is appended to the transcript for audit.
+    broadcast/collect/aggregate. A connection whose hello is malformed or
+    claims a connected client id gets an error frame and is closed. A client
+    that times out, misbehaves, or sends an update whose layout or model
+    config differs from the global model's or that holds a non-finite value
+    is dropped for the rest of the session, and each round averages the
+    updates that arrived, provided at least `min_clients` did. Every frame
+    sent or received is appended to the transcript for audit.
     """
 
     def __init__(self, global_params: mdl.ModelParams, expected_clients: int,
@@ -222,7 +220,35 @@ class FedServer:
     def _recv(self, reader, timeout) -> dict:
         line = reader.readline(timeout)
         self._log("recv", line)
-        return json.loads(line)
+        try:
+            frame = json.loads(line)
+        except ValueError:
+            raise ProtocolError("frame is not JSON") from None
+        if not isinstance(frame, dict):
+            raise ProtocolError("frame is not a JSON object")
+        return frame
+
+    def _hello(self, sock, reader, conns: dict) -> int | None:
+        """Read one connection's hello and return its client id. A malformed
+        hello or an id already connected gets an error frame, and the
+        connection is closed."""
+        try:
+            hello = self._recv(reader, self.cfg.timeout_s)
+            if hello.get("type") != "hello":
+                raise ProtocolError("expected hello")
+            cid = hello.get("client_id")
+            if type(cid) is not int:
+                raise ProtocolError("hello needs an integer client_id")
+            if cid in conns:
+                raise ProtocolError(f"client_id {cid} is already connected")
+            return cid
+        except (ProtocolError, OSError, ValueError) as exc:
+            try:
+                self._send(sock, {"type": "error", "reason": str(exc)})
+            except OSError:
+                pass
+            sock.close()
+            return None
 
     def serve(self) -> list[RoundRecord]:
         conns: dict[int, tuple[socket.socket, _LineReader]] = {}
@@ -231,13 +257,9 @@ class FedServer:
             while len(conns) < self.expected_clients:
                 sock, _ = self._listener.accept()
                 reader = _LineReader(sock)
-                hello = self._recv(reader, self.cfg.timeout_s)
-                if hello.get("type") != "hello":
-                    self._send(sock, {"type": "error", "reason": "expected hello"})
-                    sock.close()
-                    continue
-                cid = int(hello["client_id"])
-                conns[cid] = (sock, reader)
+                cid = self._hello(sock, reader, conns)
+                if cid is not None:
+                    conns[cid] = (sock, reader)
 
             for r in range(1, self.rounds + 1):
                 self._run_tcp_round(r, conns)
@@ -270,8 +292,14 @@ class FedServer:
                     self._send(sock, {"type": "error", "reason": "expected update"})
                     raise ProtocolError(f"client {cid}: bad frame in round {r}")
                 params = params_from_b64(frame["params_b64"])
-                updates.append((cid, params, int(frame["examples"])))
-            except (ProtocolError, socket.timeout, OSError, KeyError, ValueError):
+                count = int(frame["examples"])
+                _check_compatible(params, self.state.global_params)
+                if count <= 0:
+                    raise ProtocolError(f"client {cid}: example count {count} in round {r}")
+                if not np.isfinite(params.flat).all():
+                    raise ProtocolError(f"client {cid}: non-finite parameters in round {r}")
+                updates.append((cid, params, count))
+            except (ProtocolError, OSError, KeyError, TypeError, ValueError):
                 sock.close()
                 del conns[cid]
         need = max(1, self.cfg.min_clients)

@@ -10,8 +10,9 @@ encoding for federated exchange.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,26 +50,47 @@ class ModelConfig:
         return shapes
 
 
+def _layout(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of a flat parameter vector in FMDF order: every weight block
+    W0..WL (fan_in, fan_out), then every bias b0..bL (fan_out,)."""
+    views, off = [], 0
+    for shape in [*shapes, *((fan_out,) for _, fan_out in shapes)]:
+        views.append(flat[off:off + math.prod(shape)].reshape(shape))
+        off += views[-1].size
+    if off != flat.size:
+        raise ValueError(f"{flat.size} parameters do not fill layers {list(shapes)}")
+    return views
+
+
 @dataclass
 class ModelParams:
-    weights: list[np.ndarray]   # per layer, shape (fan_in, fan_out)
-    biases: list[np.ndarray]    # per layer, shape (fan_out,)
+    """Every parameter in one contiguous float64 vector. `weights[i]` and
+    `biases[i]` are views into it; a gradient has the same layout and unpacks
+    as `(weights, biases)`."""
+
+    flat: np.ndarray                      # FMDF order: W0..WL, then b0..bL
+    shapes: tuple[tuple[int, int], ...]   # (fan_in, fan_out) per layer
     dropout: float
     mu: float
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.shapes = tuple(map(tuple, self.shapes))
+        blocks = _layout(self.flat, self.shapes)
+        self.weights, self.biases = blocks[:len(self.shapes)], blocks[len(self.shapes):]
+
+    def __iter__(self):
+        return iter((self.weights, self.biases))
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            dropout=self.dropout,
-            mu=self.mu,
-        )
+        return replace(self, flat=self.flat.copy())
 
     def param_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
     def hidden_layer_count(self) -> int:
-        return len(self.weights) - 1
+        return len(self.shapes) - 1
 
 
 def init_model(cfg: ModelConfig, rng) -> ModelParams:
@@ -76,13 +98,12 @@ def init_model(cfg: ModelConfig, rng) -> ModelParams:
     shapes = cfg.widths()
     if any(fi <= 0 or fo <= 0 for fi, fo in shapes):
         raise ConfigError(f"zero-width layer in {shapes}")
-    weights = []
-    biases = []
-    for fan_in, fan_out in shapes:
+    params = ModelParams(np.zeros(sum((fi + 1) * fo for fi, fo in shapes)), shapes,
+                         dropout=cfg.dropout, mu=cfg.mu)
+    for w, (fan_in, fan_out) in zip(params.weights, shapes):
         limit = np.sqrt(6.0 / fan_in)
-        weights.append(np.asarray(rng.uniform(-limit, limit, (fan_in, fan_out)), dtype=np.float64))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(weights=weights, biases=biases, dropout=cfg.dropout, mu=cfg.mu)
+        w[...] = rng.uniform(-limit, limit, (fan_in, fan_out))
+    return params
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -150,19 +171,20 @@ def _loss_grad_batch(y: np.ndarray, targets: np.ndarray, mu: float):
     return float(per_example.mean()), grad
 
 
-def backward_batch(params: ModelParams, cache, dy: np.ndarray):
-    """Gradients of the (already batch-averaged) loss w.r.t. every weight and bias.
+def backward_batch(params: ModelParams, cache, dy: np.ndarray) -> ModelParams:
+    """Gradients of the (already batch-averaged) loss w.r.t. every weight and bias,
+    in one vector laid out like `params`; unpacks as `(grads_w, grads_b)`.
 
     The feedback block is treated as a constant input: no gradient flows into
     the previous timestep.
     """
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
+    grad = replace(params, flat=np.empty_like(params.flat))
+    grads_w, grads_b = grad
     y = cache["y"]
     dz = dy * y * (1.0 - y)
-    grads_w[-1] = cache["h_cat"].T @ dz
-    grads_b[-1] = dz.sum(axis=0)
-    hidden_width = params.weights[-2].shape[1]
+    np.matmul(cache["h_cat"].T, dz, out=grads_w[-1])
+    np.sum(dz, axis=0, out=grads_b[-1])
+    hidden_width = params.shapes[-2][1]
     dh = (dz @ params.weights[-1].T)[:, :hidden_width]
 
     for layer in range(params.hidden_layer_count() - 1, -1, -1):
@@ -170,11 +192,11 @@ def backward_batch(params: ModelParams, cache, dy: np.ndarray):
         if mask is not None:
             dh = dh * mask
         dz = dh * (cache["zs"][layer] > 0.0)
-        grads_w[layer] = cache["acts"][layer].T @ dz
-        grads_b[layer] = dz.sum(axis=0)
+        np.matmul(cache["acts"][layer].T, dz, out=grads_w[layer])
+        np.sum(dz, axis=0, out=grads_b[layer])
         if layer > 0:
             dh = dz @ params.weights[layer].T
-    return grads_w, grads_b
+    return grad
 
 
 @dataclass(frozen=True)
@@ -192,31 +214,24 @@ class Adam:
     def __init__(self, cfg: OptConfig):
         self.cfg = cfg
         self.t = 0
-        self.m_w = self.v_w = self.m_b = self.v_b = None
+        self.m = self.v = None
 
-    def _ensure_state(self, params: ModelParams):
-        if self.m_w is None:
-            self.m_w = [np.zeros_like(w) for w in params.weights]
-            self.v_w = [np.zeros_like(w) for w in params.weights]
-            self.m_b = [np.zeros_like(b) for b in params.biases]
-            self.v_b = [np.zeros_like(b) for b in params.biases]
-
-    def step(self, params: ModelParams, grads_w, grads_b) -> None:
-        self._ensure_state(params)
+    def step(self, params: ModelParams, grad: ModelParams) -> None:
+        if self.m is None:   # moments, and two scratch vectors so that a step allocates nothing
+            self.m, self.v, self._s, self._d = (np.zeros_like(params.flat) for _ in range(4))
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for i in range(len(params.weights)):
-            for p, g, m, v in (
-                (params.weights[i], grads_w[i], self.m_w[i], self.v_w[i]),
-                (params.biases[i], grads_b[i], self.m_b[i], self.v_b[i]),
-            ):
-                m *= c.beta1
-                m += (1.0 - c.beta1) * g
-                v *= c.beta2
-                v += (1.0 - c.beta2) * g * g
-                p -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+        g, m, v, s, d = grad.flat, self.m, self.v, self._s, self._d
+        m *= c.beta1
+        m += np.multiply(g, 1.0 - c.beta1, out=s)
+        v *= c.beta2
+        v += np.multiply(np.multiply(g, 1.0 - c.beta2, out=s), g, out=s)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(np.divide(m, bc1, out=s), c.lr, out=s)
+        np.add(np.sqrt(np.divide(v, bc2, out=d), out=d), c.eps, out=d)
+        params.flat -= np.divide(s, d, out=s)
 
 
 def train_epoch(params: ModelParams, dataset: TrainingArrays, opt,
@@ -245,8 +260,7 @@ def train_epoch(params: ModelParams, dataset: TrainingArrays, opt,
             raise RuntimeError(
                 f"training diverged: non-finite loss at batch starting {start}"
             )
-        gw, gb = backward_batch(params, cache, dy)
-        opt.step(params, gw, gb)
+        opt.step(params, backward_batch(params, cache, dy))
         losses.append(loss)
         weights.append(len(idx))
     epoch_loss = float(np.average(losses, weights=weights))
@@ -288,15 +302,10 @@ def params_to_bytes(params: ModelParams) -> bytes:
     then mu and dropout. All integers u32, floats little-endian float64."""
     out = bytearray()
     out += FMDF_MAGIC
-    out += struct.pack("<I", FMDF_VERSION)
-    out += struct.pack("<I", len(params.weights))
-    for w in params.weights:
-        rows, cols = w.shape
-        out += struct.pack("<II", rows, cols)
-        out += np.ascontiguousarray(w, dtype="<f8").tobytes()
-    for b in params.biases:
-        out += struct.pack("<I", b.size)
-        out += np.ascontiguousarray(b, dtype="<f8").tobytes()
+    out += struct.pack("<II", FMDF_VERSION, len(params.shapes))
+    for block in _layout(params.flat, params.shapes):
+        out += struct.pack(f"<{block.ndim}I", *block.shape)
+        out += block.astype("<f8", copy=False).tobytes()
     out += struct.pack("<dd", params.mu, params.dropout)
     return bytes(out)
 
@@ -317,8 +326,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
     def f64s(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(8 * count, what)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        return np.frombuffer(self.take(8 * count, what), dtype="<f8")
 
 
 def params_from_bytes(buf: bytes) -> ModelParams:
@@ -332,22 +340,23 @@ def params_from_bytes(buf: bytes) -> ModelParams:
     n_layers = r.u32("layer count")
     if n_layers == 0 or n_layers > 4096:
         raise DecodeError(f"implausible layer count {n_layers} at offset 8")
-    weights = []
+    shapes, chunks = [], []
     for i in range(n_layers):
         at = r.off
         rows = r.u32(f"layer {i} rows")
         cols = r.u32(f"layer {i} cols")
         if rows == 0 or cols == 0:
             raise DecodeError(f"zero-sized layer {i} at offset {at}")
-        weights.append(r.f64s(rows * cols, f"layer {i} weights").reshape(rows, cols))
-    biases = [r.f64s(r.u32(f"bias {i} length"), f"bias {i}") for i in range(n_layers)]
+        shapes.append((rows, cols))
+        chunks.append(r.f64s(rows * cols, f"layer {i} weights"))
+    for i, (_, cols) in enumerate(shapes):
+        if r.u32(f"bias {i} length") != cols:
+            raise DecodeError(f"bias {i} length does not match layer width at offset {r.off - 4}")
+        chunks.append(r.f64s(cols, f"bias {i}"))
     mu, dropout = struct.unpack("<dd", r.take(16, "config block"))
     if r.off != len(buf):
         raise DecodeError(f"trailing bytes at offset {r.off}")
-    for w, b in zip(weights, biases):
-        if w.shape[1] != b.size:
-            raise DecodeError("bias length does not match layer width")
-    return ModelParams(weights=weights, biases=biases, dropout=dropout, mu=mu)
+    return ModelParams(np.concatenate(chunks, dtype=np.float64), shapes, dropout=dropout, mu=mu)
 
 
 def save_model(params: ModelParams, path) -> None:

@@ -14,8 +14,7 @@ def _scalar_params(*values):
     """Single-weight models for arithmetic checks."""
     out = []
     for v in values:
-        out.append(mdl.ModelParams(weights=[np.array([[float(v)]])],
-                                   biases=[np.array([0.0])], dropout=0.3, mu=1.0))
+        out.append(mdl.ModelParams(np.array([float(v), 0.0]), [(1, 1)], dropout=0.3, mu=1.0))
     return out
 
 
@@ -294,6 +293,161 @@ def test_tcp_round_below_min_clients_after_drop_errors():
     for t in threads:
         t.join(timeout=10.0)
     assert not any(t.is_alive() for t in threads)
+
+
+def _serve_in_thread(server):
+    out = {}
+
+    def run():
+        out["records"] = server.serve()
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    return t, out
+
+
+def _poison_nan(frame):
+    params = fed.params_from_b64(frame["params_b64"])
+    params.weights[0][0, 3] = np.nan
+    frame["params_b64"] = fed.params_b64(params)
+
+
+def _poison_zero_count(frame):
+    frame["examples"] = 0
+
+
+def _poison_blob_type(frame):
+    frame["params_b64"] = 12345
+
+
+@pytest.mark.parametrize("poison", [_poison_nan, _poison_zero_count, _poison_blob_type])
+def test_tcp_poisoned_update_is_dropped(poison):
+    data = _toy_dataset(n=20)
+    init = mdl.init_model(NARROW, np.random.default_rng(19))
+    server = fed.FedServer(init, expected_clients=2, rounds=1,
+                           round_cfg=fed.RoundConfig(timeout_s=5.0, min_clients=1))
+    host, port = server.address
+
+    def honest():
+        fed.FedClient(1, data, mdl.OptConfig(), seed=52).run(host, port, timeout=10.0)
+
+    def poisoner():
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(b'{"type":"hello","client_id":2,"examples":4}\n')
+            reader = fed._LineReader(sock)
+            begin = json.loads(reader.readline(5.0))
+            frame = {"type": "update", "round": 1, "examples": 4,
+                     "params_b64": begin["params_b64"]}
+            poison(frame)
+            sock.sendall(json.dumps(frame).encode() + b"\n")
+            try:
+                reader.readline(5.0)
+            except (fed.ProtocolError, OSError):
+                pass
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (honest, poisoner)]
+    for t in threads:
+        t.start()
+    records = server.serve()
+    for t in threads:
+        t.join(timeout=10.0)
+    assert not any(t.is_alive() for t in threads)
+    assert [r.participants for r in records] == [[1]]
+    assert np.isfinite(server.state.global_params.flat).all()
+
+
+def test_tcp_update_of_other_architecture_is_not_installed():
+    init = mdl.init_model(NARROW, np.random.default_rng(20))
+    wide = mdl.init_model(mdl.ModelConfig(hidden_width=16), np.random.default_rng(20))
+    server = fed.FedServer(init, expected_clients=1, rounds=1,
+                           round_cfg=fed.RoundConfig(timeout_s=5.0, min_clients=1))
+    host, port = server.address
+
+    def client():
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(b'{"type":"hello","client_id":1,"examples":4}\n')
+            reader = fed._LineReader(sock)
+            reader.readline(5.0)  # round_begin
+            sock.sendall(json.dumps({"type": "update", "round": 1, "examples": 4,
+                                     "params_b64": fed.params_b64(wide)}).encode() + b"\n")
+            try:
+                reader.readline(5.0)
+            except (fed.ProtocolError, OSError):
+                pass
+
+    t = threading.Thread(target=client, daemon=True)
+    t.start()
+    with pytest.raises(fed.ProtocolError, match="need 1"):
+        server.serve()
+    t.join(timeout=10.0)
+    assert not t.is_alive()
+    assert server.state.global_params.shapes == init.shapes
+    assert not server.state.records
+
+
+@pytest.mark.parametrize("hello", [
+    b"not json\n",
+    b'["hello"]\n',
+    b'{"type":"hello","examples":4}\n',
+    b'{"type":"hello","client_id":"one","examples":4}\n',
+    b"",
+], ids=["not-json", "not-object", "no-client-id", "string-client-id", "silent"])
+def test_tcp_bad_hello_gets_error_and_server_keeps_accepting(hello):
+    data = _toy_dataset(n=20)
+    init = mdl.init_model(NARROW, np.random.default_rng(21))
+    server = fed.FedServer(init, expected_clients=1, rounds=1,
+                           round_cfg=fed.RoundConfig(timeout_s=2.0, min_clients=1))
+    host, port = server.address
+    serving, out = _serve_in_thread(server)
+
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.sendall(hello)
+        reader = fed._LineReader(sock)
+        reply = json.loads(reader.readline(5.0))
+        with pytest.raises(fed.ProtocolError, match="closed"):
+            reader.readline(5.0)
+    assert reply["type"] == "error"
+
+    rounds = fed.FedClient(3, data, mdl.OptConfig(), seed=53).run(host, port, timeout=10.0)
+    serving.join(timeout=10.0)
+    assert not serving.is_alive()
+    assert rounds == 1
+    assert [r.participants for r in out["records"]] == [[3]]
+
+
+def test_tcp_duplicate_client_id_is_refused_and_first_keeps_its_slot():
+    data = _toy_dataset(n=20)
+    init = mdl.init_model(NARROW, np.random.default_rng(22))
+    server = fed.FedServer(init, expected_clients=2, rounds=1,
+                           round_cfg=fed.RoundConfig(timeout_s=5.0, min_clients=2))
+    host, port = server.address
+    serving, out = _serve_in_thread(server)
+
+    with socket.create_connection((host, port), timeout=5.0) as first:
+        first.sendall(b'{"type":"hello","client_id":1,"examples":4}\n')
+        with socket.create_connection((host, port), timeout=5.0) as dup:
+            dup.sendall(b'{"type":"hello","client_id":1,"examples":4}\n')
+            dup_reader = fed._LineReader(dup)
+            reply = json.loads(dup_reader.readline(5.0))
+            with pytest.raises(fed.ProtocolError, match="closed"):
+                dup_reader.readline(5.0)
+
+        other = threading.Thread(
+            target=fed.FedClient(2, data, mdl.OptConfig(), seed=54).run,
+            args=(host, port, 10.0), daemon=True)
+        other.start()
+        reader = fed._LineReader(first)
+        begin = json.loads(reader.readline(5.0))
+        first.sendall(json.dumps({"type": "update", "round": 1, "examples": 4,
+                                  "params_b64": begin["params_b64"]}).encode() + b"\n")
+        first_frames = [begin, json.loads(reader.readline(5.0)),
+                        json.loads(reader.readline(5.0))]
+        other.join(timeout=10.0)
+    serving.join(timeout=10.0)
+    assert not other.is_alive() and not serving.is_alive()
+    assert reply["type"] == "error"
+    assert [f["type"] for f in first_frames] == ["round_begin", "round_end", "shutdown"]
+    assert [r.participants for r in out["records"]] == [[1, 2]]
 
 
 def test_transcript_carries_no_training_payloads():

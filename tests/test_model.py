@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedvid import labeling, model as mdl
+from fedvid.plates import fnv1a64
 
 NARROW = mdl.ModelConfig(input_dim=11, hidden_width=8, hidden_layers=10)
 
@@ -318,3 +321,65 @@ def test_save_load_file(tmp_path):
     mdl.save_model(params, path)
     assert path.read_bytes()[:4] == b"FMDF"
     assert _equal_params(mdl.load_model(path), params)
+
+
+# --- flat parameter vector ------------------------------------------------------
+
+def test_init_bytes_pinned():
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(7))
+    assert fnv1a64(mdl.params_to_bytes(params)) == 0x5CA1D6EED5D2216C
+
+
+def test_short_training_run_bytes_pinned():
+    trainer = mdl.Trainer(mdl.init_model(mdl.ModelConfig(), np.random.default_rng(1)),
+                          mdl.OptConfig(), seed=4)
+    trainer.run_epochs(_toy_dataset(), 3)
+    assert fnv1a64(mdl.params_to_bytes(trainer.params)) == 0xB412C9D12AF8CCCC
+
+
+def test_layer_views_write_through_to_flat():
+    params = mdl.init_model(NARROW, np.random.default_rng(27))
+    params.weights[2][1, 3] = 7.5
+    params.biases[4][5] = -2.25
+    w_before = sum(w.size for w in params.weights[:2])
+    b_before = sum(w.size for w in params.weights) + sum(b.size for b in params.biases[:4])
+    assert params.flat[w_before + 1 * NARROW.hidden_width + 3] == 7.5
+    assert params.flat[b_before + 5] == -2.25
+
+
+def test_copy_and_decode_own_one_contiguous_buffer():
+    params = mdl.init_model(NARROW, np.random.default_rng(28))
+    for other in (params.copy(), mdl.params_from_bytes(mdl.params_to_bytes(params))):
+        assert other.flat.flags.owndata and other.flat.flags.c_contiguous
+        assert other.flat.dtype == np.float64
+        assert not np.shares_memory(other.flat, params.flat)
+        assert all(v.base is other.flat for v in (*other.weights, *other.biases))
+        assert _equal_params(other, params)
+
+
+_NARROW_BLOB = mdl.params_to_bytes(mdl.init_model(NARROW, np.random.default_rng(29)))
+
+
+@st.composite
+def _damaged_blobs(draw):
+    blob = bytearray(_NARROW_BLOB)
+    kind = draw(st.sampled_from(("truncate", "flip", "append")))
+    if kind == "truncate":
+        return bytes(blob[:draw(st.integers(0, len(blob) - 1))])
+    if kind == "append":
+        return bytes(blob) + draw(st.binary(min_size=1, max_size=64))
+    # headers sit in the first bytes and between weight blocks; favour them
+    where = st.one_of(st.integers(0, 40), st.integers(0, len(blob) - 1))
+    for _ in range(draw(st.integers(1, 4))):
+        blob[draw(where)] ^= draw(st.integers(1, 255))
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged_blobs())
+def test_decoder_rejects_or_round_trips_damaged_blobs(blob):
+    try:
+        params = mdl.params_from_bytes(blob)
+    except mdl.DecodeError:
+        return
+    assert mdl.params_to_bytes(params) == blob

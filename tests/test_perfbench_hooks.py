@@ -18,7 +18,8 @@ from fedvid import fed, labeling, model as mdl
 ROOT = Path(__file__).resolve().parent.parent
 
 FED_SPANS = ("fed.round", "fed.fed_avg", "fed.params_digest", "fed.params_b64",
-             "fed.params_from_b64", "model.params_to_bytes", "model.params_from_bytes")
+             "fed.params_from_b64", "model.params_to_bytes", "model.params_from_bytes",
+             "model.forward_batch.train", "model.backward_batch", "model.Adam.step")
 
 
 def _resolve(target):
