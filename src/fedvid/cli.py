@@ -107,8 +107,7 @@ def cmd_serve(args) -> int:
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(seed))
     server = fed.FedServer(
         params, expected_clients=args.clients, rounds=args.rounds,
-        round_cfg=fed.RoundConfig(local_epochs=args.local_epochs, min_clients=args.min_clients,
-                                  timeout_s=args.timeout),
+        round_cfg=fed.RoundConfig(min_clients=args.min_clients, timeout_s=args.timeout),
         host=args.host, port=args.port,
     )
     print(f"serving on {server.address[0]}:{server.address[1]} "
@@ -216,7 +215,6 @@ def build_parser() -> _Parser:
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--clients", type=int, required=True)
     p.add_argument("--rounds", type=int, default=50)
-    p.add_argument("--local-epochs", type=int, default=1)
     p.add_argument("--min-clients", type=int, default=1)
     p.add_argument("--timeout", type=float, default=30.0)
     p.set_defaults(func=cmd_serve)

@@ -40,20 +40,23 @@ class FeatureVector:
         return np.concatenate([flat, [self.spd_y_norm, self.spd_x_norm, self.gamma]])
 
 
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """x limited to [lo, hi]. NaN passes through, so the model still rejects it."""
+    return lo if x < lo else hi if x > hi else x
+
+
 def latlng_delta_norm(msg_latlng, ego_latlng, norm_scale) -> tuple[float, float]:
     """Signed (msg - ego) lat/lng difference divided by the normalization scale,
     clamped to [-1, 1]. North and east are positive.
 
-    norm_scale is (lat_scale_deg, lng_scale_deg) or a single scale for both.
+    norm_scale is (lat_scale_deg, lng_scale_deg), as from geo.latlng_scale_deg.
     """
-    if np.isscalar(norm_scale):
-        norm_scale = (norm_scale, norm_scale)
     s_lat, s_lng = norm_scale
     if s_lat <= 0 or s_lng <= 0:
         raise ValueError("norm_scale components must be positive")
     dlat = (msg_latlng[0] - ego_latlng[0]) / s_lat
     dlng = (msg_latlng[1] - ego_latlng[1]) / s_lng
-    return float(np.clip(dlat, -1.0, 1.0)), float(np.clip(dlng, -1.0, 1.0))
+    return _clamp(dlat, -1.0, 1.0), _clamp(dlng, -1.0, 1.0)
 
 
 def orientation_gamma(alpha_ori: float, beta: float) -> float:
@@ -73,7 +76,7 @@ def speed_norm(spd: float, v_max: float) -> float:
         raise ValueError("v_max must be positive")
     if spd < 0:
         raise ValueError(f"negative speed {spd!r}")
-    return float(np.clip(spd / v_max, 0.0, 1.0))
+    return _clamp(spd / v_max, 0.0, 1.0)
 
 
 def build_feature_vector(history, ego_records, cfg: FeatureConfig) -> FeatureVector:

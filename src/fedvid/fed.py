@@ -114,7 +114,7 @@ def fed_avg(updates: list[tuple[mdl.ModelParams, int]]) -> mdl.ModelParams:
 
 @dataclass(frozen=True)
 class RoundConfig:
-    local_epochs: int = 1
+    local_epochs: int = 1      # in-process rounds; a TCP client sets its own
     min_clients: int = 1
     timeout_s: float = PROTOCOL_TIMEOUT_S
 
@@ -368,7 +368,7 @@ def train_federated_tcp(shards: list, init_params: mdl.ModelParams,
     if len(shards) != len(seeds):
         raise ValueError("one seed per shard required")
     server = FedServer(init_params.copy(), expected_clients=len(shards), rounds=rounds,
-                       round_cfg=RoundConfig(local_epochs=local_epochs, timeout_s=timeout),
+                       round_cfg=RoundConfig(timeout_s=timeout),
                        eval_dataset=eval_dataset)
     host, port = server.address
 

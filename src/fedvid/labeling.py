@@ -165,12 +165,10 @@ class LabeledRun:
 
 
 def label_run(observations: list[Observation], cct: plates.ConversionTable,
-              cfg: WorldConfig, k_seconds: float = 2.0,
-              feature_cfg: feats.FeatureConfig | None = None) -> LabeledRun:
-    """Run auto-labeling and augmentation over a full observation stream."""
+              cfg: WorldConfig, k_seconds: float = 2.0) -> LabeledRun:
+    """Run auto-labeling and augmentation over a full observation stream.
+    The feature window spans the same `k_seconds` as the outside-set history."""
     k_samples = max(1, int(round(k_seconds / cfg.tick_interval)))
-    if feature_cfg is None:
-        feature_cfg = feats.FeatureConfig(window=k_samples, comm_range_m=cfg.comm_range)
 
     histories: dict[int, SenderHistory] = {}
     ego_history: dict[int, tuple[float, float, float, float]] = {}
@@ -193,7 +191,8 @@ def label_run(observations: list[Observation], cct: plates.ConversionTable,
         labels.append(TickLabels(t=obs.t, front=front, rear=rear, outside=outside))
     return LabeledRun(cfg=cfg, observations=observations, labels=labels,
                       histories=histories, ego_history=ego_history,
-                      feature_cfg=feature_cfg)
+                      feature_cfg=feats.FeatureConfig(window=k_samples,
+                                                      comm_range_m=cfg.comm_range))
 
 
 @dataclass

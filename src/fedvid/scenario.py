@@ -3,8 +3,8 @@
 Generates seeded vehicle trajectories on a straight or grid road layout,
 simulates the ego vehicle's front/rear camera detections through a pinhole
 model (with occlusion merging and random misses), produces in-range V2V
-messages with GPS noise, runs the plate-reading channel per detected box, and
-records the ground-truth sender-to-box pairing for every tick.
+messages with GPS noise, reads the plate of each readable box as part of
+detection, and records the ground-truth sender-to-box pairing for every tick.
 """
 
 from __future__ import annotations
@@ -492,19 +492,18 @@ def _cover_fraction(nearer, farther) -> float:
     return (ix * iy) / area
 
 
-def detect_vehicles(state: ScenarioState, cam: CameraModel) -> list[DetectedBox]:
-    """Pinhole detection for one camera: frustum and range culling, occlusion
-    merging, random misses, and the plate-visibility rule."""
+def detect_vehicles(state: ScenarioState, cam: CameraModel,
+                    others: list[tuple[float, VehicleState]]) -> list[DetectedBox]:
+    """Pinhole detection for one camera over the tick's (distance to ego,
+    vehicle) pairs: frustum and range culling, occlusion merging, random
+    misses, the plate-visibility rule, and the OCR read of each readable plate."""
     cfg = state.cfg
     ego = state.ego
     cam_yaw = _camera_yaw(ego.orientation, cam)
     weather = cfg.weather_condition()
 
     candidates = []  # (distance, vehicle, raw box)
-    for i, v in enumerate(state.vehicles):
-        if i == state.ego_index:
-            continue
-        d = state.distance_to_ego(v)
+    for d, v in others:
         if d < 0.5 or d > cam.max_range:
             continue
         brg = geo.initial_bearing(ego.true_position[0], ego.true_position[1],
@@ -539,7 +538,9 @@ def detect_vehicles(state: ScenarioState, cam: CameraModel) -> list[DetectedBox]
             for nd, _, nb in candidates if nd < d
         )
         readable = height_px >= PLATE_MIN_BOX_HEIGHT_PX and not occluded
-        out.append(DetectedBox(vehicle_ref=v.id, bb_norm=box, plate_readable=readable))
+        read = read_plate(state, v, d, cam, weather) if readable else None
+        out.append(DetectedBox(vehicle_ref=v.id, bb_norm=box, plate_readable=readable,
+                               plate_read=read))
     return out
 
 
@@ -550,30 +551,14 @@ def p_ocr(distance_m: float, cam: CameraModel, weather: WeatherCondition) -> flo
     return base * (1.0 - weather.ocr_degradation)
 
 
-def visible_plate(state: ScenarioState, box: DetectedBox,
-                  weather: WeatherCondition | None = None,
-                  cam: CameraModel | None = None) -> str | None:
-    """Ground-truth plate string iff the plate is geometrically readable and the
-    distance/weather OCR draw succeeds; callers pass the result through the
-    confusion channel."""
-    if not box.plate_readable:
-        return None
-    weather = weather if weather is not None else state.cfg.weather_condition()
-    cam = cam if cam is not None else state.cfg.front_camera
-    vehicle = next(v for v in state.vehicles if v.id == box.vehicle_ref)
-    d = state.distance_to_ego(vehicle)
-    p = p_ocr(d, cam, weather)
+def read_plate(state: ScenarioState, vehicle: VehicleState, distance_m: float,
+               cam: CameraModel, weather: WeatherCondition) -> str | None:
+    """OCR channel output for one readable plate: the distance/weather draw
+    decides whether a read happens, then the confusion channel garbles it."""
+    p = p_ocr(distance_m, cam, weather)
     if p <= 0.0 or state.ocr_rng.random() >= p:
         return None
-    return vehicle.plate
-
-
-def _attach_plate_reads(state: ScenarioState, boxes: list[DetectedBox], cam: CameraModel) -> None:
-    weather = state.cfg.weather_condition()
-    for box in boxes:
-        plate = visible_plate(state, box, weather, cam)
-        if plate is not None:
-            box.plate_read = plates.sample_ocr(plate, state.ocr_table, state.ocr_rng)
+    return plates.sample_ocr(vehicle.plate, state.ocr_table, state.ocr_rng)
 
 
 def simulate_tick(state: ScenarioState) -> Observation:
@@ -582,25 +567,18 @@ def simulate_tick(state: ScenarioState) -> Observation:
     _advance_vehicles(state)
     _apply_gps_noise(state)
 
-    front = detect_vehicles(state, state.cfg.front_camera)
-    rear = detect_vehicles(state, state.cfg.rear_camera)
-    _attach_plate_reads(state, front, state.cfg.front_camera)
-    _attach_plate_reads(state, rear, state.cfg.rear_camera)
-
-    ego = state.ego
-    messages = []
-    for i, v in enumerate(state.vehicles):
-        if i == state.ego_index:
-            continue
-        if state.distance_to_ego(v) <= state.cfg.comm_range:
-            messages.append(Message(
-                lat=v.noisy_position[0], lng=v.noisy_position[1],
-                ori=v.orientation, spd=v.speed, id=v.id,
-            ))
+    others = [(state.distance_to_ego(v), v)
+              for i, v in enumerate(state.vehicles) if i != state.ego_index]
+    front = detect_vehicles(state, state.cfg.front_camera, others)
+    rear = detect_vehicles(state, state.cfg.rear_camera, others)
+    messages = [Message(lat=v.noisy_position[0], lng=v.noisy_position[1],
+                        ori=v.orientation, spd=v.speed, id=v.id)
+                for d, v in others if d <= state.cfg.comm_range]
 
     by_ref = {b.vehicle_ref: idx for idx, b in enumerate(front)}
     truth = {m.id: by_ref.get(m.id, OUTSIDE) for m in messages}
 
+    ego = state.ego
     sensors = SensorRecord(lat=ego.noisy_position[0], lng=ego.noisy_position[1],
                            ori=ego.orientation, spd=ego.speed)
     return Observation(t=state.t, front_boxes=front, rear_boxes=rear,

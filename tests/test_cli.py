@@ -31,6 +31,13 @@ def test_eval_missing_model_exit_2(capsys):
     assert "missing.fmdf" in capsys.readouterr().err
 
 
+def test_serve_has_no_local_epochs_flag():
+    # each client sets its own local epochs; the server never trains
+    with pytest.raises(cli.UsageError):
+        cli.build_parser().parse_args(["--seed", "7", "serve", "--clients", "1",
+                                       "--local-epochs", "2"])
+
+
 def test_gen_requires_seed(tmp_path, capsys):
     assert cli.cli_main(["--out", str(tmp_path), "gen"]) == 1
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from fedvid import features, geo
+from fedvid import features, geo, model as mdl
 
 
 def test_latlng_delta_worked_example():
@@ -64,6 +66,23 @@ def _samples(n, lat0=23.97, lng0=120.98):
     sender = [(lat0 + 1e-5 * (i + 1), lng0 + 5e-6 * (i + 1), 0.0, 12.0) for i in range(n)]
     ego = [(lat0, lng0, 0.0, 8.0) for _ in range(n)]
     return sender, ego
+
+
+def test_nan_survives_the_clamps_so_the_model_rejects_it():
+    nan = float("nan")
+    dlat, dlng = features.latlng_delta_norm((nan, 120.98), (23.97, nan), (1e-4, 1e-4))
+    assert math.isnan(dlat) and math.isnan(dlng)
+    assert math.isnan(features.speed_norm(nan, 40.0))
+    # NaN only in an old position slot and in the sender speed: gamma stays finite
+    sender, ego = _samples(4)
+    sender[0] = (nan,) + sender[0][1:]
+    sender[-1] = sender[-1][:3] + (nan,)
+    fv = features.build_feature_vector(sender, ego, features.FeatureConfig())
+    assert math.isnan(fv.latlng_deltas[0, 0]) and math.isnan(fv.spd_y_norm)
+    assert math.isfinite(fv.gamma)
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(4))
+    with pytest.raises(ValueError, match="non-finite"):
+        mdl.forward_batch(params, fv.as_array(), np.zeros(4))
 
 
 def test_full_window_mask_all_true():

@@ -2,8 +2,9 @@
 
 `perfbench/tracing.py` patches fedvid attributes by name, where their callers
 look them up. A refactor that renames or re-binds one of them would leave the
-benchmark's per-layer metrics reading zero, so this test installs the tracer
-(read-only: nothing under perfbench/ is written) around a toy federated run.
+benchmark's per-layer metrics reading zero, so these tests install the tracer
+(read-only: nothing under perfbench/ is written) around a toy federated run
+and around the simulate/label/evaluate path of a tiny world.
 """
 
 import importlib
@@ -13,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from fedvid import fed, labeling, model as mdl
+from fedvid import experiment, fed, labeling, mapping, model as mdl, scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
 FED_SPANS = ("fed.round", "fed.fed_avg", "fed.params_digest", "fed.params_b64",
              "fed.params_from_b64", "model.params_to_bytes", "model.params_from_bytes",
              "model.forward_batch.train", "model.backward_batch", "model.Adam.step")
+WORLD_SPANS = ("scenario.simulate_tick", "scenario.detect_vehicles", "geo.haversine_m",
+               "plates.sample_ocr", "features.latlng_delta_norm", "labeling.feature_for")
 
 
 def _resolve(target):
@@ -30,7 +33,9 @@ def _resolve(target):
     return owner, attr
 
 
-def test_tracer_installs_restores_and_sees_the_fed_path(monkeypatch):
+def _traced(monkeypatch, body):
+    """Run `body()` under the benchmark's tracer; check that the tracer found
+    every target and put every attribute back, and return its unit metrics."""
     monkeypatch.syspath_prepend(str(ROOT))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     from perfbench import tracing
@@ -39,23 +44,40 @@ def test_tracer_installs_restores_and_sees_the_fed_path(monkeypatch):
     for target in tracing.TARGETS:
         owner, attr = _resolve(target)
         originals.append((owner, attr, getattr(owner, attr)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert not tracer.problems
+        body()
+    finally:
+        tracer.restore()
+
+    for owner, attr, original in originals:
+        assert getattr(owner, attr) is original, f"{attr} not restored"
+    return tracer.unit_metrics((0, Counter()))
+
+
+def test_tracer_installs_restores_and_sees_the_fed_path(monkeypatch):
     rng = np.random.default_rng(3)
     shards = [labeling.TrainingArrays(X=rng.random((6, 11)), FB=rng.random((6, 4)),
                                       Y=rng.random((6, 5)))
               for _ in range(2)]
     init = mdl.init_model(mdl.ModelConfig(hidden_width=8), np.random.default_rng(4))
 
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        assert not tracer.problems
-        fed.train_federated_tcp(shards, init, mdl.OptConfig(), rounds=1, seeds=[5, 6],
-                                timeout=10.0)
-    finally:
-        tracer.restore()
-
-    for owner, attr, original in originals:
-        assert getattr(owner, attr) is original, f"{attr} not restored"
-    values = tracer.unit_metrics((0, Counter()))
+    values = _traced(monkeypatch, lambda: fed.train_federated_tcp(
+        shards, init, mdl.OptConfig(), rounds=1, seeds=[5, 6], timeout=10.0))
     for name in FED_SPANS:
+        assert values.get(f"{name}.calls", 0) >= 1, f"{name} recorded no calls"
+
+
+def test_tracer_sees_the_world_path(monkeypatch):
+    world = scenario.WorldConfig(seed=0, num_vehicles=30, duration=10.0, weather="light_haze")
+    params = mdl.init_model(mdl.ModelConfig(hidden_width=8), np.random.default_rng(4))
+
+    def body():
+        _, run = experiment.simulate_and_label(world, 101)
+        experiment.evaluate_model(params, run, mapping.MappingConfig())
+
+    values = _traced(monkeypatch, body)
+    for name in WORLD_SPANS:
         assert values.get(f"{name}.calls", 0) >= 1, f"{name} recorded no calls"

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -98,6 +100,51 @@ def test_grid_layout_generates():
     assert any(o.messages for o in obs)
     oris = {v.orientation for v in state.vehicles}
     assert oris <= {0.0, 90.0, 180.0, 270.0}
+
+
+# --- pinned simulation bytes -------------------------------------------------------
+
+def _observation_digest(cfg):
+    """sha256 over the full-precision repr of every tick's observation."""
+    _, observations = scenario.run_scenario(cfg)
+    h = hashlib.sha256()
+    for obs in observations:
+        h.update(repr(dataclasses.asdict(obs)).encode())
+    return h.hexdigest()
+
+
+PINNED_WORLDS = {
+    "straight-light-haze": (
+        scenario.WorldConfig(seed=4, num_vehicles=60, duration=20.0, weather="light_haze"),
+        "39d045bd79d6171a230e7d9c9d7be701a1973831b597f2e28519daf8d8d6c260"),
+    "grid-storm": (
+        scenario.WorldConfig(seed=5, num_vehicles=80, duration=20.0, road_layout="grid",
+                             weather="storm"),
+        "37d66986e78b47f82bea3b85cfb257b8d50cce8705a247eb22a46ef5af1e1f35"),
+    "lossless": (
+        scenario.lossless_config(seed=6, num_vehicles=40, duration=20.0),
+        "2fefc544283d7d15fdbaccb6d798a27b1a3563d6747fc0cc35e1e5d8f1bf9e83"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORLDS))
+def test_observation_bytes_pinned(name):
+    cfg, digest = PINNED_WORLDS[name]
+    assert _observation_digest(cfg) == digest
+
+
+def test_one_ego_distance_per_vehicle_per_tick(monkeypatch):
+    calls = []
+    real = geo.haversine_m
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geo, "haversine_m", counting)
+    n, ticks = 30, 12
+    scenario.run_scenario(_world(num_vehicles=n, comm_range=100.0), ticks=ticks)
+    assert len(calls) == (n - 1) * ticks
 
 
 # --- messages and noise -----------------------------------------------------------
@@ -246,33 +293,43 @@ def test_lossless_world_every_in_frustum_sender_paired():
 
 # --- plate channel ----------------------------------------------------------------
 
-def test_visible_plate_occluded_box_none():
-    state = _two_vehicle_state(north_m=25.0)
-    obs = scenario.simulate_tick(state)
-    box = obs.front_boxes[0]
-    hidden = scenario.DetectedBox(vehicle_ref=box.vehicle_ref, bb_norm=box.bb_norm,
-                                  plate_readable=False)
-    assert scenario.visible_plate(state, hidden) is None
+def test_occluded_box_gets_no_plate_read():
+    # same lane, merging off: the far box survives but a nearer car hides its plate
+    cfg = scenario.lossless_config(seed=5, num_vehicles=3, duration=5.0, merge_threshold=1.0)
+    placements = [
+        scenario.Placement(north_m=0.0, east_m=0.0, orientation=0.0, speed=0.0),
+        scenario.Placement(north_m=10.0, east_m=0.0, orientation=0.0, speed=0.0),
+        scenario.Placement(north_m=20.0, east_m=0.0, orientation=0.0, speed=0.0),
+    ]
+    state = scenario.build_scenario(cfg, placements)
+    near, hidden = scenario.simulate_tick(state).front_boxes
+    assert hidden.vehicle_ref == state.vehicles[2].id
+    assert not hidden.plate_readable
+    assert hidden.plate_read is None
+    assert near.plate_read == state.vehicles[1].plate
 
 
-def test_visible_plate_full_degradation_none():
+def test_read_plate_full_degradation_none():
     state = _two_vehicle_state(north_m=10.0)
-    obs = scenario.simulate_tick(state)
+    scenario.simulate_tick(state)
     bad = scenario.WeatherCondition(name="blizzard", ocr_degradation=1.0,
                                     detection_degradation=0.0)
-    assert scenario.visible_plate(state, obs.front_boxes[0], weather=bad) is None
+    d = state.distance_to_ego(state.vehicles[1])
+    assert scenario.read_plate(state, state.vehicles[1], d, state.cfg.front_camera, bad) is None
 
 
-def test_visible_plate_certain_when_distance_term_is_one():
+def test_read_plate_certain_when_distance_term_is_one():
     # unbounded camera range: the distance factor is exactly 1, clear weather
-    # contributes no degradation, so the read always happens
+    # contributes no degradation, so the read always happens (identity channel)
     state = _two_vehicle_state(north_m=5.0)
-    obs = scenario.simulate_tick(state)
+    scenario.simulate_tick(state)
     cam = state.cfg.front_camera
     weather = state.cfg.weather_condition()
     assert scenario.p_ocr(5.0, cam, weather) == 1.0
+    sender = state.vehicles[1]
+    d = state.distance_to_ego(sender)
     for _ in range(50):
-        assert scenario.visible_plate(state, obs.front_boxes[0]) == state.vehicles[1].plate
+        assert scenario.read_plate(state, sender, d, cam, weather) == sender.plate
 
 
 def test_plate_read_attached_in_lossless_world():
