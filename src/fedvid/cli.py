@@ -107,14 +107,13 @@ def cmd_serve(args) -> int:
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(seed))
     server = fed.FedServer(
         params, expected_clients=args.clients, rounds=args.rounds,
-        round_cfg=fed.RoundConfig(min_clients=args.min_clients, timeout_s=args.timeout),
-        host=args.host, port=args.port,
+        min_clients=args.min_clients, timeout_s=args.timeout, host=args.host, port=args.port,
     )
     print(f"serving on {server.address[0]}:{server.address[1]} "
           f"({args.clients} clients, {args.rounds} rounds)")
     records = server.serve()
     out = _out_dir(args)
-    mdl.save_model(server.state.global_params, out / "model.fmdf")
+    mdl.save_model(server.global_params, out / "model.fmdf")
     with open(out / "transcript.log", "w") as f:
         f.write("\n".join(server.transcript) + "\n")
     for r in records:

@@ -10,21 +10,24 @@ base64-encoded in the same binary format as the on-disk model file.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
+import math
 import socket
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import model as mdl
-from .plates import fnv1a64
 
 if TYPE_CHECKING:
     from .labeling import TrainingArrays
 
 PROTOCOL_TIMEOUT_S = 30.0
+ENVELOPE_BYTES = 4096   # what a frame may hold beside the params_b64 payload
 
 
 class ProtocolError(RuntimeError):
@@ -37,8 +40,8 @@ decode_params = mdl.params_from_bytes
 
 
 def params_digest(params: mdl.ModelParams) -> int:
-    """64-bit checksum of the encoded parameters."""
-    return fnv1a64(encode_params(params))
+    """64-bit BLAKE2b checksum of the encoded parameters."""
+    return int.from_bytes(hashlib.blake2b(encode_params(params), digest_size=8).digest(), "big")
 
 
 def params_b64(params: mdl.ModelParams) -> str:
@@ -49,36 +52,18 @@ def params_from_b64(text: str) -> mdl.ModelParams:
     return decode_params(base64.b64decode(text))
 
 
-@dataclass
-class ClientState:
-    """One federated participant: its shard, parameters, and optimizer.
+def local_train(trainer: mdl.Trainer, dataset: TrainingArrays, global_params: mdl.ModelParams,
+                epochs: int) -> tuple[mdl.ModelParams, int]:
+    """Install the broadcast parameters in `trainer` and run local epochs on
+    `dataset`; returns the updated parameters and the local example count.
 
     The optimizer moments and the shuffle/dropout stream persist across
     rounds; only the parameters are replaced by each broadcast. With a single
     client this makes federated training bitwise equal to centralized runs.
     """
-
-    client_id: int
-    dataset: TrainingArrays
-    trainer: mdl.Trainer
-
-    @classmethod
-    def create(cls, client_id: int, dataset: TrainingArrays, params: mdl.ModelParams,
-               opt_cfg: mdl.OptConfig, seed: int) -> "ClientState":
-        return cls(client_id=client_id, dataset=dataset,
-                   trainer=mdl.Trainer(params.copy(), opt_cfg, seed))
-
-    def example_count(self) -> int:
-        return int(self.dataset.X.shape[0])
-
-
-def local_train(client: ClientState, global_params: mdl.ModelParams,
-                epochs: int) -> tuple[mdl.ModelParams, int]:
-    """Install the broadcast parameters and run local epochs; returns the
-    updated parameters and the local example count."""
-    client.trainer.params = global_params.copy()
-    client.trainer.run_epochs(client.dataset, epochs)
-    return client.trainer.params, client.example_count()
+    trainer.params = global_params.copy()
+    trainer.run_epochs(dataset, epochs)
+    return trainer.params, int(dataset.X.shape[0])
 
 
 def _check_compatible(params: mdl.ModelParams, ref: mdl.ModelParams) -> None:
@@ -112,13 +97,6 @@ def fed_avg(updates: list[tuple[mdl.ModelParams, int]]) -> mdl.ModelParams:
     return out
 
 
-@dataclass(frozen=True)
-class RoundConfig:
-    local_epochs: int = 1      # in-process rounds; a TCP client sets its own
-    min_clients: int = 1
-    timeout_s: float = PROTOCOL_TIMEOUT_S
-
-
 @dataclass
 class RoundRecord:
     round: int
@@ -127,113 +105,92 @@ class RoundRecord:
     digest: int
 
 
-@dataclass
-class ServerState:
-    global_params: mdl.ModelParams
-    records: list[RoundRecord] = field(default_factory=list)
-
-    def aggregate(self, updates: list[tuple[int, mdl.ModelParams, int]]) -> RoundRecord:
-        """Install the FedAvg of (client id, params, example count) updates,
-        reduced in ascending client-id order, and record the round."""
-        updates = sorted(updates, key=lambda u: u[0])
-        self.global_params = fed_avg([(p, n) for _, p, n in updates])
-        record = RoundRecord(
-            round=len(self.records) + 1, participants=[cid for cid, _, _ in updates],
-            example_counts={cid: n for cid, _, n in updates},
-            digest=params_digest(self.global_params),
-        )
-        self.records.append(record)
-        return record
-
-
-def run_round(server: ServerState, clients: list[ClientState],
-              cfg: RoundConfig = RoundConfig()) -> RoundRecord:
-    """One synchronous in-process round: broadcast, train all, aggregate."""
-    if len(clients) < max(1, cfg.min_clients):
-        raise ProtocolError(
-            f"need at least {max(1, cfg.min_clients)} clients, have {len(clients)}"
-        )
-    updates = []
-    for client in sorted(clients, key=lambda c: c.client_id):
-        params, n = local_train(client, server.global_params, cfg.local_epochs)
-        updates.append((client.client_id, params, n))
-    return server.aggregate(updates)
-
-
 # --- TCP transport -----------------------------------------------------------
 
-def _send_frame(sock: socket.socket, obj: dict) -> str:
-    line = json.dumps(obj, separators=(",", ":")) + "\n"
-    sock.sendall(line.encode("utf-8"))
-    return line
+class _Conn:
+    """One end of a connection that carries one JSON object per line.
 
+    `recv` gives each frame one deadline, `timeout` seconds from its call, and
+    refuses a frame longer than `max_frame` bytes. With a `transcript` list,
+    every frame sent or received is appended to it.
+    """
 
-class _LineReader:
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, timeout: float,
+                 transcript: list[str] | None = None, max_frame: float = math.inf):
         self.sock = sock
+        self.timeout = timeout
+        self.transcript = transcript
+        self.max_frame = max_frame
         self.buf = b""
 
-    def readline(self, timeout: float) -> str:
-        self.sock.settimeout(timeout)
-        while b"\n" not in self.buf:
+    def _log(self, direction: str, line: str) -> None:
+        if self.transcript is not None:
+            self.transcript.append(f"{direction} {line}")
+
+    def send(self, obj: dict) -> None:
+        line = json.dumps(obj, separators=(",", ":"))
+        self.sock.settimeout(self.timeout)
+        self.sock.sendall(line.encode("utf-8") + b"\n")
+        self._log("send", line)
+
+    def recv(self) -> dict:
+        deadline = time.monotonic() + self.timeout
+        while (end := self.buf.find(b"\n")) < 0 and len(self.buf) <= self.max_frame:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise ProtocolError(f"frame incomplete after {self.timeout} s")
+            self.sock.settimeout(left)
             chunk = self.sock.recv(65536)
             if not chunk:
                 raise ProtocolError("connection closed mid-frame")
             self.buf += chunk
-        line, self.buf = self.buf.split(b"\n", 1)
-        return line.decode("utf-8")
+        if not 0 <= end <= self.max_frame:
+            raise ProtocolError(f"frame longer than {self.max_frame} bytes")
+        line, self.buf = self.buf[:end], self.buf[end + 1:]
+        try:
+            text = line.decode("utf-8")
+            self._log("recv", text)
+            frame = json.loads(text)
+        except ValueError:
+            raise ProtocolError("frame is not UTF-8 JSON") from None
+        if not isinstance(frame, dict):
+            raise ProtocolError("frame is not a JSON object")
+        return frame
 
 
 class FedServer:
     """Synchronous-barrier federated server.
 
     Accepts `expected_clients` hello frames, then runs `rounds` rounds of
-    broadcast/collect/aggregate. A connection whose hello is malformed or
-    claims a connected client id gets an error frame and is closed. A client
-    that times out, misbehaves, or sends an update whose layout or model
-    config differs from the global model's or that holds a non-finite value
-    is dropped for the rest of the session, and each round averages the
+    broadcast/collect/aggregate. A bad hello (malformed, incomplete after
+    `timeout_s`, longer than the broadcast plus `ENVELOPE_BYTES`, or claiming
+    a connected client id) gets an error frame and its connection is closed.
+    A client is dropped for the rest of the session when a send to it fails or
+    its update is bad in those ways, has a layout or model config other than
+    the global model's, or holds a non-finite value. Each round averages the
     updates that arrived, provided at least `min_clients` did. Every frame
     sent or received is appended to the transcript for audit.
     """
 
-    def __init__(self, global_params: mdl.ModelParams, expected_clients: int,
-                 rounds: int, round_cfg: RoundConfig = RoundConfig(),
-                 host: str = "127.0.0.1", port: int = 0,
-                 eval_dataset=None):
-        self.state = ServerState(global_params=global_params)
+    def __init__(self, global_params: mdl.ModelParams, expected_clients: int, rounds: int, *,
+                 min_clients: int = 1, timeout_s: float = PROTOCOL_TIMEOUT_S,
+                 host: str = "127.0.0.1", port: int = 0, eval_dataset=None):
+        self.global_params = global_params
+        self.records: list[RoundRecord] = []
         self.expected_clients = expected_clients
         self.rounds = rounds
-        self.cfg = round_cfg
+        self.min_clients = min_clients
+        self.timeout_s = timeout_s
         self.transcript: list[str] = []
         self.eval_losses: list[float] = []
         self.eval_dataset = eval_dataset
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
 
-    def _log(self, direction: str, line: str) -> None:
-        self.transcript.append(f"{direction} {line.rstrip()}")
-
-    def _send(self, sock, obj) -> None:
-        self._log("send", _send_frame(sock, obj))
-
-    def _recv(self, reader, timeout) -> dict:
-        line = reader.readline(timeout)
-        self._log("recv", line)
+    def _hello(self, conn: _Conn, conns: dict[int, _Conn]) -> int | None:
+        """Read one connection's hello; returns its client id, or None once refused."""
         try:
-            frame = json.loads(line)
-        except ValueError:
-            raise ProtocolError("frame is not JSON") from None
-        if not isinstance(frame, dict):
-            raise ProtocolError("frame is not a JSON object")
-        return frame
-
-    def _hello(self, sock, reader, conns: dict) -> int | None:
-        """Read one connection's hello and return its client id. A malformed
-        hello or an id already connected gets an error frame, and the
-        connection is closed."""
-        try:
-            hello = self._recv(reader, self.cfg.timeout_s)
+            hello = conn.recv()
             if hello.get("type") != "hello":
                 raise ProtocolError("expected hello")
             cid = hello.get("client_id")
@@ -242,74 +199,78 @@ class FedServer:
             if cid in conns:
                 raise ProtocolError(f"client_id {cid} is already connected")
             return cid
-        except (ProtocolError, OSError, ValueError) as exc:
+        except (ProtocolError, OSError) as exc:
             try:
-                self._send(sock, {"type": "error", "reason": str(exc)})
+                conn.send({"type": "error", "reason": str(exc)})
             except OSError:
                 pass
-            sock.close()
+            conn.sock.close()
             return None
 
+    @staticmethod
+    def _send_all(conns: dict[int, _Conn], frame: dict) -> None:
+        """Send `frame` to every client; one the send fails on is dropped."""
+        for cid in sorted(conns):
+            try:
+                conns[cid].send(frame)
+            except OSError:
+                conns.pop(cid).sock.close()
+
     def serve(self) -> list[RoundRecord]:
-        conns: dict[int, tuple[socket.socket, _LineReader]] = {}
+        max_frame = len(params_b64(self.global_params)) + ENVELOPE_BYTES
+        conns: dict[int, _Conn] = {}
         try:
-            self._listener.settimeout(self.cfg.timeout_s)
+            self._listener.settimeout(self.timeout_s)
             while len(conns) < self.expected_clients:
                 sock, _ = self._listener.accept()
-                reader = _LineReader(sock)
-                cid = self._hello(sock, reader, conns)
+                conn = _Conn(sock, self.timeout_s, self.transcript, max_frame)
+                cid = self._hello(conn, conns)
                 if cid is not None:
-                    conns[cid] = (sock, reader)
+                    conns[cid] = conn
 
             for r in range(1, self.rounds + 1):
                 self._run_tcp_round(r, conns)
                 if self.eval_dataset is not None:
-                    self.eval_losses.append(mdl.mean_loss(self.state.global_params, self.eval_dataset))
-
-            for sock, _ in conns.values():
-                try:
-                    self._send(sock, {"type": "shutdown"})
-                except OSError:
-                    pass
-            return self.state.records
+                    self.eval_losses.append(mdl.mean_loss(self.global_params, self.eval_dataset))
+            self._send_all(conns, {"type": "shutdown"})
+            return self.records
         finally:
-            for sock, _ in conns.values():
-                sock.close()
+            for conn in conns.values():
+                conn.sock.close()
             self._listener.close()
 
-    def _run_tcp_round(self, r: int, conns: dict) -> None:
-        blob = params_b64(self.state.global_params)
-        for cid in sorted(conns):
-            sock, _ = conns[cid]
-            self._send(sock, {"type": "round_begin", "round": r, "params_b64": blob})
-
+    def _run_tcp_round(self, r: int, conns: dict[int, _Conn]) -> None:
+        self._send_all(conns, {"type": "round_begin", "round": r,
+                               "params_b64": params_b64(self.global_params)})
         updates: list[tuple[int, mdl.ModelParams, int]] = []
         for cid in sorted(conns):
-            sock, reader = conns[cid]
+            conn = conns[cid]
             try:
-                frame = self._recv(reader, self.cfg.timeout_s)
+                frame = conn.recv()
                 if frame.get("type") != "update" or int(frame.get("round", -1)) != r:
-                    self._send(sock, {"type": "error", "reason": "expected update"})
+                    conn.send({"type": "error", "reason": "expected update"})
                     raise ProtocolError(f"client {cid}: bad frame in round {r}")
                 params = params_from_b64(frame["params_b64"])
                 count = int(frame["examples"])
-                _check_compatible(params, self.state.global_params)
+                _check_compatible(params, self.global_params)
                 if count <= 0:
                     raise ProtocolError(f"client {cid}: example count {count} in round {r}")
                 if not np.isfinite(params.flat).all():
                     raise ProtocolError(f"client {cid}: non-finite parameters in round {r}")
                 updates.append((cid, params, count))
             except (ProtocolError, OSError, KeyError, TypeError, ValueError):
-                sock.close()
-                del conns[cid]
-        need = max(1, self.cfg.min_clients)
+                conns.pop(cid).sock.close()
+        need = max(1, self.min_clients)
         if len(updates) < need:
             raise ProtocolError(f"round {r}: only {len(updates)} updates arrived, need {need}")
 
-        record = self.state.aggregate(updates)
-        for cid in sorted(conns):
-            sock, _ = conns[cid]
-            self._send(sock, {"type": "round_end", "round": r, "digest": record.digest})
+        # `updates` is in ascending client id order: a deterministic reduction
+        self.global_params = fed_avg([(p, n) for _, p, n in updates])
+        record = RoundRecord(round=r, participants=[cid for cid, _, _ in updates],
+                             example_counts={cid: n for cid, _, n in updates},
+                             digest=params_digest(self.global_params))
+        self.records.append(record)
+        self._send_all(conns, {"type": "round_end", "round": r, "digest": record.digest})
 
 
 class FedClient:
@@ -322,17 +283,17 @@ class FedClient:
         self.opt_cfg = opt_cfg
         self.seed = seed
         self.local_epochs = local_epochs
-        self.state: ClientState | None = None
+        self.trainer: mdl.Trainer | None = None
 
     def run(self, host: str, port: int, timeout: float = PROTOCOL_TIMEOUT_S) -> int:
         """Participate until shutdown; returns the number of rounds trained."""
         rounds = 0
         with socket.create_connection((host, port), timeout=timeout) as sock:
-            reader = _LineReader(sock)
-            n = int(self.dataset.X.shape[0])
-            _send_frame(sock, {"type": "hello", "client_id": self.client_id, "examples": n})
+            conn = _Conn(sock, timeout)
+            conn.send({"type": "hello", "client_id": self.client_id,
+                       "examples": int(self.dataset.X.shape[0])})
             while True:
-                frame = json.loads(reader.readline(timeout))
+                frame = conn.recv()
                 kind = frame.get("type")
                 if kind == "shutdown":
                     return rounds
@@ -343,15 +304,12 @@ class FedClient:
                 if kind != "round_begin":
                     raise ProtocolError(f"unexpected frame type {kind!r}")
                 global_params = params_from_b64(frame["params_b64"])
-                if self.state is None:
-                    self.state = ClientState.create(
-                        self.client_id, self.dataset, global_params, self.opt_cfg, self.seed
-                    )
-                params, count = local_train(self.state, global_params, self.local_epochs)
-                _send_frame(sock, {
-                    "type": "update", "round": frame["round"],
-                    "params_b64": params_b64(params), "examples": count,
-                })
+                if self.trainer is None:
+                    self.trainer = mdl.Trainer(global_params, self.opt_cfg, self.seed)
+                params, count = local_train(self.trainer, self.dataset, global_params,
+                                            self.local_epochs)
+                conn.send({"type": "update", "round": frame["round"],
+                           "params_b64": params_b64(params), "examples": count})
                 rounds += 1
 
 
@@ -368,8 +326,7 @@ def train_federated_tcp(shards: list, init_params: mdl.ModelParams,
     if len(shards) != len(seeds):
         raise ValueError("one seed per shard required")
     server = FedServer(init_params.copy(), expected_clients=len(shards), rounds=rounds,
-                       round_cfg=RoundConfig(timeout_s=timeout),
-                       eval_dataset=eval_dataset)
+                       timeout_s=timeout, eval_dataset=eval_dataset)
     host, port = server.address
 
     clients = [
@@ -383,4 +340,4 @@ def train_federated_tcp(shards: list, init_params: mdl.ModelParams,
     records = server.serve()
     for t in threads:
         t.join(timeout=timeout)
-    return server.state.global_params, records, server.transcript, server.eval_losses
+    return server.global_params, records, server.transcript, server.eval_losses

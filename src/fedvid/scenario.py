@@ -426,12 +426,14 @@ def _wrap_grid(state: ScenarioState) -> None:
 
 def _apply_gps_noise(state: ScenarioState) -> None:
     sigma = state.cfg.gps_noise_sigma
-    ego_lat = state.ego.true_position[0]
-    for v in state.vehicles:
-        if sigma == 0.0:
+    if sigma == 0.0:
+        for v in state.vehicles:
             v.noisy_position = v.true_position
-            continue
-        north, east = state.gps_rng.normal(0.0, sigma, size=2)
+        return
+    ego_lat = state.ego.true_position[0]
+    # one draw per tick; its rows are the per-vehicle draws in vehicle order
+    noise = state.gps_rng.normal(0.0, sigma, size=(len(state.vehicles), 2))
+    for v, (north, east) in zip(state.vehicles, noise):
         dlat, dlng = geo.meters_to_deg(north, east, ego_lat)
         v.noisy_position = (v.true_position[0] + dlat, v.true_position[1] + dlng)
 

@@ -1,9 +1,13 @@
 import json
+import select
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedvid import fed, labeling, model as mdl
 
@@ -74,13 +78,13 @@ def test_fed_avg_preserves_elementwise_bounds():
         assert np.all(out.weights[i] <= hi + 1e-12)
 
 
-# --- local training / rounds -----------------------------------------------------
+# --- local training --------------------------------------------------------------
 
 def test_local_train_zero_epochs_returns_global():
     data = _toy_dataset()
     global_params = mdl.init_model(NARROW, np.random.default_rng(2))
-    client = fed.ClientState.create(1, data, global_params, mdl.OptConfig(), seed=3)
-    params, count = fed.local_train(client, global_params, epochs=0)
+    trainer = mdl.Trainer(global_params, mdl.OptConfig(), seed=3)
+    params, count = fed.local_train(trainer, data, global_params, epochs=0)
     assert _equal(params, global_params)
     assert count == 40
 
@@ -89,47 +93,10 @@ def test_two_clients_report_partition_sizes():
     a = _toy_dataset(n=12, seed=1)
     b = _toy_dataset(n=30, seed=2)
     g = mdl.init_model(NARROW, np.random.default_rng(2))
-    ca = fed.ClientState.create(1, a, g, mdl.OptConfig(), seed=3)
-    cb = fed.ClientState.create(2, b, g, mdl.OptConfig(), seed=4)
-    assert fed.local_train(ca, g, 1)[1] == 12
-    assert fed.local_train(cb, g, 1)[1] == 30
-
-
-def test_run_round_single_client_equals_update():
-    data = _toy_dataset()
-    g = mdl.init_model(NARROW, np.random.default_rng(4))
-    server = fed.ServerState(global_params=g.copy())
-    client = fed.ClientState.create(1, data, g, mdl.OptConfig(), seed=5)
-    shadow = fed.ClientState.create(1, data, g, mdl.OptConfig(), seed=5)
-    record = fed.run_round(server, [client], fed.RoundConfig(local_epochs=1))
-    expected, _ = fed.local_train(shadow, g, 1)
-    assert _equal(server.global_params, expected)
-    assert record.participants == [1]
-    assert record.example_counts == {1: 40}
-    assert record.digest == fed.params_digest(server.global_params)
-
-
-def test_run_round_below_min_clients_errors():
-    g = mdl.init_model(NARROW, np.random.default_rng(4))
-    server = fed.ServerState(global_params=g)
-    with pytest.raises(fed.ProtocolError):
-        fed.run_round(server, [], fed.RoundConfig(min_clients=1))
-
-
-def test_round_aggregation_order_invariant():
-    data_a = _toy_dataset(n=16, seed=6)
-    data_b = _toy_dataset(n=24, seed=7)
-    g = mdl.init_model(NARROW, np.random.default_rng(8))
-    digests = []
-    for order in ((1, 2), (2, 1)):
-        server = fed.ServerState(global_params=g.copy())
-        clients = {
-            1: fed.ClientState.create(1, data_a, g, mdl.OptConfig(), seed=11),
-            2: fed.ClientState.create(2, data_b, g, mdl.OptConfig(), seed=12),
-        }
-        record = fed.run_round(server, [clients[i] for i in order], fed.RoundConfig())
-        digests.append(record.digest)
-    assert digests[0] == digests[1]
+    ta = mdl.Trainer(g, mdl.OptConfig(), seed=3)
+    tb = mdl.Trainer(g, mdl.OptConfig(), seed=4)
+    assert fed.local_train(ta, a, g, 1)[1] == 12
+    assert fed.local_train(tb, b, g, 1)[1] == 30
 
 
 # --- wire encoding ----------------------------------------------------------------
@@ -165,6 +132,7 @@ def test_tcp_session_two_clients_records_and_transcript():
     assert [r.round for r in records] == [1, 2, 3]
     assert all(r.participants == [1, 2] for r in records)
     assert all(r.example_counts == {1: 20, 2: 20} for r in records)
+    assert records[-1].digest == fed.params_digest(final)
     kinds = [json.loads(line.split(" ", 1)[1])["type"] for line in transcript]
     assert kinds.count("hello") == 2
     assert kinds.count("round_begin") == 6
@@ -183,10 +151,40 @@ def test_tcp_single_client_degenerates_to_centralized():
     assert _equal(final, central.params)
 
 
+def test_round_aggregation_order_invariant():
+    # the server reduces in ascending client id, whichever hello came first
+    data_a = _toy_dataset(n=16, seed=6)
+    data_b = _toy_dataset(n=24, seed=7)
+    g = mdl.init_model(NARROW, np.random.default_rng(8))
+    digests = []
+    for order in ((1, 2), (2, 1)):
+        server = fed.FedServer(g.copy(), expected_clients=2, rounds=1, timeout_s=5.0)
+        host, port = server.address
+        serving, out = _serve_in_thread(server)
+        clients = {1: fed.FedClient(1, data_a, mdl.OptConfig(), seed=11),
+                   2: fed.FedClient(2, data_b, mdl.OptConfig(), seed=12)}
+        threads = []
+        for cid in order:
+            frames = len(server.transcript)
+            threads.append(threading.Thread(target=clients[cid].run, args=(host, port, 10.0),
+                                            daemon=True))
+            threads[-1].start()
+            deadline = time.monotonic() + 5.0
+            while len(server.transcript) == frames and time.monotonic() < deadline:
+                time.sleep(0.01)  # wait for this client's hello
+        for t in threads + [serving]:
+            t.join(timeout=10.0)
+        hellos = [json.loads(line.split(" ", 1)[1]) for line in server.transcript]
+        assert [h["client_id"] for h in hellos if h["type"] == "hello"] == list(order)
+        assert out["records"][0].participants == [1, 2]
+        digests.append(out["records"][0].digest)
+    assert digests[0] == digests[1]
+
+
 def test_tcp_silent_client_times_out_to_protocol_error():
     init = mdl.init_model(NARROW, np.random.default_rng(14))
     server = fed.FedServer(init, expected_clients=1, rounds=1,
-                           round_cfg=fed.RoundConfig(timeout_s=0.5, min_clients=1))
+                           min_clients=1, timeout_s=0.5)
     host, port = server.address
 
     def silent_client():
@@ -208,18 +206,18 @@ def test_tcp_silent_client_times_out_to_protocol_error():
 def test_tcp_unknown_frame_gets_error_and_close():
     init = mdl.init_model(NARROW, np.random.default_rng(15))
     server = fed.FedServer(init, expected_clients=1, rounds=1,
-                           round_cfg=fed.RoundConfig(timeout_s=2.0, min_clients=1))
+                           min_clients=1, timeout_s=2.0)
     host, port = server.address
     result = {}
 
     def bad_client():
         with socket.create_connection((host, port), timeout=5.0) as sock:
             sock.sendall(b'{"type":"hello","client_id":5,"examples":4}\n')
-            reader = fed._LineReader(sock)
-            reader.readline(5.0)  # round_begin
+            conn = fed._Conn(sock, 5.0)
+            conn.recv()  # round_begin
             sock.sendall(b'{"type":"mystery"}\n')
             try:
-                result["reply"] = reader.readline(5.0)
+                result["reply"] = conn.recv()
             except fed.ProtocolError:
                 result["reply"] = None
 
@@ -229,7 +227,7 @@ def test_tcp_unknown_frame_gets_error_and_close():
         server.serve()
     t.join(timeout=5.0)
     assert result["reply"] is not None
-    assert json.loads(result["reply"])["type"] == "error"
+    assert result["reply"]["type"] == "error"
 
 
 def test_tcp_round_aggregates_survivors_without_retraining():
@@ -238,7 +236,7 @@ def test_tcp_round_aggregates_survivors_without_retraining():
     data = _toy_dataset(n=20)
     init = mdl.init_model(NARROW, np.random.default_rng(17))
     server = fed.FedServer(init, expected_clients=2, rounds=2,
-                           round_cfg=fed.RoundConfig(timeout_s=5.0, min_clients=1))
+                           min_clients=1, timeout_s=5.0)
     host, port = server.address
     trained = {}
 
@@ -249,7 +247,7 @@ def test_tcp_round_aggregates_survivors_without_retraining():
     def quitter():
         with socket.create_connection((host, port), timeout=5.0) as sock:
             sock.sendall(b'{"type":"hello","client_id":2,"examples":4}\n')
-            fed._LineReader(sock).readline(5.0)  # round_begin, then hang up
+            fed._Conn(sock, 5.0).recv()  # round_begin, then hang up
 
     threads = [threading.Thread(target=f, daemon=True) for f in (survivor, quitter)]
     for t in threads:
@@ -264,23 +262,45 @@ def test_tcp_round_aggregates_survivors_without_retraining():
     assert all(r.example_counts == {1: 20} for r in records)
 
 
+def test_tcp_client_that_hangs_up_after_its_update_is_dropped_at_the_next_broadcast():
+    data = _toy_dataset(n=20)
+    init = mdl.init_model(NARROW, np.random.default_rng(24))
+    server = fed.FedServer(init, expected_clients=2, rounds=2, timeout_s=5.0)
+    host, port = server.address
+    serving, out = _serve_in_thread(server)
+
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        conn = fed._Conn(sock, 5.0)
+        conn.send({"type": "hello", "client_id": 2, "examples": 4})
+        honest = threading.Thread(target=fed.FedClient(1, data, mdl.OptConfig(), seed=57).run,
+                                  args=(host, port, 10.0), daemon=True)
+        honest.start()
+        begin = conn.recv()
+        conn.send({"type": "update", "round": 1, "examples": 4,
+                   "params_b64": begin["params_b64"]})
+    honest.join(timeout=10.0)
+    serving.join(timeout=10.0)
+    assert not honest.is_alive() and not serving.is_alive()
+    assert [r.participants for r in out["records"]] == [[1, 2], [1]]
+
+
 def test_tcp_round_below_min_clients_after_drop_errors():
     init = mdl.init_model(NARROW, np.random.default_rng(18))
     server = fed.FedServer(init, expected_clients=2, rounds=1,
-                           round_cfg=fed.RoundConfig(timeout_s=5.0, min_clients=2))
+                           min_clients=2, timeout_s=5.0)
     host, port = server.address
 
     def client(cid, reply):
         with socket.create_connection((host, port), timeout=5.0) as sock:
             sock.sendall(json.dumps({"type": "hello", "client_id": cid,
                                      "examples": 4}).encode() + b"\n")
-            reader = fed._LineReader(sock)
-            frame = json.loads(reader.readline(5.0))
+            conn = fed._Conn(sock, 5.0)
+            frame = conn.recv()
             if reply:
-                sock.sendall(json.dumps({"type": "update", "round": 1, "examples": 4,
-                                         "params_b64": frame["params_b64"]}).encode() + b"\n")
+                conn.send({"type": "update", "round": 1, "examples": 4,
+                           "params_b64": frame["params_b64"]})
                 try:
-                    reader.readline(5.0)
+                    conn.recv()
                 except (fed.ProtocolError, OSError):
                     pass
 
@@ -325,7 +345,7 @@ def test_tcp_poisoned_update_is_dropped(poison):
     data = _toy_dataset(n=20)
     init = mdl.init_model(NARROW, np.random.default_rng(19))
     server = fed.FedServer(init, expected_clients=2, rounds=1,
-                           round_cfg=fed.RoundConfig(timeout_s=5.0, min_clients=1))
+                           min_clients=1, timeout_s=5.0)
     host, port = server.address
 
     def honest():
@@ -334,14 +354,14 @@ def test_tcp_poisoned_update_is_dropped(poison):
     def poisoner():
         with socket.create_connection((host, port), timeout=5.0) as sock:
             sock.sendall(b'{"type":"hello","client_id":2,"examples":4}\n')
-            reader = fed._LineReader(sock)
-            begin = json.loads(reader.readline(5.0))
+            conn = fed._Conn(sock, 5.0)
+            begin = conn.recv()
             frame = {"type": "update", "round": 1, "examples": 4,
                      "params_b64": begin["params_b64"]}
             poison(frame)
-            sock.sendall(json.dumps(frame).encode() + b"\n")
+            conn.send(frame)
             try:
-                reader.readline(5.0)
+                conn.recv()
             except (fed.ProtocolError, OSError):
                 pass
 
@@ -353,25 +373,25 @@ def test_tcp_poisoned_update_is_dropped(poison):
         t.join(timeout=10.0)
     assert not any(t.is_alive() for t in threads)
     assert [r.participants for r in records] == [[1]]
-    assert np.isfinite(server.state.global_params.flat).all()
+    assert np.isfinite(server.global_params.flat).all()
 
 
 def test_tcp_update_of_other_architecture_is_not_installed():
     init = mdl.init_model(NARROW, np.random.default_rng(20))
     wide = mdl.init_model(mdl.ModelConfig(hidden_width=16), np.random.default_rng(20))
     server = fed.FedServer(init, expected_clients=1, rounds=1,
-                           round_cfg=fed.RoundConfig(timeout_s=5.0, min_clients=1))
+                           min_clients=1, timeout_s=5.0)
     host, port = server.address
 
     def client():
         with socket.create_connection((host, port), timeout=5.0) as sock:
             sock.sendall(b'{"type":"hello","client_id":1,"examples":4}\n')
-            reader = fed._LineReader(sock)
-            reader.readline(5.0)  # round_begin
-            sock.sendall(json.dumps({"type": "update", "round": 1, "examples": 4,
-                                     "params_b64": fed.params_b64(wide)}).encode() + b"\n")
+            conn = fed._Conn(sock, 5.0)
+            conn.recv()  # round_begin
+            conn.send({"type": "update", "round": 1, "examples": 4,
+                       "params_b64": fed.params_b64(wide)})
             try:
-                reader.readline(5.0)
+                conn.recv()
             except (fed.ProtocolError, OSError):
                 pass
 
@@ -381,8 +401,8 @@ def test_tcp_update_of_other_architecture_is_not_installed():
         server.serve()
     t.join(timeout=10.0)
     assert not t.is_alive()
-    assert server.state.global_params.shapes == init.shapes
-    assert not server.state.records
+    assert server.global_params.shapes == init.shapes
+    assert not server.records
 
 
 @pytest.mark.parametrize("hello", [
@@ -396,16 +416,16 @@ def test_tcp_bad_hello_gets_error_and_server_keeps_accepting(hello):
     data = _toy_dataset(n=20)
     init = mdl.init_model(NARROW, np.random.default_rng(21))
     server = fed.FedServer(init, expected_clients=1, rounds=1,
-                           round_cfg=fed.RoundConfig(timeout_s=2.0, min_clients=1))
+                           min_clients=1, timeout_s=2.0)
     host, port = server.address
     serving, out = _serve_in_thread(server)
 
     with socket.create_connection((host, port), timeout=5.0) as sock:
         sock.sendall(hello)
-        reader = fed._LineReader(sock)
-        reply = json.loads(reader.readline(5.0))
+        conn = fed._Conn(sock, 5.0)
+        reply = conn.recv()
         with pytest.raises(fed.ProtocolError, match="closed"):
-            reader.readline(5.0)
+            conn.recv()
     assert reply["type"] == "error"
 
     rounds = fed.FedClient(3, data, mdl.OptConfig(), seed=53).run(host, port, timeout=10.0)
@@ -419,7 +439,7 @@ def test_tcp_duplicate_client_id_is_refused_and_first_keeps_its_slot():
     data = _toy_dataset(n=20)
     init = mdl.init_model(NARROW, np.random.default_rng(22))
     server = fed.FedServer(init, expected_clients=2, rounds=1,
-                           round_cfg=fed.RoundConfig(timeout_s=5.0, min_clients=2))
+                           min_clients=2, timeout_s=5.0)
     host, port = server.address
     serving, out = _serve_in_thread(server)
 
@@ -427,27 +447,130 @@ def test_tcp_duplicate_client_id_is_refused_and_first_keeps_its_slot():
         first.sendall(b'{"type":"hello","client_id":1,"examples":4}\n')
         with socket.create_connection((host, port), timeout=5.0) as dup:
             dup.sendall(b'{"type":"hello","client_id":1,"examples":4}\n')
-            dup_reader = fed._LineReader(dup)
-            reply = json.loads(dup_reader.readline(5.0))
+            dup_conn = fed._Conn(dup, 5.0)
+            reply = dup_conn.recv()
             with pytest.raises(fed.ProtocolError, match="closed"):
-                dup_reader.readline(5.0)
+                dup_conn.recv()
 
         other = threading.Thread(
             target=fed.FedClient(2, data, mdl.OptConfig(), seed=54).run,
             args=(host, port, 10.0), daemon=True)
         other.start()
-        reader = fed._LineReader(first)
-        begin = json.loads(reader.readline(5.0))
-        first.sendall(json.dumps({"type": "update", "round": 1, "examples": 4,
-                                  "params_b64": begin["params_b64"]}).encode() + b"\n")
-        first_frames = [begin, json.loads(reader.readline(5.0)),
-                        json.loads(reader.readline(5.0))]
+        conn = fed._Conn(first, 5.0)
+        begin = conn.recv()
+        conn.send({"type": "update", "round": 1, "examples": 4,
+                   "params_b64": begin["params_b64"]})
+        first_frames = [begin, conn.recv(), conn.recv()]
         other.join(timeout=10.0)
     serving.join(timeout=10.0)
     assert not other.is_alive() and not serving.is_alive()
     assert reply["type"] == "error"
     assert [f["type"] for f in first_frames] == ["round_begin", "round_end", "shutdown"]
     assert [r.participants for r in out["records"]] == [[1, 2]]
+
+
+DRIP_S = 5.0
+
+
+def _drip(sock, frame):
+    """Send `frame` one byte every 0.1 s until the peer replies or hangs up,
+    or DRIP_S has passed."""
+    data = json.dumps(frame).encode() + b"\n"
+    start = time.monotonic()
+    for i in range(len(data)):
+        if time.monotonic() - start > DRIP_S or select.select([sock], [], [], 0.1)[0]:
+            return
+        sock.sendall(data[i:i + 1])
+
+
+def _oversize(sock, frame):
+    """Send `frame` padded far past the server's frame cap, in one write."""
+    try:
+        sock.sendall(json.dumps({**frame, "pad": "x" * 65536}).encode() + b"\n")
+    except OSError:
+        pass  # the server may hang up before it has read everything
+
+
+@pytest.mark.parametrize("phase", ["hello", "update"])
+@pytest.mark.parametrize("send", [_drip, _oversize], ids=["drip", "oversized"])
+def test_tcp_slow_or_oversized_frame_drops_its_peer(send, phase):
+    # client 2 sends its hello or its update through `send`: the server must
+    # refuse it within about timeout_s and serve the honest client 1 alone
+    data = _toy_dataset(n=20)
+    init = mdl.init_model(NARROW, np.random.default_rng(23))
+    server = fed.FedServer(init, expected_clients=1 if phase == "hello" else 2, rounds=1,
+                           timeout_s=1.0)
+    host, port = server.address
+    serving, out = _serve_in_thread(server)
+    honest = threading.Thread(target=fed.FedClient(1, data, mdl.OptConfig(), seed=55).run,
+                              args=(host, port, 10.0), daemon=True)
+    frame = {"type": "hello", "client_id": 2, "examples": 4}
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        conn = fed._Conn(sock, 5.0)
+        if phase == "update":
+            conn.send(frame)
+            honest.start()
+            frame = {"type": "update", "round": 1, "examples": 4,
+                     "params_b64": conn.recv()["params_b64"]}
+        start = time.monotonic()
+        send(sock, frame)
+        try:
+            reply = conn.recv()
+        except (fed.ProtocolError, OSError):
+            reply = None
+        took = time.monotonic() - start
+    if phase == "hello":
+        honest.start()
+    honest.join(timeout=10.0)
+    serving.join(timeout=10.0)
+    assert took < 3.0
+    assert not serving.is_alive()
+    assert (reply or {}).get("type") == ("error" if phase == "hello" else None)
+    assert [r.participants for r in out["records"]] == [[1]]
+
+
+def test_client_refuses_a_frame_that_is_not_an_object():
+    data = _toy_dataset(n=20)
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+    host, port = listener.getsockname()
+
+    def fake_server():
+        sock, _ = listener.accept()
+        with sock:
+            fed._Conn(sock, 5.0).recv()  # hello
+            sock.sendall(b"[]\n")
+            try:
+                sock.recv(1)  # until the client hangs up
+            except OSError:
+                pass
+
+    t = threading.Thread(target=fake_server, daemon=True)
+    t.start()
+    with listener, pytest.raises(fed.ProtocolError, match="not a JSON object"):
+        fed.FedClient(1, data, mdl.OptConfig(), seed=56).run(host, port, timeout=5.0)
+    t.join(timeout=5.0)
+    assert not t.is_alive()
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=20),
+                     lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=8), inner, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300).map(lambda b: b.replace(b"\n", b""))
+       | _JSON.map(lambda v: json.dumps(v).encode()))
+def test_frame_reader_returns_an_object_or_raises_protocol_error(line):
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(line + b"\n")
+        try:
+            frame = fed._Conn(b, 1.0, max_frame=200).recv()
+        except fed.ProtocolError:
+            return
+    assert isinstance(frame, dict) and len(line) <= 200
+    assert frame == json.loads(line)
 
 
 def test_transcript_carries_no_training_payloads():
