@@ -32,5 +32,6 @@ for mode in labeling.DatasetMode:
 
 ex = labeling.assemble_dataset(run, labeling.DatasetMode.ALDA)[0]
 print(f"\none row: tick={ex.tick} sender={ex.sender_id:#x} source={ex.source.value}")
-print(f"  features: {ex.features.as_array().round(3)}")
+print(f"  features: {' '.join(f'{v:+.3f}' for v in ex.features)}")
+print(f"  real window slots: {ex.valid} of {run.feature_cfg.window}")
 print(f"  target:   {ex.target.round(3)}")

@@ -15,16 +15,17 @@ print(f"window {cfg.window} samples, comm range {cfg.comm_range_m} m, "
 # a sender pulling ahead on the ego's left
 ego = [(23.9700, 120.9800, 0.0, 8.0)] * 4
 sender = [(23.9700 + 1e-5 * i, 120.9800 - 8e-6 * i, 0.0, 12.0) for i in range(1, 5)]
-fv = features.build_feature_vector(sender, ego, cfg)
-print("\nfull window:")
-print(f"  deltas (lat,lng, oldest first):\n{fv.latlng_deltas.round(4)}")
-print(f"  speeds (sender, ego): {fv.spd_y_norm:.3f}, {fv.spd_x_norm:.3f}")
-print(f"  gamma: {fv.gamma:+.3f}  (positive = left of the ego)")
-print(f"  mask: {fv.validity_mask.tolist()}")
+row = features.build_feature_vector(sender, ego, cfg)
+w = cfg.window
+print("\nfull window, one model input row:")
+print(f"  deltas (lat,lng, oldest first): {' '.join(f'{v:+.4f}' for v in row[:2 * w])}")
+print(f"  speeds (sender, ego): {row[2 * w]:.3f}, {row[2 * w + 1]:.3f}")
+print(f"  gamma: {row[2 * w + 2]:+.3f}  (positive = left of the ego)")
 
 # a sender that only just came into range: leading slots zero-filled
-fv1 = features.build_feature_vector(sender[-1:], ego[-1:], cfg)
-print(f"\nfresh sender mask: {fv1.validity_mask.tolist()}")
+row1 = features.build_feature_vector(sender[-1:], ego[-1:], cfg)
+print(f"\nfresh sender deltas: {' '.join(f'{v:+.4f}' for v in row1[:2 * w])}")
+print(f"  (1 of {w} slots real; the dataset file's validity_mask marks the rest False)")
 
 # gamma's three branches around the wrap
 for alpha, beta in ((90.0, 90.0), (10.0, 350.0), (350.0, 10.0)):

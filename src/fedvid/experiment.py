@@ -63,9 +63,7 @@ def predict_run(params: mdl.ModelParams, run: labeling.LabeledRun,
         msgs = sorted(obs.messages, key=lambda m: m.id)
         entries: dict[int, tuple[float, int | None]] = {}
         if msgs:
-            X = np.stack([
-                labeling.feature_for(run, m, obs.t).as_array() for m in msgs
-            ])
+            X = np.array([labeling.feature_for(run, m, obs.t)[0] for m in msgs])
             FB = np.stack([prev_feedback.get(m.id, np.zeros(4)) for m in msgs])
             y, _ = mdl.forward_batch(params, X, FB, training=False)
             estimates = mapping.EstimateSet(entries=[

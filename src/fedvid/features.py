@@ -1,7 +1,7 @@
 """Sensor preprocessing for the box-prediction network.
 
 Turns a message sender's recent GPS/speed/orientation samples plus the ego
-vehicle's own sensor records into a fixed-width normalized feature vector:
+vehicle's own sensor records into a fixed-width row of normalized floats:
 a window of normalized lat/lng differences, both speeds scaled to [0, 1],
 and the signed left/right orientation offset gamma.
 """
@@ -9,8 +9,6 @@ and the signed left/right orientation offset gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import geo
 
@@ -25,19 +23,6 @@ class FeatureConfig:
 
     def input_dim(self) -> int:
         return 2 * self.window + 3
-
-
-@dataclass
-class FeatureVector:
-    latlng_deltas: np.ndarray   # (window, 2) of (dlat_norm, dlng_norm), in [-1, 1]
-    spd_y_norm: float           # sender speed, [0, 1]
-    spd_x_norm: float           # ego speed, [0, 1]
-    gamma: float                # [-1, 1]; positive = sender left of ego heading
-    validity_mask: np.ndarray   # (window,) bool; False for zero-filled slots
-
-    def as_array(self) -> np.ndarray:
-        flat = self.latlng_deltas.reshape(-1)
-        return np.concatenate([flat, [self.spd_y_norm, self.spd_x_norm, self.gamma]])
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
@@ -79,40 +64,29 @@ def speed_norm(spd: float, v_max: float) -> float:
     return _clamp(spd / v_max, 0.0, 1.0)
 
 
-def build_feature_vector(history, ego_records, cfg: FeatureConfig) -> FeatureVector:
-    """Assemble the model input for one (sender, tick).
+def build_feature_vector(history, ego_records, cfg: FeatureConfig) -> list[float]:
+    """Assemble the model input row for one (sender, tick).
 
     history: sender samples as (lat, lng, ori, spd), oldest first, newest = the
     current message; ego_records: ego sensor samples aligned slot-for-slot with
-    history (same length). Missing leading slots are zero-filled with a False
-    validity mask. The newest sample drives speeds and gamma.
+    history (same length). The row holds cfg.input_dim() floats: the window's
+    (dlat, dlng) pairs oldest first, with missing leading slots as 0.0, then
+    sender speed, ego speed and gamma, all three from the newest sample.
     """
     if len(history) == 0:
         raise ValueError("empty sender history")
     if len(history) != len(ego_records):
         raise ValueError("sender history and ego records must align")
 
-    w = cfg.window
-    deltas = np.zeros((w, 2))
-    mask = np.zeros(w, dtype=bool)
-    used = min(w, len(history))
-    for i in range(used):
-        # newest-last: slot w-1 holds the current tick
-        h = history[len(history) - used + i]
-        e = ego_records[len(ego_records) - used + i]
+    used = min(cfg.window, len(history))
+    row = [0.0] * (2 * (cfg.window - used))
+    for h, e in zip(history[-used:], ego_records[-used:]):
         scale = geo.latlng_scale_deg(cfg.comm_range_m, e[0])
-        slot = w - used + i
-        deltas[slot] = latlng_delta_norm((h[0], h[1]), (e[0], e[1]), scale)
-        mask[slot] = True
+        row.extend(latlng_delta_norm((h[0], h[1]), (e[0], e[1]), scale))
 
     newest = history[-1]
     ego_now = ego_records[-1]
     brg = geo.initial_bearing(ego_now[0], ego_now[1], newest[0], newest[1])
     gamma = orientation_gamma(ego_now[2], brg)
-    return FeatureVector(
-        latlng_deltas=deltas,
-        spd_y_norm=speed_norm(newest[3], cfg.v_max),
-        spd_x_norm=speed_norm(ego_now[3], cfg.v_max),
-        gamma=gamma,
-        validity_mask=mask,
-    )
+    row += (speed_norm(newest[3], cfg.v_max), speed_norm(ego_now[3], cfg.v_max), gamma)
+    return row

@@ -34,21 +34,22 @@ class DatasetMode(str, Enum):
     MANUAL = "MANUAL"
 
 
+Sample = tuple[float, float, float, float]   # (lat, lng, ori, spd)
+
+
 @dataclass
 class PairingSet:
-    """Injective sender-id -> box-index pairing with per-pair source tags."""
+    """Injective sender-id -> box-index pairing."""
 
     pairs: dict[int, int] = field(default_factory=dict)
-    sources: dict[int, PairSource] = field(default_factory=dict)
     ambiguous: int = 0  # senders dropped due to duplicate canonical ids
 
-    def add(self, msg_id: int, box_idx: int, source: PairSource) -> None:
+    def add(self, msg_id: int, box_idx: int) -> None:
         if msg_id in self.pairs:
             raise ValueError(f"message {msg_id} already paired")
         if box_idx in self.pairs.values():
             raise ValueError(f"box {box_idx} already paired")
         self.pairs[msg_id] = box_idx
-        self.sources[msg_id] = source
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -71,15 +72,14 @@ def auto_label_frame(obs: Observation, cct: plates.ConversionTable,
     OCR read, hash it, and match against the message ids. Duplicate canonical
     ids on either side exclude all colliding parties."""
     boxes = obs.front_boxes if camera == "front" else obs.rear_boxes
-    source = PairSource.AUTO_FRONT if camera == "front" else PairSource.AUTO_REAR
     result = PairingSet()
 
-    msg_by_id: dict[int, int] = {}
+    msg_ids: set[int] = set()
     dup_msgs: set[int] = set()
     for m in obs.messages:
-        if m.id in msg_by_id:
+        if m.id in msg_ids:
             dup_msgs.add(m.id)
-        msg_by_id[m.id] = 1
+        msg_ids.add(m.id)
     read_ids: dict[int, list[int]] = {}
     for idx, box in enumerate(boxes):
         if box.plate_read is None:
@@ -88,28 +88,17 @@ def auto_label_frame(obs: Observation, cct: plates.ConversionTable,
         read_ids.setdefault(rid, []).append(idx)
 
     for rid, box_idxs in sorted(read_ids.items()):
-        if rid not in msg_by_id:
+        if rid not in msg_ids:
             continue
         if len(box_idxs) > 1 or rid in dup_msgs:
             result.ambiguous += 1
             continue
-        result.add(rid, box_idxs[0], source)
+        result.add(rid, box_idxs[0])
     return result
 
 
-@dataclass
-class SenderHistory:
-    """Per-sender message samples keyed by tick, plus the aligned ego record."""
-
-    samples: dict[int, tuple[float, float, float, float]] = field(default_factory=dict)
-
-    def window(self, t: int, k_samples: int):
-        """Samples for ticks t-k+1..t; None where the sender was silent."""
-        return [self.samples.get(tt) for tt in range(t - k_samples + 1, t + 1)]
-
-
-def build_outside_set(histories: dict[int, SenderHistory],
-                      ego_history: dict[int, tuple[float, float, float, float]],
+def build_outside_set(histories: dict[int, dict[int, Sample]],
+                      ego_history: dict[int, Sample],
                       obs: Observation,
                       hfov_deg: float,
                       k_samples: int,
@@ -123,23 +112,22 @@ def build_outside_set(histories: dict[int, SenderHistory],
     window (and no rear pairing) are skipped.
     """
     out: set[int] = set()
+    ticks = range(obs.t - k_samples + 1, obs.t + 1)
     for m in obs.messages:
         if m.id in front_paired:
             continue
         if m.id in rear_paired:
             out.add(m.id)
             continue
-        window = histories[m.id].window(obs.t, k_samples)
-        if any(s is None for s in window):
+        samples = histories[m.id]
+        if any(tt not in samples for tt in ticks):
             continue
-        always_outside = True
-        for tt, sample in zip(range(obs.t - k_samples + 1, obs.t + 1), window):
-            ego = ego_history[tt]
+        for tt in ticks:
+            ego, sample = ego_history[tt], samples[tt]
             brg = geo.initial_bearing(ego[0], ego[1], sample[0], sample[1])
             if fov_contains(ego[2], hfov_deg, brg):
-                always_outside = False
                 break
-        if always_outside:
+        else:  # outside the cone at every sample
             out.add(m.id)
     return frozenset(out)
 
@@ -159,8 +147,8 @@ class LabeledRun:
     cfg: WorldConfig
     observations: list[Observation]
     labels: list[TickLabels]
-    histories: dict[int, SenderHistory]
-    ego_history: dict[int, tuple[float, float, float, float]]
+    histories: dict[int, dict[int, Sample]]   # sender -> tick -> sample
+    ego_history: dict[int, Sample]
     feature_cfg: feats.FeatureConfig
 
 
@@ -170,14 +158,14 @@ def label_run(observations: list[Observation], cct: plates.ConversionTable,
     The feature window spans the same `k_seconds` as the outside-set history."""
     k_samples = max(1, int(round(k_seconds / cfg.tick_interval)))
 
-    histories: dict[int, SenderHistory] = {}
-    ego_history: dict[int, tuple[float, float, float, float]] = {}
+    histories: dict[int, dict[int, Sample]] = {}
+    ego_history: dict[int, Sample] = {}
     labels: list[TickLabels] = []
     for obs in observations:
         ego = obs.ego_sensors
         ego_history[obs.t] = (ego.lat, ego.lng, ego.ori, ego.spd)
         for m in obs.messages:
-            histories.setdefault(m.id, SenderHistory()).samples[obs.t] = (m.lat, m.lng, m.ori, m.spd)
+            histories.setdefault(m.id, {})[obs.t] = (m.lat, m.lng, m.ori, m.spd)
 
         front = auto_label_frame(obs, cct, camera="front")
         rear = auto_label_frame(obs, cct, camera="rear")
@@ -197,7 +185,8 @@ def label_run(observations: list[Observation], cct: plates.ConversionTable,
 
 @dataclass
 class LabeledExample:
-    features: feats.FeatureVector
+    features: list[float]         # model input row, from feats.build_feature_vector
+    valid: int                    # trailing window slots that hold real samples
     target: np.ndarray            # 5-vector; [*box, 1] inside or all zeros outside
     tick: int
     sender_id: int
@@ -206,21 +195,22 @@ class LabeledExample:
     feedback: np.ndarray = field(default_factory=lambda: np.zeros(4))
 
 
-def feature_for(run: LabeledRun, msg, t: int) -> feats.FeatureVector:
-    # use the contiguous suffix of samples ending at t; older-than-gap samples
-    # count as missing leading slots
+def feature_for(run: LabeledRun, msg, t: int) -> tuple[list[float], int]:
+    """The model input row of `msg`'s sender at tick t, and how many trailing
+    window slots hold real samples. Only the contiguous suffix of samples
+    ending at t counts; older-than-gap samples are missing leading slots."""
     w = run.feature_cfg.window
-    hist_map = run.histories[msg.id]
+    samples = run.histories[msg.id]
     history, ego_records = [], []
     for tt in range(t, t - w, -1):
-        s = hist_map.samples.get(tt)
+        s = samples.get(tt)
         if s is None:
             break
         history.append(s)
         ego_records.append(run.ego_history[tt])
     history.reverse()
     ego_records.reverse()
-    return feats.build_feature_vector(history, ego_records, run.feature_cfg)
+    return feats.build_feature_vector(history, ego_records, run.feature_cfg), len(history)
 
 
 def assemble_dataset(run: LabeledRun, mode: DatasetMode) -> list[LabeledExample]:
@@ -262,10 +252,10 @@ def assemble_dataset(run: LabeledRun, mode: DatasetMode) -> list[LabeledExample]
             msg = msg_by_id.get(msg_id)
             if msg is None:
                 continue
-            fv = feature_for(run, msg, obs.t)
+            row, valid = feature_for(run, msg, obs.t)
             fb = prev_boxes.get(msg_id, np.zeros(4))
             examples.append(LabeledExample(
-                features=fv, target=target, tick=obs.t, sender_id=msg_id,
+                features=row, valid=valid, target=target, tick=obs.t, sender_id=msg_id,
                 source=src, dataset=mode, feedback=fb,
             ))
             if target[4] == 1.0:
@@ -285,7 +275,7 @@ class TrainingArrays:
 def to_arrays(examples: list[LabeledExample]) -> TrainingArrays:
     if not examples:
         raise ValueError("no labeled examples")
-    X = np.stack([e.features.as_array() for e in examples])
+    X = np.array([e.features for e in examples])
     FB = np.stack([e.feedback for e in examples])
     Y = np.stack([e.target for e in examples])
     return TrainingArrays(X=X, FB=FB, Y=Y)
@@ -298,32 +288,52 @@ def write_dataset_jsonl(path, examples: list[LabeledExample]) -> None:
     """One record per example, ordered by (tick, sender id)."""
     with open(path, "w") as f:
         for e in sorted(examples, key=lambda e: (e.tick, e.sender_id)):
+            w = (len(e.features) - 3) // 2
             f.write(json.dumps({
                 "schema_version": DATASET_SCHEMA_VERSION,
                 "tick": e.tick,
                 "sender_id": e.sender_id,
                 "dataset": e.dataset.value,
                 "source": e.source.value,
-                "features": [float(f"{v:.9g}") for v in e.features.as_array()],
-                "validity_mask": [bool(b) for b in e.features.validity_mask],
+                "features": [float(f"{v:.9g}") for v in e.features],
+                "validity_mask": [False] * (w - e.valid) + [True] * e.valid,
                 "feedback": [float(f"{v:.9g}") for v in e.feedback],
                 "target": [float(f"{v:.9g}") for v in e.target],
             }) + "\n")
 
 
 def read_dataset_jsonl(path) -> TrainingArrays:
-    """Load the flat training arrays back from a dataset file."""
-    X, FB, Y = [], [], []
-    with open(path) as f:
-        for line in f:
+    """Load the flat training arrays back from a dataset file. A damaged
+    record raises ValueError naming `path:line`."""
+    columns: dict[str, list[np.ndarray]] = {"features": [], "feedback": [], "target": []}
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{where}: not JSON: {exc}") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: record is not a JSON object")
             if rec.get("schema_version") != DATASET_SCHEMA_VERSION:
-                raise ValueError(f"unsupported dataset schema {rec.get('schema_version')}")
-            X.append(rec["features"])
-            FB.append(rec["feedback"])
-            Y.append(rec["target"])
-    if not X:
+                raise ValueError(f"{where}: unsupported dataset schema {rec.get('schema_version')!r}")
+            for key, rows in columns.items():
+                if key not in rec:
+                    raise ValueError(f"{where}: missing key {key!r}")
+                try:
+                    row = np.array(rec[key])
+                except ValueError:   # ragged nesting
+                    row = np.array(None)
+                if row.ndim != 1 or row.dtype.kind not in "iuf":
+                    raise ValueError(f"{where}: {key!r} is not a flat list of numbers")
+                if rows and len(row) != len(rows[0]):
+                    raise ValueError(f"{where}: {key!r} has {len(row)} values, "
+                                     f"the first record {len(rows[0])}")
+                if not np.isfinite(row).all():
+                    raise ValueError(f"{where}: non-finite value in {key!r}")
+                rows.append(row)
+    if not columns["features"]:
         raise ValueError(f"empty dataset file {path}")
-    return TrainingArrays(X=np.array(X), FB=np.array(FB), Y=np.array(Y))
+    return TrainingArrays(*(np.array(rows, dtype=float) for rows in columns.values()))

@@ -77,29 +77,29 @@ def test_nan_survives_the_clamps_so_the_model_rejects_it():
     sender, ego = _samples(4)
     sender[0] = (nan,) + sender[0][1:]
     sender[-1] = sender[-1][:3] + (nan,)
-    fv = features.build_feature_vector(sender, ego, features.FeatureConfig())
-    assert math.isnan(fv.latlng_deltas[0, 0]) and math.isnan(fv.spd_y_norm)
-    assert math.isfinite(fv.gamma)
+    row = features.build_feature_vector(sender, ego, features.FeatureConfig())
+    assert math.isnan(row[0]) and math.isnan(row[-3])   # oldest dlat, sender speed
+    assert math.isfinite(row[-1])                        # gamma
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(4))
     with pytest.raises(ValueError, match="non-finite"):
-        mdl.forward_batch(params, fv.as_array(), np.zeros(4))
+        mdl.forward_batch(params, np.array(row), np.zeros(4))
 
 
 def test_full_window_mask_all_true():
     cfg = features.FeatureConfig()
     sender, ego = _samples(4)
-    fv = features.build_feature_vector(sender, ego, cfg)
-    assert fv.validity_mask.tolist() == [True] * 4
-    assert fv.as_array().shape == (11,)
+    row = features.build_feature_vector(sender, ego, cfg)
+    assert len(row) == cfg.input_dim() == 11
+    assert all(type(v) is float for v in row)
+    assert all(v != 0.0 for v in row[:8])   # no zero-filled slot
 
 
 def test_single_sample_pads_leading_slots():
     cfg = features.FeatureConfig()
     sender, ego = _samples(1)
-    fv = features.build_feature_vector(sender, ego, cfg)
-    assert fv.validity_mask.tolist() == [False, False, False, True]
-    assert np.all(fv.latlng_deltas[:3] == 0.0)
-    assert np.any(fv.latlng_deltas[3] != 0.0)
+    row = features.build_feature_vector(sender, ego, cfg)
+    assert row[:6] == [0.0] * 6
+    assert row[6] != 0.0 and row[7] != 0.0
 
 
 def test_empty_history_rejected():
@@ -115,15 +115,14 @@ def test_translation_invariance():
     sender2 = [(la, ln + off, o, s) for la, ln, o, s in sender]
     ego2 = [(la, ln + off, o, s) for la, ln, o, s in ego]
     moved = features.build_feature_vector(sender2, ego2, cfg)
-    assert np.allclose(base.latlng_deltas, moved.latlng_deltas, atol=1e-6)
-    assert moved.gamma == pytest.approx(base.gamma, abs=0.01)
-    assert moved.spd_x_norm == base.spd_x_norm
-    assert moved.spd_y_norm == base.spd_y_norm
+    assert np.allclose(base[:8], moved[:8], atol=1e-6)
+    assert moved[-1] == pytest.approx(base[-1], abs=0.01)
+    assert moved[-3:-1] == base[-3:-1]   # speeds
 
 
 def test_gamma_sign_matches_side():
     # sender due west of a north-facing ego is on the left: gamma > 0
     sender = [(23.97, 120.97, 0.0, 5.0)]
     ego = [(23.97, 120.98, 0.0, 5.0)]
-    fv = features.build_feature_vector(sender, ego, features.FeatureConfig())
-    assert fv.gamma > 0
+    row = features.build_feature_vector(sender, ego, features.FeatureConfig())
+    assert row[-1] > 0

@@ -1,10 +1,14 @@
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedvid import labeling, plates, scenario
-from fedvid.labeling import DatasetMode, PairSource
+from fedvid.labeling import DatasetMode
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +81,6 @@ def test_worked_misread_pairs(cct):
     obs.front_boxes[0].plate_read = "SCRO32I"
     pairing = labeling.auto_label_frame(obs, cct)
     assert pairing.pairs == {state.vehicles[1].id: 0}
-    assert pairing.sources[state.vehicles[1].id] is PairSource.AUTO_FRONT
 
 
 def test_auto_label_never_false_pairs(cct):
@@ -110,20 +113,14 @@ def test_duplicate_canonical_reads_excluded(cct):
 
 def test_pairing_set_injectivity_enforced():
     ps = labeling.PairingSet()
-    ps.add(1, 0, PairSource.AUTO_FRONT)
+    ps.add(1, 0)
     with pytest.raises(ValueError):
-        ps.add(1, 1, PairSource.AUTO_FRONT)
+        ps.add(1, 1)
     with pytest.raises(ValueError):
-        ps.add(2, 0, PairSource.AUTO_FRONT)
+        ps.add(2, 0)
 
 
 # --- outside set ----------------------------------------------------------------
-
-def _hist(samples):
-    h = labeling.SenderHistory()
-    h.samples = dict(samples)
-    return h
-
 
 def _msg(mid, lat=23.98, lng=120.98):
     return scenario.Message(lat=lat, lng=lng, ori=0.0, spd=5.0, id=mid)
@@ -139,7 +136,7 @@ def _obs_with(msgs, t=10):
 def test_outside_sender_behind_for_full_window():
     ego = {t: (23.97, 120.98, 0.0, 5.0) for t in range(7, 11)}
     behind = (23.9695, 120.98, 180.0, 5.0)  # due south of the ego
-    hist = {1: _hist({t: behind for t in range(7, 11)})}
+    hist = {1: {t: behind for t in range(7, 11)}}
     obs = _obs_with([_msg(1, *behind[:2])])
     out = labeling.build_outside_set(hist, ego, obs, hfov_deg=90.0, k_samples=4,
                                      front_paired=set(), rear_paired=set())
@@ -151,7 +148,7 @@ def test_sender_crossing_fov_edge_once_excluded():
     outside_pt = (23.9695, 120.98)   # behind
     inside_pt = (23.9705, 120.98)    # dead ahead
     samples = {7: outside_pt, 8: inside_pt, 9: outside_pt, 10: outside_pt}
-    hist = {1: _hist({t: (*p, 0.0, 5.0) for t, p in samples.items()})}
+    hist = {1: {t: (*p, 0.0, 5.0) for t, p in samples.items()}}
     obs = _obs_with([_msg(1, *outside_pt)])
     out = labeling.build_outside_set(hist, ego, obs, hfov_deg=90.0, k_samples=4,
                                      front_paired=set(), rear_paired=set())
@@ -161,7 +158,7 @@ def test_sender_crossing_fov_edge_once_excluded():
 def test_rear_paired_sender_included_despite_noisy_inside_sample():
     ego = {t: (23.97, 120.98, 0.0, 5.0) for t in range(7, 11)}
     inside_pt = (23.9705, 120.98)
-    hist = {1: _hist({t: (*inside_pt, 0.0, 5.0) for t in range(7, 11)})}
+    hist = {1: {t: (*inside_pt, 0.0, 5.0) for t in range(7, 11)}}
     obs = _obs_with([_msg(1, *inside_pt)])
     out = labeling.build_outside_set(hist, ego, obs, hfov_deg=90.0, k_samples=4,
                                      front_paired=set(), rear_paired={1})
@@ -171,7 +168,7 @@ def test_rear_paired_sender_included_despite_noisy_inside_sample():
 def test_incomplete_window_skipped():
     ego = {t: (23.97, 120.98, 0.0, 5.0) for t in range(7, 11)}
     behind = (23.9695, 120.98, 180.0, 5.0)
-    hist = {1: _hist({10: behind})}  # only the current tick
+    hist = {1: {10: behind}}  # only the current tick
     obs = _obs_with([_msg(1, *behind[:2])])
     out = labeling.build_outside_set(hist, ego, obs, hfov_deg=90.0, k_samples=4,
                                      front_paired=set(), rear_paired=set())
@@ -311,6 +308,113 @@ def test_dataset_jsonl_roundtrip(tmp_path):
     assert np.allclose(arrays.X, direct.X, atol=1e-7)
     assert np.allclose(arrays.Y, direct.Y, atol=1e-7)
     # ordering: (tick, sender id)
-    import json
     keys = [(r["tick"], r["sender_id"]) for r in map(json.loads, open(path))]
     assert keys == sorted(keys)
+
+
+# --- pinned dataset bytes -----------------------------------------------------
+
+PINNED_DATASETS = {   # mode -> (sha256 of to_arrays X|FB|Y, sha256 of the jsonl file)
+    DatasetMode.AL: (
+        "9660f0e8c298b01f358e0d743322176244005cbd9b73f1e72044c7abf39a21e5",
+        "e8947d8266b87bcccfe35597f244d0e416c5419b38fb6e7973360afea1e01a72"),
+    DatasetMode.ALDA: (
+        "f0fdb3622e5b6462d961a1c6c0620e71d3336621d2a9df6bc624e33784eb3789",
+        "8df1afa433b2b9a15b018d8ec9e109f81cbadcab10d4cbb15f98cfabad27fd9a"),
+    DatasetMode.MANUAL: (
+        "23212dfb5aa4a6c8fac5bcc0c4f3060b792491d4c0f4256dd6191b4cf85ee321",
+        "7e5a860bd6cb3fc0b6aed7ea62f517c6bbcc72026ed740b647c5780cb1744278"),
+}
+
+
+@pytest.fixture(scope="module")
+def run89():
+    return _noisy_run(seed=89, ticks=60)[1]
+
+
+@pytest.mark.parametrize("mode", list(DatasetMode))
+def test_dataset_bytes_pinned(mode, run89, tmp_path):
+    # the files hold rows of fresh senders, so the pin covers the derived mask
+    examples = labeling.assemble_dataset(run89, mode)
+    a = labeling.to_arrays(examples)
+    path = tmp_path / "dataset.jsonl"
+    labeling.write_dataset_jsonl(path, examples)
+    masks = [r["validity_mask"] for r in map(json.loads, open(path))]
+    assert any(not all(m) for m in masks)
+    assert all(m == sorted(m) for m in masks)   # missing slots lead
+    arrays_digest, jsonl_digest = PINNED_DATASETS[mode]
+    assert hashlib.sha256(a.X.tobytes() + a.FB.tobytes() + a.Y.tobytes()).hexdigest() == arrays_digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == jsonl_digest
+
+
+# --- dataset reader errors ----------------------------------------------------
+
+def _dataset_lines(run89, tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    labeling.write_dataset_jsonl(path, labeling.assemble_dataset(run89, DatasetMode.ALDA)[:5])
+    return path, path.read_text().splitlines()
+
+
+def _damage_line_3(path, lines, edit):
+    damaged = lines[:2] + [edit(json.loads(lines[2]))] + lines[3:]
+    path.write_text("\n".join(damaged) + "\n")
+    with pytest.raises(ValueError) as exc:
+        labeling.read_dataset_jsonl(path)
+    assert f"{path}:3:" in str(exc.value)
+    return str(exc.value)
+
+
+def test_reader_names_line_of_bad_json(run89, tmp_path):
+    path, lines = _dataset_lines(run89, tmp_path)
+    _damage_line_3(path, lines, lambda rec: json.dumps(rec)[:-7])
+    _damage_line_3(path, lines, lambda rec: json.dumps([rec]))
+
+
+def test_reader_names_line_of_wrong_schema(run89, tmp_path):
+    path, lines = _dataset_lines(run89, tmp_path)
+    msg = _damage_line_3(path, lines, lambda rec: json.dumps({**rec, "schema_version": 9}))
+    assert "schema" in msg
+
+
+def test_reader_names_line_of_missing_key(run89, tmp_path):
+    path, lines = _dataset_lines(run89, tmp_path)
+    msg = _damage_line_3(path, lines, lambda rec: json.dumps(
+        {k: v for k, v in rec.items() if k != "target"}))
+    assert "'target'" in msg
+
+
+@pytest.mark.parametrize("key", ["features", "feedback", "target"])
+def test_reader_names_line_of_ragged_row(key, run89, tmp_path):
+    path, lines = _dataset_lines(run89, tmp_path)
+    msg = _damage_line_3(path, lines, lambda rec: json.dumps({**rec, key: rec[key] + [0.5]}))
+    assert repr(key) in msg
+
+
+def test_reader_names_line_of_non_finite_value(run89, tmp_path):
+    path, lines = _dataset_lines(run89, tmp_path)
+    msg = _damage_line_3(path, lines, lambda rec: json.dumps(
+        {**rec, "features": [float("nan")] + rec["features"][1:]}))
+    assert "non-finite" in msg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_damaged_dataset_loads_consistently_or_names_its_line(run89, tmp_path_factory, data):
+    path, _ = _dataset_lines(run89, tmp_path_factory.mktemp("damaged"))
+    raw = path.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        i = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        damaged = raw[:i] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[i + 1:]
+    path.write_bytes(damaged)
+    try:
+        a = labeling.read_dataset_jsonl(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        if damaged.strip():
+            assert re.search(re.escape(str(path)) + r":\d+: ", str(exc))
+        return
+    for arr, width in ((a.X, len(a.X[0])), (a.FB, 4), (a.Y, 5)):
+        assert arr.dtype == np.float64 and arr.shape == (len(a.X), width)
+        assert np.isfinite(arr).all()
