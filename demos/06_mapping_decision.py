@@ -29,19 +29,21 @@ print("\ngreedy max-confidence pairing:",
       "{" + ",".join(f"(e{i + 1},v{j + 1})" for i, j in pairs) + "}")
 print("note e2 cedes v2 to e1: e2 was nearly as happy with v3, e1 was not")
 
-oracle_pairs, oracle_val = mapping.optimal_assignment(st)
-print(f"exhaustive optimum agrees: {sorted(oracle_pairs) == sorted((i, j) for i, j in pairs)}")
+oracle_pairs, oracle_val = mapping.optimal_assignment(st)   # pairs of (row id, col id)
+greedy_ids = sorted((st.row_ids[i], st.col_ids[j]) for i, j in pairs)
+print(f"exhaustive optimum agrees: {sorted(oracle_pairs) == greedy_ids}")
 
-# the same machinery on model estimates vs detected boxes
-est = mapping.EstimateSet(entries=[
-    mapping.ModelEstimate(msg_id=101, bbx=np.array([0.42, 0.40, 0.58, 0.60]), inside=0.97),
-    mapping.ModelEstimate(msg_id=102, bbx=np.array([0.10, 0.45, 0.25, 0.62]), inside=0.91),
-    mapping.ModelEstimate(msg_id=103, bbx=np.array([0.70, 0.40, 0.90, 0.70]), inside=0.23),
+# the same machinery on model output rows (box estimate, inside) vs detected boxes
+msg_ids = [101, 102, 103]
+y = np.array([
+    [0.42, 0.40, 0.58, 0.60, 0.97],
+    [0.10, 0.45, 0.25, 0.62, 0.91],
+    [0.70, 0.40, 0.90, 0.70, 0.23],
 ])
 boxes = [np.array([0.12, 0.44, 0.27, 0.63]), np.array([0.44, 0.41, 0.60, 0.61])]
-result = mapping.decide_mapping(est, boxes, mapping.MappingConfig())
+result = mapping.decide_mapping(msg_ids, y, boxes, mapping.MappingConfig())
 print(f"\nmodel estimates vs {len(boxes)} boxes (estimate 103 filtered, inside 0.23):")
 for msg_id, box_idx in result.pairs:
     print(f"  message {msg_id} -> box {box_idx}")
-print(f"feedback for the next tick: "
-      f"{ {m: fb.round(2).tolist() for m, fb in result.feedback.items()} }")
+feedback = {m: boxes[j].round(2).tolist() for m, j in sorted(result.pairs)}
+print(f"feedback for the next tick (zeros for unmapped senders): {feedback}")

@@ -150,7 +150,7 @@ def cmd_eval(args) -> int:
     with open(out / "report.csv", "w") as f:
         cols = experiment.REPORT_COLUMNS[2:]
         f.write(",".join(cols) + "\n")
-        row = report.row()
+        row = dataclasses.asdict(report)
         f.write(",".join(f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c])
                          for c in cols) + "\n")
     print(f"CR_ic={report.cr_ic:.4f} CR_inside={report.cr_inside:.4f} "

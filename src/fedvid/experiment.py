@@ -9,7 +9,7 @@ writes the report and auto-label-rate files.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ class ExperimentConfig:
     opt_cfg: mdl.OptConfig = field(default_factory=mdl.OptConfig)
     mapping_cfg: mapping.MappingConfig = field(default_factory=mapping.MappingConfig)
     train_seed: int = 7
-    k_seconds: float = 2.0
 
     def __post_init__(self):
         if self.eval_seed in self.train_seeds:
@@ -44,40 +43,33 @@ class ExperimentConfig:
 
 def simulate_and_label(world: scenario.WorldConfig, seed: int,
                        cct: plates.ConversionTable | None = None,
-                       k_seconds: float = 2.0,
                        ) -> tuple[scenario.ScenarioState, labeling.LabeledRun]:
     cct = cct if cct is not None else plates.default_conversion_table()
     cfg = replace(world, seed=seed)
     state, observations = scenario.run_scenario(cfg, cct=cct)
-    run = labeling.label_run(observations, cct, cfg, k_seconds=k_seconds)
+    run = labeling.label_run(observations, cct, cfg)
     return state, run
 
 
 def predict_run(params: mdl.ModelParams, run: labeling.LabeledRun,
                 mcfg: mapping.MappingConfig) -> list[metrics.TickPrediction]:
     """Model-only pairing over a labeled run, with the decided box of each tick
-    fed back as the next tick's feedback input."""
+    fed back as the next tick's feedback input; zeros for an unmapped sender."""
     preds: list[metrics.TickPrediction] = []
-    prev_feedback: dict[int, np.ndarray] = {}
+    prev_feedback: dict[int, tuple[float, ...]] = {}
     for obs in run.observations:
         msgs = sorted(obs.messages, key=lambda m: m.id)
-        entries: dict[int, tuple[float, int | None]] = {}
+        ids = [m.id for m in msgs]
+        pairs, entries = [], {}
         if msgs:
             X = np.array([labeling.feature_for(run, m, obs.t)[0] for m in msgs])
-            FB = np.stack([prev_feedback.get(m.id, np.zeros(4)) for m in msgs])
+            FB = np.array([prev_feedback.get(i, (0.0,) * 4) for i in ids], dtype=float)
             y, _ = mdl.forward_batch(params, X, FB, training=False)
-            estimates = mapping.EstimateSet(entries=[
-                mapping.ModelEstimate(msg_id=m.id, bbx=y[i, :4], inside=float(y[i, 4]))
-                for i, m in enumerate(msgs)
-            ])
             boxes = [b.bb_norm for b in obs.front_boxes]
-            result = mapping.decide_mapping(estimates, boxes, mcfg)
-            mapped = result.as_dict()
-            prev_feedback = result.feedback
-            for i, m in enumerate(msgs):
-                entries[m.id] = (float(y[i, 4]), mapped.get(m.id))
-        else:
-            prev_feedback = {}
+            pairs = mapping.decide_mapping(ids, y, boxes, mcfg).pairs
+            mapped = dict(pairs)
+            entries = {m: (float(y[i, 4]), mapped.get(m)) for i, m in enumerate(ids)}
+        prev_feedback = {m: obs.front_boxes[j].bb_norm for m, j in pairs}
         preds.append(metrics.TickPrediction(t=obs.t, entries=entries))
     return preds
 
@@ -164,7 +156,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
     train_runs = []
     autolabel_rows = []
     for seed in cfg.train_seeds:
-        state, run = simulate_and_label(cfg.world, seed, cct, cfg.k_seconds)
+        state, run = simulate_and_label(cfg.world, seed, cct)
         train_runs.append(run)
         with_rate, without_rate = autolabel_rates(state, run, cct)
         autolabel_rows.append({
@@ -172,7 +164,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
             "rate_with_conversion": f"{with_rate:.6f}",
             "rate_without_conversion": f"{without_rate:.6f}",
         })
-    _, eval_run = simulate_and_label(cfg.world, cfg.eval_seed, cct, cfg.k_seconds)
+    _, eval_run = simulate_and_label(cfg.world, cfg.eval_seed, cct)
 
     rows = []
     for mode in cfg.dataset_modes:
@@ -189,19 +181,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
             else:
                 raise ValueError(f"unknown training mode {training_mode!r}")
             report = evaluate_model(params, eval_run, cfg.mapping_cfg)
-            row = {"dataset": mode.value, "training_mode": training_mode,
-                   "n_examples": arrays.X.shape[0], **report.row()}
-            rows.append(row)
+            rows.append({"dataset": mode.value, "training_mode": training_mode,
+                         "n_examples": arrays.X.shape[0], **asdict(report)})
 
     with open(out / "report.csv", "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
         w.writeheader()
-        for row in rows:
-            w.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v) for k, v in row.items()})
+        w.writerows({k: (f"{v:.6f}" if isinstance(v, float) else v) for k, v in row.items()}
+                    for row in rows)
     with open(out / "autolabel.csv", "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=["scenario_seed", "rate_with_conversion",
                                           "rate_without_conversion"])
         w.writeheader()
-        for row in autolabel_rows:
-            w.writerow(row)
+        w.writerows(autolabel_rows)
     return rows

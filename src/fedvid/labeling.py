@@ -18,7 +18,7 @@ import numpy as np
 
 from . import features as feats
 from . import geo, plates
-from .scenario import OUTSIDE, Observation, WorldConfig
+from .scenario import OUTSIDE, Observation, WorldConfig, read_jsonl
 
 
 class PairSource(str, Enum):
@@ -35,6 +35,7 @@ class DatasetMode(str, Enum):
 
 
 Sample = tuple[float, float, float, float]   # (lat, lng, ori, spd)
+K_SECONDS = 2.0   # span of the outside-set history and of the feature window
 
 
 @dataclass
@@ -153,10 +154,10 @@ class LabeledRun:
 
 
 def label_run(observations: list[Observation], cct: plates.ConversionTable,
-              cfg: WorldConfig, k_seconds: float = 2.0) -> LabeledRun:
+              cfg: WorldConfig) -> LabeledRun:
     """Run auto-labeling and augmentation over a full observation stream.
-    The feature window spans the same `k_seconds` as the outside-set history."""
-    k_samples = max(1, int(round(k_seconds / cfg.tick_interval)))
+    The feature window spans the same `K_SECONDS` as the outside-set history."""
+    k_samples = max(1, int(round(K_SECONDS / cfg.tick_interval)))
 
     histories: dict[int, dict[int, Sample]] = {}
     ego_history: dict[int, Sample] = {}
@@ -304,36 +305,24 @@ def write_dataset_jsonl(path, examples: list[LabeledExample]) -> None:
 
 def read_dataset_jsonl(path) -> TrainingArrays:
     """Load the flat training arrays back from a dataset file. A damaged
-    record raises ValueError naming `path:line`."""
+    record, a non-finite value included, raises ValueError naming `path:line`."""
     columns: dict[str, list[np.ndarray]] = {"features": [], "feedback": [], "target": []}
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
+    for where, rec in read_jsonl(path):
+        if rec.get("schema_version") != DATASET_SCHEMA_VERSION:
+            raise ValueError(f"{where}: unsupported dataset schema {rec.get('schema_version')!r}")
+        for key, rows in columns.items():
+            if key not in rec:
+                raise ValueError(f"{where}: missing key {key!r}")
             try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{where}: not JSON: {exc}") from None
-            if not isinstance(rec, dict):
-                raise ValueError(f"{where}: record is not a JSON object")
-            if rec.get("schema_version") != DATASET_SCHEMA_VERSION:
-                raise ValueError(f"{where}: unsupported dataset schema {rec.get('schema_version')!r}")
-            for key, rows in columns.items():
-                if key not in rec:
-                    raise ValueError(f"{where}: missing key {key!r}")
-                try:
-                    row = np.array(rec[key])
-                except ValueError:   # ragged nesting
-                    row = np.array(None)
-                if row.ndim != 1 or row.dtype.kind not in "iuf":
-                    raise ValueError(f"{where}: {key!r} is not a flat list of numbers")
-                if rows and len(row) != len(rows[0]):
-                    raise ValueError(f"{where}: {key!r} has {len(row)} values, "
-                                     f"the first record {len(rows[0])}")
-                if not np.isfinite(row).all():
-                    raise ValueError(f"{where}: non-finite value in {key!r}")
-                rows.append(row)
+                row = np.array(rec[key])
+            except ValueError:   # ragged nesting
+                row = np.array(None)
+            if row.ndim != 1 or row.dtype.kind not in "iuf":
+                raise ValueError(f"{where}: {key!r} is not a flat list of numbers")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{where}: {key!r} has {len(row)} values, "
+                                 f"the first record {len(rows[0])}")
+            rows.append(row)
     if not columns["features"]:
         raise ValueError(f"empty dataset file {path}")
     return TrainingArrays(*(np.array(rows, dtype=float) for rows in columns.values()))

@@ -11,30 +11,13 @@ included as a test oracle only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DIAGONAL_LEN = math.sqrt(2.0)  # image diagonal in normalized coordinates
 SCORE_EPS = 1e-9               # floating-point reading of "score != 0"
 EXHAUSTIVE_LIMIT = 8
-
-
-@dataclass
-class ModelEstimate:
-    msg_id: int
-    bbx: np.ndarray   # (4,) predicted box, normalized
-    inside: float     # (0, 1) inside-image probability
-
-
-@dataclass
-class EstimateSet:
-    entries: list[ModelEstimate]
-
-    def __post_init__(self):
-        ids = [e.msg_id for e in self.entries]
-        if len(ids) != len(set(ids)):
-            raise ValueError("estimate message ids must be distinct")
 
 
 @dataclass
@@ -48,8 +31,6 @@ class ScoreTable:
 @dataclass
 class ConfidenceTable:
     conf: np.ndarray
-    row_ids: list[int]
-    col_ids: list[int]
 
 
 @dataclass(frozen=True)
@@ -61,10 +42,6 @@ class MappingConfig:
 @dataclass
 class MappingResult:
     pairs: list[tuple[int, int]]            # (msg_id, box_index), injective both ways
-    feedback: dict[int, np.ndarray] = field(default_factory=dict)  # msg id -> matched box or zeros
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
 
 
 def _box_area(b) -> float:
@@ -95,20 +72,14 @@ def score_bbx(e, v, omega: float) -> float:
     return (1.0 - omega) * iou(e, v) + omega * (DIAGONAL_LEN - center_dist(e, v)) / DIAGONAL_LEN
 
 
-def build_score_table(e_inside: list[ModelEstimate], boxes, omega: float) -> ScoreTable:
-    """Dense score table over the inside-filtered estimates and detected boxes."""
-    rows = len(e_inside)
-    cols = len(boxes)
-    scores = np.zeros((rows, cols))
-    for i, est in enumerate(e_inside):
+def build_score_table(bbx, row_ids: list[int], boxes, omega: float) -> ScoreTable:
+    """Dense score table of the estimated boxes `bbx` (one row per id in
+    `row_ids`) against the detected boxes."""
+    scores = np.zeros((len(bbx), len(boxes)))
+    for i, e in enumerate(bbx):
         for j, v in enumerate(boxes):
-            scores[i, j] = score_bbx(est.bbx, v, omega)
-    return ScoreTable(
-        scores=scores,
-        row_ids=[e.msg_id for e in e_inside],
-        col_ids=list(range(cols)),
-        omega=omega,
-    )
+            scores[i, j] = score_bbx(e, v, omega)
+    return ScoreTable(scores, row_ids, list(range(len(boxes))), omega)
 
 
 def build_confidence_table(st: ScoreTable) -> ConfidenceTable:
@@ -118,47 +89,40 @@ def build_confidence_table(st: ScoreTable) -> ConfidenceTable:
         s = st.scores[i].sum()
         if s > 0.0:
             conf[i] = st.scores[i] / s
-    return ConfidenceTable(conf=conf, row_ids=list(st.row_ids), col_ids=list(st.col_ids))
+    return ConfidenceTable(conf=conf)
 
 
 def _greedy_pairs(scores: np.ndarray, conf: np.ndarray, eps: float) -> list[tuple[int, int]]:
     """Greedy max-confidence selection gated on scores, row-major tie-breaking."""
     work = conf.copy()
     pairs: list[tuple[int, int]] = []
-    if work.size == 0:
-        return pairs
-    while True:
+    while work.size:   # an empty table has no pairs
         flat = int(np.argmax(work))  # first maximum in row-major order
         i, j = divmod(flat, work.shape[1])
-        if work[i, j] <= 0.0:
-            break  # table exhausted
-        if scores[i, j] <= eps:
-            break
+        if work[i, j] <= 0.0 or scores[i, j] <= eps:
+            break  # table exhausted, or the most confident cell scores zero
         pairs.append((i, j))
         work[i, :] = 0.0
         work[:, j] = 0.0
     return pairs
 
 
-def decide_mapping(estimates: EstimateSet, boxes, cfg: MappingConfig = MappingConfig()) -> MappingResult:
+def decide_mapping(msg_ids: list[int], y: np.ndarray, boxes,
+                   cfg: MappingConfig = MappingConfig()) -> MappingResult:
     """Run the full decision: inside filter, score and confidence tables, greedy pairing.
 
-    `boxes` is a sequence of normalized corner boxes indexed by position. The
-    result carries, for every estimate's message id, the matched box for the
-    next tick's feedback input (zeros when unmatched).
+    `y` holds the model's (n, 5) output rows for the senders `msg_ids`: a
+    normalized box estimate and the inside-image probability. `boxes` is a
+    sequence of normalized corner boxes indexed by position.
     """
-    feedback = {e.msg_id: np.zeros(4) for e in estimates.entries}
-    e_inside = [e for e in estimates.entries if e.inside > cfg.threshold_inside]
-    if not e_inside or len(boxes) == 0:
-        return MappingResult(pairs=[], feedback=feedback)
-
-    st = build_score_table(e_inside, boxes, cfg.omega)
-    ct = build_confidence_table(st)
-    raw = _greedy_pairs(st.scores, ct.conf, SCORE_EPS)
-    pairs = [(st.row_ids[i], st.col_ids[j]) for i, j in raw]
-    for msg_id, box_idx in pairs:
-        feedback[msg_id] = np.asarray(boxes[box_idx], dtype=float).copy()
-    return MappingResult(pairs=pairs, feedback=feedback)
+    if len(set(msg_ids)) != len(msg_ids) or len(msg_ids) != len(y):
+        raise ValueError("estimate message ids must be distinct, one per output row")
+    keep = y[:, 4] > cfg.threshold_inside
+    if not keep.any() or len(boxes) == 0:
+        return MappingResult(pairs=[])
+    st = build_score_table(y[keep, :4], [m for m, k in zip(msg_ids, keep) if k], boxes, cfg.omega)
+    raw = _greedy_pairs(st.scores, build_confidence_table(st).conf, SCORE_EPS)
+    return MappingResult(pairs=[(st.row_ids[i], st.col_ids[j]) for i, j in raw])
 
 
 def greedy_confidence_sum(st: ScoreTable, eps: float = SCORE_EPS) -> float:

@@ -35,26 +35,11 @@ class MetricsReport:
     @classmethod
     def from_counts(cls, p_correctly: int, p_inside: int, p_outside: int,
                     n_inside: int, n_outside: int) -> "MetricsReport":
-        return cls(
-            p_correctly=p_correctly,
-            p_inside=p_inside,
-            p_outside=p_outside,
-            n_inside=n_inside,
-            n_outside=n_outside,
-            cr_ic=_ratio(p_correctly, n_inside),
-            cr_inside=_ratio(p_inside, n_inside),
-            cr_outside=_ratio(p_outside, n_outside),
-            cr_total=_ratio(p_correctly + p_outside, n_inside + n_outside),
-        )
-
-    def row(self) -> dict:
-        return {
-            "cr_ic": self.cr_ic, "cr_inside": self.cr_inside,
-            "cr_outside": self.cr_outside, "cr_total": self.cr_total,
-            "p_correctly": self.p_correctly, "p_inside": self.p_inside,
-            "p_outside": self.p_outside, "n_inside": self.n_inside,
-            "n_outside": self.n_outside,
-        }
+        return cls(p_correctly, p_inside, p_outside, n_inside, n_outside,
+                   cr_ic=_ratio(p_correctly, n_inside),
+                   cr_inside=_ratio(p_inside, n_inside),
+                   cr_outside=_ratio(p_outside, n_outside),
+                   cr_total=_ratio(p_correctly + p_outside, n_inside + n_outside))
 
 
 def compute_cr(predictions: list[TickPrediction],

@@ -51,9 +51,6 @@ class ConfusionTable:
         row = self.counts.setdefault(truth, {})
         row[observed] = row.get(observed, 0) + n
 
-    def chars(self) -> list[str]:
-        return sorted(self.counts)
-
     def row_total(self, c: str) -> int:
         return sum(self.counts.get(c, {}).values())
 

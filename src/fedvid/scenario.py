@@ -642,38 +642,81 @@ def write_run(out_dir, observations: list[Observation]) -> None:
             }) + "\n")
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(x := float(text)):   # float() also reads NaN and [-]Infinity
+        raise ValueError(f"non-finite value {text}")
+    return x
+
+
+def read_jsonl(path):
+    """Yield `(f"{path}:{line}", record)` for each non-blank line of a
+    JSON-lines file. A line that is not JSON, holds a non-finite number or is
+    not an object raises ValueError naming `path:line`."""
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line, parse_constant=_finite, parse_float=_finite)
+            except ValueError as exc:
+                raise ValueError(f"{where}: not JSON: {exc}") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: record is not a JSON object")
+            yield where, rec
+
+
+def _num(v):
+    if type(v) not in (int, float):
+        raise TypeError(f"{v!r} is not a number")
+    return v
+
+
+def _box(d) -> DetectedBox:
+    return DetectedBox(vehicle_ref=d["vehicle_ref"], bb_norm=tuple(map(_num, d["bb_norm"])),
+                       plate_readable=d["plate_readable"], plate_read=d.get("plate_read"))
+
+
+def _read_records(path, build) -> list[tuple[str, int, object]]:
+    """`(where, tick, build(record))` per record of one record file."""
+    out = []
+    for where, rec in read_jsonl(path):
+        try:
+            out.append((where, _num(rec["t"]), build(rec)))
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: malformed record: {exc}") from None
+    return out
+
+
 def read_run(run_dir) -> list[Observation]:
-    """Rebuild an observation stream from the record files."""
+    """Rebuild an observation stream from the record files. A damaged or
+    inconsistent record raises ValueError naming `path:line`."""
     run = Path(run_dir)
-
-    def lines(name):
-        with open(run / name) as f:
-            return [json.loads(line) for line in f if line.strip()]
-
-    frames = lines("frames.jsonl")
-    msgs = lines("messages.jsonl")
-    sensors = lines("sensors.jsonl")
-    truth = lines("truth.jsonl")
-    if not (len(frames) == len(msgs) == len(sensors) == len(truth)):
-        raise ValueError("record files disagree on tick count")
-
-    def box(d):
-        return DetectedBox(vehicle_ref=d["vehicle_ref"], bb_norm=tuple(d["bb_norm"]),
-                           plate_readable=d["plate_readable"], plate_read=d.get("plate_read"))
+    names = ("frames.jsonl", "messages.jsonl", "sensors.jsonl", "truth.jsonl")
+    files = [_read_records(run / name, build) for name, build in zip(names, (
+        lambda r: ([_box(b) for b in r["front_boxes"]], [_box(b) for b in r["rear_boxes"]]),
+        lambda r: [Message(lat=_num(m["lat"]), lng=_num(m["lng"]), ori=_num(m["ori"]),
+                           spd=_num(m["spd"]), id=_num(m["id"])) for m in r["messages"]],
+        lambda r: SensorRecord(lat=_num(r["lat"]), lng=_num(r["lng"]),
+                               ori=_num(r["ori"]), spd=_num(r["spd"])),
+        lambda r: {int(k): v for k, v in r["truth_pairs"].items()},
+    ))]
+    if len({len(records) for records in files}) > 1:
+        raise ValueError("record files disagree on tick count: " + ", ".join(
+            f"{run / name} has {len(records)}" for name, records in zip(names, files)))
 
     out = []
-    for fr, mr, sr, tr in zip(frames, msgs, sensors, truth):
-        if not (fr["t"] == mr["t"] == sr["t"] == tr["t"]):
-            raise ValueError("record files disagree on tick ids")
-        out.append(Observation(
-            t=fr["t"],
-            front_boxes=[box(b) for b in fr["front_boxes"]],
-            rear_boxes=[box(b) for b in fr["rear_boxes"]],
-            messages=[Message(lat=m["lat"], lng=m["lng"], ori=m["ori"], spd=m["spd"], id=m["id"])
-                      for m in mr["messages"]],
-            ego_sensors=SensorRecord(lat=sr["lat"], lng=sr["lng"], ori=sr["ori"], spd=sr["spd"]),
-            truth_pairs={int(k): v for k, v in tr["truth_pairs"].items()},
-        ))
+    for frame, msgs, sensors, truth in zip(*files):
+        fw, t, (front, rear) = frame
+        for where, tick, _ in (msgs, sensors, truth):
+            if tick != t:
+                raise ValueError(f"{where}: tick {tick}, but {fw} holds tick {t}")
+        if sorted(m.id for m in msgs[2]) != sorted(truth[2]):
+            raise ValueError(f"{msgs[0]}: message ids differ from the senders at {truth[0]}")
+        out.append(Observation(t=t, front_boxes=front, rear_boxes=rear, messages=msgs[2],
+                               ego_sensors=sensors[2], truth_pairs=truth[2]))
     return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -34,6 +35,55 @@ def test_predict_run_covers_every_sender():
         for inside, box in p.entries.values():
             assert 0.0 < inside < 1.0
             assert box is None or 0 <= box < len(obs.front_boxes)
+
+
+@pytest.fixture(scope="module")
+def run307():
+    world = scenario.WorldConfig(seed=0, num_vehicles=40, duration=60.0, weather="light_haze")
+    return experiment.simulate_and_label(world, 307, plates.default_conversion_table())[1]
+
+
+PINNED_PREDICTIONS = {   # threshold_inside -> (mapped senders, sha256 of the predictions)
+    0.5: (166, "aaae4c89e88aeea8f937e10926934680c29e5988b12af68eea098d7ca5af3969"),
+    0.65: (127, "a102908ae8f180e6e94016e788167c59d0d6c39adeff7a76d5ecf28b6d937b43"),
+}
+
+
+@pytest.mark.parametrize("threshold", sorted(PINNED_PREDICTIONS))
+def test_predict_run_pinned(threshold, run307):
+    # 0.65 lies above some inside outputs, so the inside filter drops rows
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(0))
+    preds = experiment.predict_run(params, run307, mapping.MappingConfig(threshold_inside=threshold))
+    mapped = sum(box is not None for p in preds for _, box in p.entries.values())
+    assert sum(len(p.entries) for p in preds) == 496
+    digest = hashlib.sha256(repr([(p.t, sorted(p.entries.items())) for p in preds]).encode())
+    assert (mapped, digest.hexdigest()) == PINNED_PREDICTIONS[threshold]
+
+
+def test_predict_run_feeds_back_the_mapped_box(run307, monkeypatch):
+    calls = []
+    forward = mdl.forward_batch
+
+    def recording_forward(params, X, FB, training=False):
+        calls.append(FB.copy())
+        return forward(params, X, FB, training=training)
+
+    monkeypatch.setattr(mdl, "forward_batch", recording_forward)
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(0))
+    preds = experiment.predict_run(params, run307, mapping.MappingConfig())
+    ticks = [(obs, p) for obs, p in zip(run307.observations, preds) if obs.messages]
+    assert len(calls) == len(ticks)
+
+    prev: dict[int, tuple] = {}   # sender -> box mapped to it at the previous tick
+    fed_back = 0
+    for (obs, pred), FB in zip(ticks, calls):
+        ids = sorted(pred.entries)
+        expected = [prev.get(m, (0.0, 0.0, 0.0, 0.0)) for m in ids]
+        assert np.array_equal(FB, np.array(expected))
+        fed_back += sum(m in prev for m in ids)
+        prev = {m: obs.front_boxes[box].bb_norm
+                for m, (_, box) in pred.entries.items() if box is not None}
+    assert fed_back > 0
 
 
 def test_evaluate_model_deterministic():

@@ -66,18 +66,18 @@ def test_score_symmetric(vals, omega):
 # --- tables -------------------------------------------------------------------
 
 def test_score_table_shape_and_trivial():
-    est = [mapping.ModelEstimate(msg_id=7, bbx=np.array([0.1, 0.1, 0.3, 0.3]), inside=0.9)]
-    st_ = mapping.build_score_table(est, [np.array([0.1, 0.1, 0.3, 0.3])], omega=0.5)
+    bbx = np.array([[0.1, 0.1, 0.3, 0.3]])
+    st_ = mapping.build_score_table(bbx, [7], [np.array([0.1, 0.1, 0.3, 0.3])], omega=0.5)
     assert st_.scores.shape == (1, 1)
     assert st_.scores[0, 0] == pytest.approx(1.0)
+    assert (st_.row_ids, st_.col_ids) == ([7], [0])
 
 
 def test_score_table_shape_matches_inputs():
     rng = np.random.default_rng(0)
-    est = [mapping.ModelEstimate(msg_id=i, bbx=np.sort(rng.random(4)).reshape(4), inside=0.9)
-           for i in range(4)]
+    bbx = np.sort(rng.random((4, 4)), axis=1)
     boxes = [np.array([0.1, 0.1, 0.2, 0.2])] * 6
-    st_ = mapping.build_score_table(est, boxes, omega=0.5)
+    st_ = mapping.build_score_table(bbx, list(range(4)), boxes, omega=0.5)
     assert st_.scores.shape == (4, 6)
 
 
@@ -110,12 +110,6 @@ def test_confidence_row_scaling_invariance():
 
 # --- greedy decision ----------------------------------------------------------
 
-def _estimates_from_scores(scores, threshold=0.5):
-    # synthetic estimates whose ids are the row numbers; boxes unused by _greedy
-    return [mapping.ModelEstimate(msg_id=i, bbx=np.zeros(4), inside=0.9)
-            for i in range(scores.shape[0])]
-
-
 def test_worked_mapping_decision():
     ct = mapping.build_confidence_table(_table(PAPER_SCORES))
     pairs = mapping._greedy_pairs(PAPER_SCORES, ct.conf, mapping.SCORE_EPS)
@@ -123,57 +117,51 @@ def test_worked_mapping_decision():
 
 
 def test_decide_mapping_empty():
-    est = mapping.EstimateSet(entries=[])
-    result = mapping.decide_mapping(est, [np.array([0.0, 0.0, 0.1, 0.1])])
+    result = mapping.decide_mapping([], np.empty((0, 5)), [np.array([0.0, 0.0, 0.1, 0.1])])
     assert result.pairs == []
 
 
 def test_decide_mapping_zero_score_row_yields_single_pair():
     # estimate 10 scores exactly zero against every box (no overlap, diagonal
     # distance), so only the nonzero row can pair
-    est = mapping.EstimateSet(entries=[
-        mapping.ModelEstimate(msg_id=10, bbx=np.array([0.0, 0.0, 0.0, 0.0]), inside=0.9),
-        mapping.ModelEstimate(msg_id=11, bbx=np.array([0.9, 0.9, 1.0, 1.0]), inside=0.9),
-    ])
+    y = np.array([[0.0, 0.0, 0.0, 0.0, 0.9],
+                  [0.9, 0.9, 1.0, 1.0, 0.9]])
     boxes = [np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0, 1.0])]
-    result = mapping.decide_mapping(est, boxes, mapping.MappingConfig(omega=0.5))
+    result = mapping.decide_mapping([10, 11], y, boxes, mapping.MappingConfig(omega=0.5))
     assert result.pairs == [(11, 0)]
-    assert np.all(result.feedback[10] == 0.0)
 
 
-def test_decide_mapping_injective_and_feedback():
+def test_decide_mapping_injective_and_filtered():
     rng = np.random.default_rng(11)
-    est = mapping.EstimateSet(entries=[
-        mapping.ModelEstimate(msg_id=i, bbx=np.sort(rng.random(4))[np.array([0, 2, 1, 3])],
-                              inside=float(rng.random()))
-        for i in range(6)
-    ])
+    y = np.array([[*np.sort(rng.random(4))[np.array([0, 2, 1, 3])], rng.random()]
+                  for _ in range(6)])
     boxes = [np.sort(rng.random(4))[np.array([0, 2, 1, 3])] for _ in range(4)]
-    result = mapping.decide_mapping(est, boxes, mapping.MappingConfig())
+    ids = [40 + i for i in range(6)]
+    result = mapping.decide_mapping(ids, y, boxes, mapping.MappingConfig())
     msgs = [m for m, _ in result.pairs]
     cols = [v for _, v in result.pairs]
+    assert result.pairs
     assert len(msgs) == len(set(msgs))
     assert len(cols) == len(set(cols))
-    assert set(result.feedback) == {e.msg_id for e in est.entries}
-    for msg_id, box_idx in result.pairs:
-        assert np.array_equal(result.feedback[msg_id], np.asarray(boxes[box_idx]))
-    unmatched = set(result.feedback) - set(msgs)
-    for m in unmatched:
-        assert np.all(result.feedback[m] == 0.0)
+    assert all(y[ids.index(m), 4] > 0.5 for m in msgs)
+    assert all(0 <= v < len(boxes) for v in cols)
+
+
+@pytest.mark.parametrize("ids", [[3, 5, 3], [3, 5]])
+def test_decide_mapping_rejects_duplicate_or_missing_ids(ids):
+    y = np.full((3, 5), 0.9)
+    with pytest.raises(ValueError, match="distinct"):
+        mapping.decide_mapping(ids, y, [np.array([0.1, 0.1, 0.3, 0.3])])
 
 
 def test_raising_threshold_never_adds_pairs():
     rng = np.random.default_rng(23)
     for _ in range(50):
         n, m = rng.integers(1, 6, size=2)
-        est_entries = [
-            mapping.ModelEstimate(msg_id=i, bbx=_rand_box(rng), inside=float(rng.random()))
-            for i in range(n)
-        ]
+        y = np.array([[*_rand_box(rng), rng.random()] for _ in range(n)])
         boxes = [_rand_box(rng) for _ in range(m)]
-        est = mapping.EstimateSet(entries=est_entries)
         counts = [len(mapping.decide_mapping(
-                      est, boxes, mapping.MappingConfig(threshold_inside=thr)).pairs)
+                      list(range(n)), y, boxes, mapping.MappingConfig(threshold_inside=thr)).pairs)
                   for thr in (0.2, 0.5, 0.8)]
         assert counts[0] >= counts[1] >= counts[2]
 

@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedvid import geo, plates, scenario
 
@@ -386,6 +389,125 @@ def test_read_run_ignores_legacy_message_state(tmp_path):
     back = scenario.read_run(tmp_path)
     ids = [[m.id for m in o.messages] for o in observations]
     assert [[m.id for m in o.messages] for o in back] == ids
+
+
+# --- record reader errors -------------------------------------------------------------
+
+def _written_run(tmp_path, ticks=10):
+    cfg = _world(num_vehicles=15, seed=19, duration=5.0)
+    _, observations = scenario.run_scenario(cfg, ticks=ticks)
+    scenario.write_run(tmp_path, observations)
+    return observations
+
+
+def _edit_record(path, line, edit):
+    records = [json.loads(text) for text in path.read_text().splitlines()]
+    edit(records[line - 1])
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+
+def _read_error(tmp_path):
+    with pytest.raises(ValueError) as exc:
+        scenario.read_run(tmp_path)
+    return str(exc.value)
+
+
+def test_read_run_rejects_non_finite_values(tmp_path):
+    _written_run(tmp_path)
+    path = tmp_path / "messages.jsonl"
+    _edit_record(path, 2, lambda rec: rec["messages"][0].update(lat=float("nan")))
+    msg = _read_error(tmp_path)
+    assert msg.startswith(f"{path}:2: ") and "non-finite value NaN" in msg
+    path.write_text(path.read_text().replace("NaN", "1e999"))
+    assert _read_error(tmp_path).startswith(f"{path}:2: ")
+
+
+def test_read_run_names_line_of_missing_key(tmp_path):
+    _written_run(tmp_path)
+    path = tmp_path / "messages.jsonl"
+    _edit_record(path, 3, lambda rec: rec["messages"][0].pop("spd"))
+    assert _read_error(tmp_path) == f"{path}:3: missing key 'spd'"
+
+
+def test_read_run_names_line_of_truncated_record(tmp_path):
+    _written_run(tmp_path)
+    path = tmp_path / "sensors.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1][:-9]
+    path.write_text("\n".join(lines) + "\n")
+    msg = _read_error(tmp_path)
+    assert msg.startswith(f"{path}:2: not JSON: ")
+
+
+def test_read_run_names_line_of_wrong_type(tmp_path):
+    _written_run(tmp_path)
+    path = tmp_path / "frames.jsonl"
+    _edit_record(path, 4, lambda rec: rec.update(front_boxes=5))
+    assert _read_error(tmp_path).startswith(f"{path}:4: malformed record: ")
+    _written_run(tmp_path)
+    path = tmp_path / "sensors.jsonl"
+    _edit_record(path, 4, lambda rec: rec.update(spd="12.5"))
+    assert _read_error(tmp_path) == f"{path}:4: malformed record: '12.5' is not a number"
+
+
+def test_read_run_names_line_of_mismatched_tick(tmp_path):
+    _written_run(tmp_path)
+    path = tmp_path / "truth.jsonl"
+    _edit_record(path, 5, lambda rec: rec.update(t=rec["t"] + 1))
+    msg = _read_error(tmp_path)
+    assert msg == f"{path}:5: tick 6, but {tmp_path / 'frames.jsonl'}:5 holds tick 5"
+
+
+def test_read_run_names_files_of_mismatched_tick_count(tmp_path):
+    _written_run(tmp_path)
+    path = tmp_path / "messages.jsonl"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    msg = _read_error(tmp_path)
+    assert f"{path} has 9" in msg and f"{tmp_path / 'frames.jsonl'} has 10" in msg
+
+
+def test_read_run_checks_message_ids_against_truth(tmp_path):
+    _written_run(tmp_path)
+    path = tmp_path / "messages.jsonl"
+    _edit_record(path, 6, lambda rec: rec["messages"][0].update(id=999))
+    msg = _read_error(tmp_path)
+    assert msg == f"{path}:6: message ids differ from the senders at {tmp_path / 'truth.jsonl'}:6"
+
+
+def _message_values(observations):
+    return [[(m.lat, m.lng, m.ori, m.spd) for m in o.messages] for o in observations]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_damaged_messages_load_as_written_or_name_the_file(tmp_path_factory, data):
+    run_dir = tmp_path_factory.mktemp("damaged")
+    _written_run(run_dir)
+    written = scenario.read_run(run_dir)
+    path = run_dir / "messages.jsonl"
+    raw = path.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        i = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        damaged = raw[:i] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[i + 1:]
+    path.write_bytes(damaged)
+    try:
+        back = scenario.read_run(run_dir)
+    except ValueError as exc:   # a damaged line, or a tick count that differs
+        assert re.search(re.escape(str(path)) + r"(:\d+: | has \d+)", str(exc))
+        return
+    # a byte inside one number may change that number, and nothing else
+    assert [(o.t, [m.id for m in o.messages]) for o in back] == \
+        [(o.t, [m.id for m in o.messages]) for o in written]
+    changed = [(a, b) for ta, tb in zip(_message_values(back), _message_values(written))
+               for ma, mb in zip(ta, tb) for a, b in zip(ma, mb) if a != b]
+    assert len(changed) <= 1
+    for a, _ in changed:
+        assert type(a) in (int, float) and math.isfinite(a)
+    rest = [[(o.front_boxes, o.rear_boxes, o.ego_sensors, o.truth_pairs) for o in obs]
+            for obs in (back, written)]
+    assert rest[0] == rest[1]
 
 
 def test_run_files_nine_significant_digits(tmp_path):
