@@ -18,7 +18,7 @@ state, observations = scenario.run_scenario(cfg)
 
 print(f"world: {cfg.num_vehicles} vehicles, {len(observations)} ticks of "
       f"{cfg.tick_interval}s, weather={cfg.weather} "
-      f"(ocr degradation {cfg.weather_condition().ocr_degradation})")
+      f"(degradation {scenario.WEATHER_DEGRADATION[cfg.weather]})")
 print(f"ego plate {state.ego.plate}, id {state.ego.id:#018x}")
 
 obs = observations[20]

@@ -147,12 +147,8 @@ def cmd_eval(args) -> int:
     run = labeling.label_run(observations, cct, cfg)
     report = experiment.evaluate_model(params, run, mapping.MappingConfig())
     out = _out_dir(args)
-    with open(out / "report.csv", "w") as f:
-        cols = experiment.REPORT_COLUMNS[2:]
-        f.write(",".join(cols) + "\n")
-        row = dataclasses.asdict(report)
-        f.write(",".join(f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c])
-                         for c in cols) + "\n")
+    experiment.write_report(out / "report.csv", [dataclasses.asdict(report)],
+                            experiment.REPORT_COLUMNS[2:])
     print(f"CR_ic={report.cr_ic:.4f} CR_inside={report.cr_inside:.4f} "
           f"CR_outside={report.cr_outside:.4f} CR_total={report.cr_total:.4f}")
     return 0

@@ -9,7 +9,7 @@ writes the report and auto-label-rate files.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,9 +140,17 @@ def train_federated(arrays: labeling.TrainingArrays, n_clients: int, cfg: Experi
     )
 
 
-REPORT_COLUMNS = ["dataset", "training_mode", "cr_ic", "cr_inside", "cr_outside",
-                  "cr_total", "p_correctly", "p_inside", "p_outside",
-                  "n_inside", "n_outside"]
+REPORT_COLUMNS = ["dataset", "training_mode", *(f.name for f in fields(metrics.MetricsReport))]
+
+
+def write_report(path, rows: list[dict], columns: list[str]) -> None:
+    """Write report rows as CSV with CRLF line ends, floats to 6 decimals;
+    keys outside `columns` are left out."""
+    with open(path, "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=columns, extrasaction="ignore")
+        w.writeheader()
+        w.writerows({k: (f"{v:.6f}" if isinstance(v, float) else v) for k, v in row.items()}
+                    for row in rows)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
@@ -184,11 +192,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
             rows.append({"dataset": mode.value, "training_mode": training_mode,
                          "n_examples": arrays.X.shape[0], **asdict(report)})
 
-    with open(out / "report.csv", "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
-        w.writeheader()
-        w.writerows({k: (f"{v:.6f}" if isinstance(v, float) else v) for k, v in row.items()}
-                    for row in rows)
+    write_report(out / "report.csv", rows, REPORT_COLUMNS)
     with open(out / "autolabel.csv", "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=["scenario_seed", "rate_with_conversion",
                                           "rate_without_conversion"])

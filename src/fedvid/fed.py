@@ -14,8 +14,8 @@ import hashlib
 import json
 import math
 import socket
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -322,6 +322,7 @@ def train_federated_tcp(shards: list, init_params: mdl.ModelParams,
 
     Returns the final global parameters, the round records, the server's wire
     transcript, and (if eval_dataset was given) the per-round held-out loss.
+    A client that fails re-raises its exception here once the server is done.
     """
     if len(shards) != len(seeds):
         raise ValueError("one seed per shard required")
@@ -334,10 +335,9 @@ def train_federated_tcp(shards: list, init_params: mdl.ModelParams,
                   local_epochs=local_epochs)
         for i, (shard, seed) in enumerate(zip(shards, seeds))
     ]
-    threads = [threading.Thread(target=c.run, args=(host, port), daemon=True) for c in clients]
-    for t in threads:
-        t.start()
-    records = server.serve()
-    for t in threads:
-        t.join(timeout=timeout)
+    with ThreadPoolExecutor(max_workers=len(clients)) as pool:
+        runs = [pool.submit(c.run, host, port) for c in clients]
+        records = server.serve()
+        for run in runs:
+            run.result()
     return server.global_params, records, server.transcript, server.eval_losses

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import features as feats
 from . import geo, plates
-from .scenario import OUTSIDE, Observation, WorldConfig, read_jsonl
+from .scenario import OUTSIDE, Observation, WorldConfig, _num, read_jsonl
 
 
 class PairSource(str, Enum):
@@ -306,7 +306,7 @@ def write_dataset_jsonl(path, examples: list[LabeledExample]) -> None:
 def read_dataset_jsonl(path) -> TrainingArrays:
     """Load the flat training arrays back from a dataset file. A damaged
     record, a non-finite value included, raises ValueError naming `path:line`."""
-    columns: dict[str, list[np.ndarray]] = {"features": [], "feedback": [], "target": []}
+    columns: dict[str, list[list[float]]] = {"features": [], "feedback": [], "target": []}
     for where, rec in read_jsonl(path):
         if rec.get("schema_version") != DATASET_SCHEMA_VERSION:
             raise ValueError(f"{where}: unsupported dataset schema {rec.get('schema_version')!r}")
@@ -314,11 +314,11 @@ def read_dataset_jsonl(path) -> TrainingArrays:
             if key not in rec:
                 raise ValueError(f"{where}: missing key {key!r}")
             try:
-                row = np.array(rec[key])
-            except ValueError:   # ragged nesting
-                row = np.array(None)
-            if row.ndim != 1 or row.dtype.kind not in "iuf":
-                raise ValueError(f"{where}: {key!r} is not a flat list of numbers")
+                if type(row := rec[key]) is not list:
+                    raise TypeError
+                row = [float(_num(v)) for v in row]   # _num refuses booleans
+            except (TypeError, OverflowError):
+                raise ValueError(f"{where}: {key!r} is not a flat list of numbers") from None
             if rows and len(row) != len(rows[0]):
                 raise ValueError(f"{where}: {key!r} has {len(row)} values, "
                                  f"the first record {len(rows[0])}")

@@ -22,24 +22,26 @@ def _ratio(num: int, den: int) -> float:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    # fields in report.csv column order
+    cr_ic: float
+    cr_inside: float
+    cr_outside: float
+    cr_total: float
     p_correctly: int
     p_inside: int
     p_outside: int
     n_inside: int
     n_outside: int
-    cr_ic: float
-    cr_inside: float
-    cr_outside: float
-    cr_total: float
 
     @classmethod
     def from_counts(cls, p_correctly: int, p_inside: int, p_outside: int,
                     n_inside: int, n_outside: int) -> "MetricsReport":
-        return cls(p_correctly, p_inside, p_outside, n_inside, n_outside,
-                   cr_ic=_ratio(p_correctly, n_inside),
+        return cls(cr_ic=_ratio(p_correctly, n_inside),
                    cr_inside=_ratio(p_inside, n_inside),
                    cr_outside=_ratio(p_outside, n_outside),
-                   cr_total=_ratio(p_correctly + p_outside, n_inside + n_outside))
+                   cr_total=_ratio(p_correctly + p_outside, n_inside + n_outside),
+                   p_correctly=p_correctly, p_inside=p_inside, p_outside=p_outside,
+                   n_inside=n_inside, n_outside=n_outside)
 
 
 def compute_cr(predictions: list[TickPrediction],

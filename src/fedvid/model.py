@@ -234,7 +234,7 @@ class Adam:
         params.flat -= np.divide(s, d, out=s)
 
 
-def train_epoch(params: ModelParams, dataset: TrainingArrays, opt,
+def train_epoch(params: ModelParams, dataset: TrainingArrays, opt: Adam,
                 rng) -> tuple[ModelParams, float]:
     """One pass of seeded, shuffled mini-batch Adam over a dataset.
 
@@ -245,8 +245,6 @@ def train_epoch(params: ModelParams, dataset: TrainingArrays, opt,
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty training dataset")
-    if isinstance(opt, OptConfig):
-        opt = Adam(opt)
 
     order = rng.permutation(n)
     losses = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,8 @@ OUTSIDE = -1  # truth-pair value for a sender with no front-camera box
 BASE_LAT = 23.9738
 BASE_LNG = 120.9820
 
+VEHICLE_LENGTH_M = 4.5
+VEHICLE_WIDTH_M = 1.8
 VEHICLE_HEIGHT_M = 1.5
 CAMERA_HEIGHT_M = 1.2
 LANE_WIDTH_M = 3.5
@@ -37,30 +39,12 @@ PLATE_MIN_BOX_HEIGHT_PX = 20.0   # smaller boxes cannot expose a readable plate
 PLATE_MAX_OCCLUSION_FRAC = 0.05  # nearer-box cover beyond this hides the plate
 WEATHER_MISS_WEIGHT = 0.3        # how strongly weather degrades detection
 
-
-@dataclass(frozen=True)
-class WeatherCondition:
-    name: str
-    ocr_degradation: float
-    detection_degradation: float
-
-
-def _ladder() -> tuple[WeatherCondition, ...]:
-    names = [
-        "clear", "high_clouds", "overcast", "light_haze", "haze", "mist",
-        "drizzle", "light_rain", "rain", "fog", "rain_dusk", "heavy_rain",
-        "storm", "heavy_storm",
-    ]
-    # 14 conditions, degradation evenly spaced 0.00..0.65
-    return tuple(
-        WeatherCondition(name=n, ocr_degradation=round(i * 0.05, 2),
-                         detection_degradation=round(i * 0.05, 2))
-        for i, n in enumerate(names)
-    )
-
-
-WEATHER_LADDER = _ladder()
-WEATHER_BY_NAME = {w.name: w for w in WEATHER_LADDER}
+# weather -> degradation of both OCR and detection, evenly spaced 0.00..0.65
+WEATHER_DEGRADATION = {name: round(i * 0.05, 2) for i, name in enumerate([
+    "clear", "high_clouds", "overcast", "light_haze", "haze", "mist",
+    "drizzle", "light_rain", "rain", "fog", "rain_dusk", "heavy_rain",
+    "storm", "heavy_storm",
+])}
 
 
 @dataclass(frozen=True)
@@ -121,7 +105,7 @@ class WorldConfig:
             raise ValueError("comm_range must be positive")
         if self.road_layout not in ("straight", "grid"):
             raise ValueError(f"unknown road_layout {self.road_layout!r}")
-        if self.weather not in WEATHER_BY_NAME:
+        if self.weather not in WEATHER_DEGRADATION:
             raise ValueError(f"unknown weather {self.weather!r}")
         if self.gps_noise_sigma < 0:
             raise ValueError("gps_noise_sigma must be non-negative")
@@ -144,9 +128,6 @@ class WorldConfig:
                 data[key] = CameraModel(**data[key])
         return cls(**data)
 
-    def weather_condition(self) -> WeatherCondition:
-        return WEATHER_BY_NAME[self.weather]
-
     def num_ticks(self) -> int:
         return int(round(self.duration / self.tick_interval))
 
@@ -156,10 +137,8 @@ class VehicleState:
     id: int                      # hash of the canonicalized plate
     plate: str
     true_position: tuple[float, float]    # (lat, lng) decimal degrees
-    noisy_position: tuple[float, float]
     orientation: float           # degrees in [0, 360)
     speed: float                 # m/s
-    dims: tuple[float, float] = (4.5, 1.8)  # length, width in meters
 
 
 @dataclass
@@ -211,11 +190,9 @@ class ScenarioState:
     """Mutable world: advance with simulate_tick, inspect via Observations."""
 
     def __init__(self, cfg: WorldConfig, vehicles: list[VehicleState],
-                 cct: plates.ConversionTable, seed_seq: np.random.SeedSequence):
+                 seed_seq: np.random.SeedSequence):
         self.cfg = cfg
-        self.vehicles = vehicles
-        self.ego_index = 0
-        self.cct = cct
+        self.vehicles = vehicles   # vehicles[0] is the ego
         self.t = 0
         motion_ss, gps_ss, detect_ss, ocr_ss = seed_seq.spawn(4)
         self.motion_rng = np.random.default_rng(motion_ss)
@@ -229,7 +206,7 @@ class ScenarioState:
 
     @property
     def ego(self) -> VehicleState:
-        return self.vehicles[self.ego_index]
+        return self.vehicles[0]
 
     def distance_to_ego(self, v: VehicleState) -> float:
         e = self.ego
@@ -266,7 +243,6 @@ def _build_vehicle(plate: str, cct: plates.ConversionTable, pl: Placement) -> Ve
         id=plates.canonical_plate_id(plate, cct),
         plate=plate,
         true_position=(lat, lng),
-        noisy_position=(lat, lng),
         orientation=pl.orientation % 360.0,
         speed=pl.speed,
     )
@@ -298,7 +274,7 @@ def build_scenario(cfg: WorldConfig, placements: list[Placement],
             raise ValueError(f"duplicate plate {plate!r}")
         used.add(plate)
         vehicles.append(_build_vehicle(plate, cct, pl))
-    return ScenarioState(cfg, vehicles, cct, state_ss)
+    return ScenarioState(cfg, vehicles, state_ss)
 
 
 def _straight_placements(cfg: WorldConfig, rng) -> list[Placement]:
@@ -314,7 +290,7 @@ def _straight_placements(cfg: WorldConfig, rng) -> list[Placement]:
     def place(lane: int, north: float) -> Placement:
         east = (lane - (lanes - 1) / 2.0) * LANE_WIDTH_M
         ori = 0.0 if lane >= north_half else 180.0
-        spd = _initial_speed(cfg, rng)
+        spd = float(rng.uniform(0.0, SPEED_MAX_MS))
         taken[lane].append(north)
         return Placement(north_m=north, east_m=east, orientation=ori, speed=spd)
 
@@ -340,7 +316,7 @@ def _grid_placements(cfg: WorldConfig, rng) -> list[Placement]:
     def place(axis: str, road: int, along: float, direction: int) -> Placement:
         road_coord = road * GRID_SPACING_M
         lane_off = 1.75 * direction
-        spd = _initial_speed(cfg, rng)
+        spd = float(rng.uniform(0.0, SPEED_MAX_MS))
         key = (axis, road)
         taken.setdefault(key, []).append(along)
         if axis == "ns":
@@ -359,10 +335,6 @@ def _grid_placements(cfg: WorldConfig, rng) -> list[Placement]:
             continue
         out.append(place(axis, road, along, direction))
     return out
-
-
-def _initial_speed(cfg: WorldConfig, rng) -> float:
-    return float(rng.uniform(0.0, SPEED_MAX_MS))
 
 
 def generate_scenario(cfg: WorldConfig, cct: plates.ConversionTable | None = None) -> ScenarioState:
@@ -406,9 +378,7 @@ def _wrap_straight(state: ScenarioState) -> None:
     """Keep traffic density steady: fold vehicles into a band around the ego."""
     ego = state.ego
     span = STRAIGHT_HALF_SPAN_M
-    for i, v in enumerate(state.vehicles):
-        if i == state.ego_index:
-            continue
+    for v in state.vehicles[1:]:
         dn = (v.true_position[0] - ego.true_position[0]) * geo.METERS_PER_DEG_LAT
         if abs(dn) > span:
             folded = ((dn + span) % (2 * span)) - span
@@ -424,18 +394,10 @@ def _wrap_grid(state: ScenarioState) -> None:
             v.true_position = _anchor_to_latlng(*wrapped)
 
 
-def _apply_gps_noise(state: ScenarioState) -> None:
-    sigma = state.cfg.gps_noise_sigma
-    if sigma == 0.0:
-        for v in state.vehicles:
-            v.noisy_position = v.true_position
-        return
-    ego_lat = state.ego.true_position[0]
-    # one draw per tick; its rows are the per-vehicle draws in vehicle order
-    noise = state.gps_rng.normal(0.0, sigma, size=(len(state.vehicles), 2))
-    for v, (north, east) in zip(state.vehicles, noise):
-        dlat, dlng = geo.meters_to_deg(north, east, ego_lat)
-        v.noisy_position = (v.true_position[0] + dlat, v.true_position[1] + dlng)
+def _gps_fix(v: VehicleState, noise: list[float], ego_lat: float) -> tuple[float, float]:
+    """The position `v` reports: its true one moved by a (north, east) draw in meters."""
+    dlat, dlng = geo.meters_to_deg(noise[0], noise[1], ego_lat)
+    return v.true_position[0] + dlat, v.true_position[1] + dlng
 
 
 # --- detection ---------------------------------------------------------------
@@ -459,7 +421,7 @@ def _project_box(state: ScenarioState, v: VehicleState, cam: CameraModel,
     cx = east * fwd[0] + north * fwd[1]       # camera-frame forward
     cy = east * right[0] + north * right[1]   # camera-frame right
 
-    length, width = v.dims
+    length, width = VEHICLE_LENGTH_M, VEHICLE_WIDTH_M
     rel = math.radians(v.orientation) - yaw
     ux, uy = math.sin(rel), math.cos(rel)     # vehicle heading in camera frame (right, fwd)
     corners = []
@@ -502,7 +464,7 @@ def detect_vehicles(state: ScenarioState, cam: CameraModel,
     cfg = state.cfg
     ego = state.ego
     cam_yaw = _camera_yaw(ego.orientation, cam)
-    weather = cfg.weather_condition()
+    degradation = WEATHER_DEGRADATION[cfg.weather]
 
     candidates = []  # (distance, vehicle, raw box)
     for d, v in others:
@@ -517,22 +479,15 @@ def detect_vehicles(state: ScenarioState, cam: CameraModel,
             candidates.append((d, v, box))
     candidates.sort(key=lambda c: c[0])
 
-    merged: list[tuple[float, VehicleState, tuple]] = []
+    miss = 1.0 - (1.0 - cfg.miss_rate) * (1.0 - WEATHER_MISS_WEIGHT * degradation)
+    kept = []   # boxes no nearer box swallowed, missed ones included
+    out = []
     for d, v, box in candidates:
-        covered = max((_cover_fraction(nb, box) for _, _, nb in merged), default=0.0)
-        if covered > cfg.merge_threshold:
+        if any(_cover_fraction(nb, box) > cfg.merge_threshold for nb in kept):
             continue  # swallowed by a nearer detection
-        merged.append((d, v, box))
-
-    miss = 1.0 - (1.0 - cfg.miss_rate) * (1.0 - WEATHER_MISS_WEIGHT * weather.detection_degradation)
-    survivors = []
-    for d, v, box in merged:
+        kept.append(box)
         if miss > 0.0 and state.detect_rng.random() < miss:
             continue
-        survivors.append((d, v, box))
-
-    out = []
-    for d, v, box in survivors:
         height_px = (box[3] - box[1]) * cam.image_h
         # plates are hidden by nearer vehicles whether or not those got a box
         occluded = any(
@@ -540,24 +495,24 @@ def detect_vehicles(state: ScenarioState, cam: CameraModel,
             for nd, _, nb in candidates if nd < d
         )
         readable = height_px >= PLATE_MIN_BOX_HEIGHT_PX and not occluded
-        read = read_plate(state, v, d, cam, weather) if readable else None
+        read = read_plate(state, v, d, cam, degradation) if readable else None
         out.append(DetectedBox(vehicle_ref=v.id, bb_norm=box, plate_readable=readable,
                                plate_read=read))
     return out
 
 
-def p_ocr(distance_m: float, cam: CameraModel, weather: WeatherCondition) -> float:
+def p_ocr(distance_m: float, cam: CameraModel, degradation: float) -> float:
     """Probability a readable plate yields an OCR read: linear in distance,
-    scaled by the weather's OCR degradation."""
+    scaled by the weather's degradation."""
     base = min(1.0, max(0.0, 1.0 - distance_m / cam.max_range))
-    return base * (1.0 - weather.ocr_degradation)
+    return base * (1.0 - degradation)
 
 
 def read_plate(state: ScenarioState, vehicle: VehicleState, distance_m: float,
-               cam: CameraModel, weather: WeatherCondition) -> str | None:
+               cam: CameraModel, degradation: float) -> str | None:
     """OCR channel output for one readable plate: the distance/weather draw
     decides whether a read happens, then the confusion channel garbles it."""
-    p = p_ocr(distance_m, cam, weather)
+    p = p_ocr(distance_m, cam, degradation)
     if p <= 0.0 or state.ocr_rng.random() >= p:
         return None
     return plates.sample_ocr(vehicle.plate, state.ocr_table, state.ocr_rng)
@@ -565,24 +520,25 @@ def read_plate(state: ScenarioState, vehicle: VehicleState, distance_m: float,
 
 def simulate_tick(state: ScenarioState) -> Observation:
     """Advance the world one tick and emit the observation for it."""
+    cfg = state.cfg
     state.t += 1
     _advance_vehicles(state)
-    _apply_gps_noise(state)
+    # one GPS draw per tick; its rows are the per-vehicle draws in vehicle order
+    noise = state.gps_rng.normal(0.0, cfg.gps_noise_sigma,
+                                 size=(len(state.vehicles), 2)).tolist()
+    ego = state.ego
+    ego_lat = ego.true_position[0]
 
-    others = [(state.distance_to_ego(v), v)
-              for i, v in enumerate(state.vehicles) if i != state.ego_index]
-    front = detect_vehicles(state, state.cfg.front_camera, others)
-    rear = detect_vehicles(state, state.cfg.rear_camera, others)
-    messages = [Message(lat=v.noisy_position[0], lng=v.noisy_position[1],
-                        ori=v.orientation, spd=v.speed, id=v.id)
-                for d, v in others if d <= state.cfg.comm_range]
+    others = [(state.distance_to_ego(v), v) for v in state.vehicles[1:]]
+    front = detect_vehicles(state, cfg.front_camera, others)
+    rear = detect_vehicles(state, cfg.rear_camera, others)
+    messages = [Message(*_gps_fix(v, n, ego_lat), ori=v.orientation, spd=v.speed, id=v.id)
+                for n, (d, v) in zip(noise[1:], others) if d <= cfg.comm_range]
 
     by_ref = {b.vehicle_ref: idx for idx, b in enumerate(front)}
     truth = {m.id: by_ref.get(m.id, OUTSIDE) for m in messages}
 
-    ego = state.ego
-    sensors = SensorRecord(lat=ego.noisy_position[0], lng=ego.noisy_position[1],
-                           ori=ego.orientation, spd=ego.speed)
+    sensors = SensorRecord(*_gps_fix(ego, noise[0], ego_lat), ori=ego.orientation, spd=ego.speed)
     return Observation(t=state.t, front_boxes=front, rear_boxes=rear,
                        messages=messages, ego_sensors=sensors, truth_pairs=truth)
 
@@ -732,10 +688,8 @@ def lossless_config(seed: int, **overrides) -> WorldConfig:
         weather="clear",
         ocr_channel="identity",
         speed_profile="constant",
-        front_camera=CameraModel(hfov_deg=90.0, image_w=1280, image_h=720,
-                                 facing="front", max_range=math.inf),
-        rear_camera=CameraModel(hfov_deg=90.0, image_w=1280, image_h=720,
-                                facing="rear", max_range=math.inf),
+        front_camera=replace(default_front_camera(), max_range=math.inf),
+        rear_camera=replace(default_rear_camera(), max_range=math.inf),
     )
     kwargs.update(overrides)
     return WorldConfig(**kwargs)

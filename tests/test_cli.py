@@ -3,9 +3,10 @@ import socket
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from fedvid import cli, labeling, plates, scenario
+from fedvid import cli, experiment, labeling, model as mdl, plates, scenario
 
 
 def test_no_arguments_usage_exit_1(capsys):
@@ -75,6 +76,24 @@ def test_full_cli_pipeline(tmp_path, capsys):
     assert (eval_dir / "report.csv").exists()
     out = capsys.readouterr().out
     assert "CR_total=" in out
+
+
+def test_eval_report_written_like_the_experiment_report(tmp_path):
+    model_path = tmp_path / "model.fmdf"
+    mdl.save_model(mdl.init_model(mdl.ModelConfig(), np.random.default_rng(3)), model_path)
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(json.dumps({"num_vehicles": 12, "duration": 10.0}))
+    out = tmp_path / "eval"
+    assert cli.cli_main(["--seed", "5", "--config", str(cfg_path), "--out", str(out),
+                         "eval", "--model", str(model_path)]) == 0
+    header, row, end = (out / "report.csv").read_bytes().split(b"\r\n")
+    assert header.decode().split(",") == experiment.REPORT_COLUMNS[2:]
+    assert end == b"" and b"\n" not in header + row
+    values = dict(zip(experiment.REPORT_COLUMNS[2:], row.decode().split(",")))
+    assert all(len(values[k].split(".")[1]) == 6 for k in ("cr_ic", "cr_inside", "cr_outside",
+                                                          "cr_total"))
+    assert all(values[k].isdigit() for k in ("p_correctly", "p_inside", "p_outside",
+                                             "n_inside", "n_outside"))
 
 
 def _free_port() -> int:

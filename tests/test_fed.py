@@ -151,6 +151,18 @@ def test_tcp_single_client_degenerates_to_centralized():
     assert _equal(final, central.params)
 
 
+def test_tcp_session_raises_a_failing_clients_error():
+    # the second client's shard has 10 feature columns where the model takes 11
+    data = _toy_dataset(n=40)
+    bad = labeling.TrainingArrays(X=data.X[20:, :10], FB=data.FB[20:], Y=data.Y[20:])
+    init = mdl.init_model(NARROW, np.random.default_rng(12))
+    threads_before = threading.active_count()
+    with pytest.raises(ValueError):
+        fed.train_federated_tcp([data, bad], init, mdl.OptConfig(), rounds=2, seeds=[21, 22],
+                                timeout=10.0)
+    assert threading.active_count() == threads_before
+
+
 def test_round_aggregation_order_invariant():
     # the server reduces in ascending client id, whichever hello came first
     data_a = _toy_dataset(n=16, seed=6)

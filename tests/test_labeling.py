@@ -308,7 +308,7 @@ def test_dataset_jsonl_roundtrip(tmp_path):
     assert np.allclose(arrays.X, direct.X, atol=1e-7)
     assert np.allclose(arrays.Y, direct.Y, atol=1e-7)
     # ordering: (tick, sender id)
-    keys = [(r["tick"], r["sender_id"]) for r in map(json.loads, open(path))]
+    keys = [(r["tick"], r["sender_id"]) for r in map(json.loads, path.read_text().splitlines())]
     assert keys == sorted(keys)
 
 
@@ -339,7 +339,7 @@ def test_dataset_bytes_pinned(mode, run89, tmp_path):
     a = labeling.to_arrays(examples)
     path = tmp_path / "dataset.jsonl"
     labeling.write_dataset_jsonl(path, examples)
-    masks = [r["validity_mask"] for r in map(json.loads, open(path))]
+    masks = [json.loads(line)["validity_mask"] for line in path.read_text().splitlines()]
     assert any(not all(m) for m in masks)
     assert all(m == sorted(m) for m in masks)   # missing slots lead
     arrays_digest, jsonl_digest = PINNED_DATASETS[mode]
@@ -388,6 +388,14 @@ def test_reader_names_line_of_ragged_row(key, run89, tmp_path):
     path, lines = _dataset_lines(run89, tmp_path)
     msg = _damage_line_3(path, lines, lambda rec: json.dumps({**rec, key: rec[key] + [0.5]}))
     assert repr(key) in msg
+
+
+@pytest.mark.parametrize("key,flag", [("features", True), ("target", False)])
+def test_reader_names_line_of_boolean(key, flag, run89, tmp_path):
+    # JSON true/false are not numbers, though numpy would read them as 1.0/0.0
+    path, lines = _dataset_lines(run89, tmp_path)
+    msg = _damage_line_3(path, lines, lambda rec: json.dumps({**rec, key: [flag] + rec[key][1:]}))
+    assert msg == f"{path}:3: {key!r} is not a flat list of numbers"
 
 
 def test_reader_names_line_of_non_finite_value(run89, tmp_path):

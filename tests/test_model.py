@@ -246,7 +246,7 @@ def test_single_step_descends_for_small_lr():
     cfg = mdl.ModelConfig(dropout=0.0)
     params = mdl.init_model(cfg, np.random.default_rng(13))
     before = mdl.mean_loss(params, data)
-    mdl.train_epoch(params, data, mdl.OptConfig(lr=1e-5), np.random.default_rng(14))
+    mdl.train_epoch(params, data, mdl.Adam(mdl.OptConfig(lr=1e-5)), np.random.default_rng(14))
     after = mdl.mean_loss(params, data)
     assert after <= before + 1e-12
 
@@ -266,7 +266,7 @@ def test_train_epoch_rejects_empty_dataset():
     empty = labeling.TrainingArrays(X=np.zeros((0, 11)), FB=np.zeros((0, 4)), Y=np.zeros((0, 5)))
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(1))
     with pytest.raises(ValueError):
-        mdl.train_epoch(params, empty, mdl.OptConfig(), np.random.default_rng(0))
+        mdl.train_epoch(params, empty, mdl.Adam(mdl.OptConfig()), np.random.default_rng(0))
 
 
 def test_train_aborts_on_nonfinite_loss():
@@ -274,7 +274,7 @@ def test_train_aborts_on_nonfinite_loss():
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(1))
     params.weights[0][:] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises((RuntimeError, ValueError)):
-        mdl.train_epoch(params, data, mdl.OptConfig(), np.random.default_rng(0))
+        mdl.train_epoch(params, data, mdl.Adam(mdl.OptConfig()), np.random.default_rng(0))
 
 
 # --- binary format --------------------------------------------------------------
