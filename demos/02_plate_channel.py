@@ -21,11 +21,12 @@ plate = "5CRD321"
 reads = [plates.sample_ocr(plate, table, rng) for _ in range(8)]
 print(f"\neight reads of {plate}: {reads}")
 
-# characters whose error rate tops 20% become confusable pairs
-cp = plates.derive_char_pairs(table, threshold=0.2)
-print(f"\nconfusable pairs at threshold 0.2: {cp.sorted_pairs()}")
+# characters whose error rate tops the threshold (20%) become confusable pairs
+threshold = plates.CONFUSABLE_THRESHOLD
+pairs = plates.derive_char_pairs(table, threshold)
+print(f"\nconfusable pairs at threshold {threshold}: {pairs}")
 
-cct = plates.build_conversion_table(cp)
+cct = plates.build_conversion_table(pairs)
 print("conversion table:")
 for key, value in sorted(cct.entries.items()):
     print(f"  {key} -> {value}")

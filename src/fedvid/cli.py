@@ -30,6 +30,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    try:
+        if (n := int(text)) >= 1:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+
+
 def _world_from_args(args) -> scenario.WorldConfig:
     overrides = {}
     if args.config:
@@ -51,7 +61,7 @@ def _out_dir(args) -> Path:
 def cmd_gen(args) -> int:
     cfg = _world_from_args(args)
     out = _out_dir(args)
-    ticks = args.ticks if args.ticks else cfg.num_ticks()
+    ticks = args.ticks if args.ticks is not None else cfg.num_ticks()
     _, observations = scenario.run_scenario(cfg, ticks=ticks)
     scenario.write_run(out, observations)
     with open(out / "world.json", "w") as f:
@@ -155,10 +165,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_demo_tables(args) -> int:
-    confusion = plates.builtin_confusion_table()
-    cp = plates.derive_char_pairs(confusion, 0.2)
-    cct = plates.build_conversion_table(cp)
-    print("confusable pairs (threshold 0.2):", ", ".join(f"({a},{b})" for a, b in cp.sorted_pairs()))
+    threshold = plates.CONFUSABLE_THRESHOLD
+    pairs = plates.derive_char_pairs(plates.builtin_confusion_table(), threshold)
+    cct = plates.build_conversion_table(pairs)
+    print(f"confusable pairs (threshold {threshold}):", ", ".join(f"({a},{b})" for a, b in pairs))
     print("conversion table:")
     for key, value in sorted(cct.entries.items()):
         print(f"  {key} -> {value}")
@@ -192,7 +202,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen", help="simulate a scenario into record files")
-    p.add_argument("--ticks", type=int, default=None)
+    p.add_argument("--ticks", type=_count, default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("label", help="auto-label a recorded run into a dataset")
@@ -202,7 +212,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the model on a dataset file")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=_count, default=200)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("serve", help="run the federated parameter server")
@@ -211,7 +221,7 @@ def build_parser() -> _Parser:
     p.add_argument("--clients", type=int, required=True)
     p.add_argument("--rounds", type=int, default=50)
     p.add_argument("--min-clients", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("client", help="run one federated client")
@@ -220,7 +230,7 @@ def build_parser() -> _Parser:
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--local-epochs", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)
     p.set_defaults(func=cmd_client)
 
     p = sub.add_parser("eval", help="evaluate a model on a scenario")

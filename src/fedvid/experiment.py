@@ -86,13 +86,10 @@ def autolabel_rates(state: scenario.ScenarioState, run: labeling.LabeledRun,
     """Fraction of in-image senders auto-paired, with and without the
     character-conversion step, over the same reads of the same run.
 
-    The without-conversion baseline hashes raw reads and matches them against
-    the raw plates of the simulated senders (exact matching).
+    The without-conversion baseline matches raw reads against the raw plates
+    of the simulated senders (exact string matching).
     """
-    raw_ids = {
-        plates.canonical_plate_id(v.plate, plates.EMPTY_CONVERSION): v.id
-        for v in state.vehicles
-    }
+    raw_ids = {v.plate: v.id for v in state.vehicles}
     inside = 0
     matched_with = 0
     matched_without = 0
@@ -100,13 +97,8 @@ def autolabel_rates(state: scenario.ScenarioState, run: labeling.LabeledRun,
         sender_ids = set(obs.truth_pairs)
         inside += sum(1 for v in obs.truth_pairs.values() if v != scenario.OUTSIDE)
         matched_with += len(lab.front)
-        for box in obs.front_boxes:
-            if box.plate_read is None:
-                continue
-            rid = plates.canonical_plate_id(box.plate_read, plates.EMPTY_CONVERSION)
-            sender = raw_ids.get(rid)
-            if sender is not None and sender in sender_ids:
-                matched_without += 1
+        matched_without += sum(raw_ids.get(box.plate_read) in sender_ids
+                               for box in obs.front_boxes)
     if inside == 0:
         return 0.0, 0.0
     return matched_with / inside, matched_without / inside

@@ -10,7 +10,6 @@ plate canonicalization, and the stable 64-bit plate hash used as a vehicle id.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -18,7 +17,9 @@ ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 _TOKEN_SEP = b"\x1f"
-_TOKEN_RE = re.compile(r"#\d+|.")
+
+# Error rate above which two characters count as confusable.
+CONFUSABLE_THRESHOLD = 0.2
 
 
 class UnsupportedCharacterError(ValueError):
@@ -75,17 +76,7 @@ class ConfusionTable:
         raise AssertionError("unreachable: counts exhausted")
 
     def to_json(self) -> str:
-        nested = {c: dict(sorted(self.counts[c].items())) for c in sorted(self.counts)}
-        return json.dumps(nested, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConfusionTable":
-        raw = json.loads(text)
-        tbl = cls()
-        for truth, row in raw.items():
-            for observed, n in row.items():
-                tbl.add(truth, observed, int(n))
-        return tbl
+        return json.dumps(self.counts, indent=2, sort_keys=True)
 
 
 # Bundled character confusion counts for the default OCR error channel,
@@ -132,19 +123,12 @@ BUILTIN_CONFUSION_COUNTS: dict[str, dict[str, int]] = {
 
 def builtin_confusion_table() -> ConfusionTable:
     """The bundled OCR channel covering [A-Z0-9]."""
-    tbl = ConfusionTable()
-    for truth, row in BUILTIN_CONFUSION_COUNTS.items():
-        for observed, n in row.items():
-            tbl.add(truth, observed, n)
-    return tbl
+    return ConfusionTable({t: dict(r) for t, r in BUILTIN_CONFUSION_COUNTS.items()})
 
 
-def identity_confusion_table(alphabet: str = ALPHABET) -> ConfusionTable:
-    """A noise-free channel: every character reads as itself."""
-    tbl = ConfusionTable()
-    for c in alphabet:
-        tbl.add(c, c, 1)
-    return tbl
+def identity_confusion_table() -> ConfusionTable:
+    """A noise-free channel: every character of ALPHABET reads as itself."""
+    return ConfusionTable({c: {c: 1} for c in ALPHABET})
 
 
 def sample_ocr(plate: str, table: ConfusionTable, rng) -> str:
@@ -170,26 +154,9 @@ def build_confusion_table(readings) -> ConfusionTable:
     return tbl
 
 
-@dataclass(frozen=True)
-class CharPairSet:
-    """Unordered pairs of mutually confusable characters."""
-
-    pairs: frozenset[tuple[str, str]]
-
-    def __contains__(self, pair) -> bool:
-        a, b = pair
-        return (min(a, b), max(a, b)) in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def sorted_pairs(self) -> list[tuple[str, str]]:
-        """Deterministic iteration order: lexicographic by (min-char, max-char)."""
-        return sorted(self.pairs)
-
-
-def derive_char_pairs(tbl: ConfusionTable, threshold: float) -> CharPairSet:
-    """Pairs (c1, c2), c1 != c2, where err(c1,c2) or err(c2,c1) exceeds the threshold."""
+def derive_char_pairs(tbl: ConfusionTable, threshold: float) -> list[tuple[str, str]]:
+    """Pairs (c1, c2), c1 < c2, where err(c1,c2) or err(c2,c1) exceeds the
+    threshold, sorted lexicographically."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     out: set[tuple[str, str]] = set()
@@ -199,7 +166,7 @@ def derive_char_pairs(tbl: ConfusionTable, threshold: float) -> CharPairSet:
                 continue
             if tbl.err(truth, observed) > threshold:
                 out.add((min(truth, observed), max(truth, observed)))
-    return CharPairSet(frozenset(out))
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -209,38 +176,22 @@ class ConversionTable:
 
     entries: dict[str, str] = field(default_factory=dict)
 
-    def __contains__(self, c: str) -> bool:
-        return c in self.entries
-
-    def get(self, token: str, default=None):
-        return self.entries.get(token, default)
-
-    def class_count(self) -> int:
-        return len(set(self.entries.values()))
-
     def to_json(self) -> str:
-        return json.dumps(dict(sorted(self.entries.items())), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConversionTable":
-        return cls(entries=dict(json.loads(text)))
+        return json.dumps(self.entries, indent=2, sort_keys=True)
 
 
-EMPTY_CONVERSION = ConversionTable(entries={})
-
-
-def build_conversion_table(cp: CharPairSet, iteration_order=None) -> ConversionTable:
+def build_conversion_table(pairs) -> ConversionTable:
     """Fold confusable pairs into class tokens.
 
-    For each pair in order: if either member is already keyed, the other is
-    assigned that member's value (an already-keyed member is reassigned, i.e.
-    a pair bridging two existing classes does not union-merge them); otherwise
-    both members receive a fresh value. Values are issued contiguously from #1.
+    For each pair in the order given: if either member is already keyed, the
+    other is assigned that member's value (an already-keyed member is
+    reassigned, i.e. a pair bridging two existing classes does not
+    union-merge them); otherwise both members receive a fresh value. Values
+    are issued contiguously from #1.
     """
-    order = list(iteration_order) if iteration_order is not None else cp.sorted_pairs()
     entries: dict[str, str] = {}
     value = 1
-    for c1, c2 in order:
+    for c1, c2 in pairs:
         if c1 in entries:
             entries[c2] = entries[c1]
         elif c2 in entries:
@@ -252,9 +203,10 @@ def build_conversion_table(cp: CharPairSet, iteration_order=None) -> ConversionT
     return ConversionTable(entries=entries)
 
 
-def default_conversion_table(threshold: float = 0.2) -> ConversionTable:
+def default_conversion_table() -> ConversionTable:
     """Conversion table derived from the bundled confusion counts."""
-    return build_conversion_table(derive_char_pairs(builtin_confusion_table(), threshold))
+    return build_conversion_table(
+        derive_char_pairs(builtin_confusion_table(), CONFUSABLE_THRESHOLD))
 
 
 @dataclass(frozen=True)
@@ -263,27 +215,14 @@ class CanonicalPlate:
 
     tokens: tuple[str, ...]
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         return "".join(self.tokens)
 
-    def __str__(self) -> str:
-        return self.render()
 
-
-def canonicalize_plate(plate, cct: ConversionTable) -> CanonicalPlate:
-    """Replace keyed characters by their class token, keeping everything else.
-
-    Accepts a raw string, a CanonicalPlate, or any token iterable. In strings,
-    an existing "#<digits>" run is treated as one already-converted token, so
-    re-canonicalizing a rendered plate is stable.
-    """
-    if isinstance(plate, CanonicalPlate):
-        tokens = plate.tokens
-    elif isinstance(plate, str):
-        tokens = tuple(_TOKEN_RE.findall(plate))
-    else:
-        tokens = tuple(plate)
-    return CanonicalPlate(tokens=tuple(cct.get(t, t) for t in tokens))
+def canonicalize_plate(plate: str, cct: ConversionTable) -> CanonicalPlate:
+    """Replace each keyed character of a raw plate string by its class token,
+    keeping every other character as it is."""
+    return CanonicalPlate(tuple(cct.entries.get(c, c) for c in plate))
 
 
 def plate_id(canon: CanonicalPlate) -> int:

@@ -628,9 +628,20 @@ def _num(v):
     return v
 
 
+def _typed(key, v, *types):
+    """`v`, the value of field `key`, if its type is exactly one of `types`
+    (so a bool is no int)."""
+    if type(v) not in types:
+        raise TypeError(f"{key} {v!r} is not " + " or ".join(
+            "null" if t is type(None) else t.__name__ for t in types))
+    return v
+
+
 def _box(d) -> DetectedBox:
-    return DetectedBox(vehicle_ref=d["vehicle_ref"], bb_norm=tuple(map(_num, d["bb_norm"])),
-                       plate_readable=d["plate_readable"], plate_read=d.get("plate_read"))
+    return DetectedBox(vehicle_ref=_typed("vehicle_ref", d["vehicle_ref"], int),
+                       bb_norm=tuple(map(_num, d["bb_norm"])),
+                       plate_readable=_typed("plate_readable", d["plate_readable"], bool),
+                       plate_read=_typed("plate_read", d.get("plate_read"), str, type(None)))
 
 
 def _read_records(path, build) -> list[tuple[str, int, object]]:

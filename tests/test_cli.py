@@ -43,6 +43,18 @@ def test_gen_requires_seed(tmp_path, capsys):
     assert cli.cli_main(["--out", str(tmp_path), "gen"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--ticks", "0"], ["gen", "--ticks", "-4"],
+    ["train", "--dataset", "x.jsonl", "--epochs", "0"],
+])
+def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
+    flag, value = argv[-2:]
+    assert cli.cli_main(["--seed", "5", "--out", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: '{value}' is not an integer of at least 1" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_full_cli_pipeline(tmp_path, capsys):
     run_dir = tmp_path / "run"
     cfg = {"num_vehicles": 12, "duration": 20.0, "weather": "light_haze"}

@@ -295,6 +295,7 @@ def test_canonicalization_lift_strict():
     with_rate, without_rate = autolabel_rates(state, run, plates.default_conversion_table())
     assert with_rate > without_rate
     assert 0.0 < without_rate < 1.0
+    assert (with_rate, without_rate) == (102 / 259, 56 / 259)
 
 
 def test_dataset_jsonl_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,21 +84,20 @@ def test_estimator_converges_to_generator(builtin):
 # --- confusable pairs ---------------------------------------------------------
 
 def test_derive_pairs_builtin_threshold(builtin):
-    cp = plates.derive_char_pairs(builtin, 0.2)
-    assert cp.sorted_pairs() == [("0", "D"), ("0", "O"), ("0", "Q"), ("1", "I"), ("5", "S")]
-    assert ("I", "1") in cp
-    assert ("W", "M") not in cp  # err(W,M) = 0.2 is not strictly above the threshold
+    pairs = plates.derive_char_pairs(builtin, plates.CONFUSABLE_THRESHOLD)
+    # ("M", "W") is absent: err(W,M) = 0.2 is not strictly above the threshold
+    assert pairs == [("0", "D"), ("0", "O"), ("0", "Q"), ("1", "I"), ("5", "S")]
 
 
 def test_derive_pairs_high_threshold_empty(builtin):
     # err never exceeds 0.99 anywhere in the bundled counts
     assert all(builtin.err(t, o) <= 0.99
                for t, row in builtin.counts.items() for o in row if o != t)
-    assert len(plates.derive_char_pairs(builtin, 0.99)) == 0
+    assert plates.derive_char_pairs(builtin, 0.99) == []
 
 
 def test_derive_pairs_empty_table():
-    assert len(plates.derive_char_pairs(plates.ConfusionTable(), 0.2)) == 0
+    assert plates.derive_char_pairs(plates.ConfusionTable(), 0.2) == []
 
 
 # --- conversion table ---------------------------------------------------------
@@ -107,7 +108,6 @@ def test_conversion_table_partition(cct):
         classes.setdefault(value, set()).add(key)
     groups = sorted(classes.values(), key=sorted)
     assert groups == sorted([{"0", "O", "D", "Q"}, {"1", "I"}, {"5", "S"}], key=sorted)
-    assert cct.class_count() == 3
     assert sorted(set(cct.entries.values())) == ["#1", "#2", "#3"]
 
 
@@ -117,19 +117,17 @@ def test_conversion_values_contiguous_from_one(cct):
 
 
 def test_conversion_empty():
-    empty = plates.build_conversion_table(plates.CharPairSet(frozenset()))
-    assert empty.entries == {}
+    assert plates.build_conversion_table([]).entries == {}
 
 
 def test_conversion_chain_joins_one_class():
-    cp = plates.CharPairSet(frozenset({("A", "B"), ("B", "C")}))
-    cct = plates.build_conversion_table(cp)
+    cct = plates.build_conversion_table([("A", "B"), ("B", "C")])
     assert cct.entries == {"A": "#1", "B": "#1", "C": "#1"}
 
 
 def test_conversion_partition_stable_under_reordering():
     pairs = [("0", "O"), ("0", "D"), ("0", "Q"), ("1", "I"), ("5", "S")]
-    base = plates.build_conversion_table(None, iteration_order=pairs)
+    base = plates.build_conversion_table(pairs)
 
     def partition(cct):
         inv: dict[str, frozenset] = {}
@@ -137,7 +135,7 @@ def test_conversion_partition_stable_under_reordering():
             inv.setdefault(v, set()).add(k)
         return {frozenset(s) for s in inv.values()}
 
-    reordered = plates.build_conversion_table(None, iteration_order=list(reversed(pairs)))
+    reordered = plates.build_conversion_table(list(reversed(pairs)))
     assert partition(base) == partition(reordered)
 
 
@@ -174,10 +172,9 @@ def test_fnv_against_independent_implementation():
         assert plates.fnv1a64(payload) == fnv(payload)
 
 
-def test_canonicalize_rendered_string_stable(cct):
-    rendered = str(plates.canonicalize_plate("5CRD321", cct))
-    again = str(plates.canonicalize_plate(rendered, cct))
-    assert again == rendered
+def test_canonicalize_reads_single_characters(cct):
+    # a string is raw characters: "#132" is not re-read as a class token
+    assert plates.canonicalize_plate("#132", cct).tokens == ("#", "#2", "3", "2")
 
 
 def test_raw_outputs_never_in_keys(cct):
@@ -210,13 +207,13 @@ def test_roundtrip_matching_property(pm):
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet=plates.ALPHABET, min_size=0, max_size=10))
-def test_canonicalize_idempotent_on_tokens(plate):
+def test_canonical_tokens_are_never_conversion_keys(plate):
+    # the condition under which canonicalizing the tokens again is a no-op
     cct = plates.default_conversion_table()
-    once = plates.canonicalize_plate(plate, cct)
-    twice = plates.canonicalize_plate(once, cct)
-    assert once == twice
+    canon = plates.canonicalize_plate(plate, cct)
+    assert not set(canon.tokens) & cct.entries.keys()
 
 
 def test_json_roundtrips(builtin, cct):
-    assert plates.ConfusionTable.from_json(builtin.to_json()).counts == builtin.counts
-    assert plates.ConversionTable.from_json(cct.to_json()).entries == cct.entries
+    assert json.loads(builtin.to_json()) == builtin.counts
+    assert json.loads(cct.to_json()) == cct.entries

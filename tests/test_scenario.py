@@ -458,6 +458,20 @@ def test_read_run_names_line_of_wrong_type(tmp_path):
     assert _read_error(tmp_path) == f"{path}:4: malformed record: '12.5' is not a number"
 
 
+@pytest.mark.parametrize("key,value", [
+    ("plate_read", 5), ("plate_read", ["5", "C"]), ("vehicle_ref", "3"),
+    ("vehicle_ref", True), ("plate_readable", 1),
+], ids=["plate_read-int", "plate_read-list", "vehicle_ref-str", "vehicle_ref-bool",
+        "plate_readable-int"])
+def test_read_run_names_line_of_wrong_box_field_type(key, value, tmp_path):
+    observations = _written_run(tmp_path)
+    line = next(i for i, obs in enumerate(observations, 1) if obs.front_boxes)
+    path = tmp_path / "frames.jsonl"
+    _edit_record(path, line, lambda rec: rec["front_boxes"][0].update({key: value}))
+    msg = _read_error(tmp_path)
+    assert msg.startswith(f"{path}:{line}: malformed record: {key} {value!r} is not ")
+
+
 def test_read_run_names_line_of_mismatched_tick(tmp_path):
     _written_run(tmp_path)
     path = tmp_path / "truth.jsonl"
