@@ -58,11 +58,10 @@ def predict_run(params: mdl.ModelParams, run: labeling.LabeledRun,
     preds: list[metrics.TickPrediction] = []
     prev_feedback: dict[int, tuple[float, ...]] = {}
     for obs in run.observations:
-        msgs = sorted(obs.messages, key=lambda m: m.id)
-        ids = [m.id for m in msgs]
+        ids = sorted(m.id for m in obs.messages)
         pairs, entries = [], {}
-        if msgs:
-            X = np.array([labeling.feature_for(run, m, obs.t)[0] for m in msgs])
+        if ids:
+            X = np.array([labeling.feature_for(run, i, obs.t)[0] for i in ids])
             FB = np.array([prev_feedback.get(i, (0.0,) * 4) for i in ids], dtype=float)
             y, _ = mdl.forward_batch(params, X, FB, training=False)
             boxes = [b.bb_norm for b in obs.front_boxes]

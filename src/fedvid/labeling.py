@@ -11,14 +11,16 @@ labels plus field-of-view negatives (ALDA), and simulator ground truth
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Container
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import features as feats
 from . import geo, plates
-from .scenario import OUTSIDE, Observation, WorldConfig, _num, read_jsonl
+from .scenario import (OUTSIDE, DetectedBox, Message, Observation, WorldConfig, _num, _sig9,
+                       read_jsonl)
 
 
 class PairSource(str, Enum):
@@ -38,27 +40,6 @@ Sample = tuple[float, float, float, float]   # (lat, lng, ori, spd)
 K_SECONDS = 2.0   # span of the outside-set history and of the feature window
 
 
-@dataclass
-class PairingSet:
-    """Injective sender-id -> box-index pairing."""
-
-    pairs: dict[int, int] = field(default_factory=dict)
-    ambiguous: int = 0  # senders dropped due to duplicate canonical ids
-
-    def add(self, msg_id: int, box_idx: int) -> None:
-        if msg_id in self.pairs:
-            raise ValueError(f"message {msg_id} already paired")
-        if box_idx in self.pairs.values():
-            raise ValueError(f"box {box_idx} already paired")
-        self.pairs[msg_id] = box_idx
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, msg_id: int) -> bool:
-        return msg_id in self.pairs
-
-
 def fov_contains(ego_ori: float, hfov_deg: float, brg: float) -> bool:
     """True iff the bearing falls inside the horizontal field of view centered
     on the ego heading (boundary inclusive)."""
@@ -67,35 +48,33 @@ def fov_contains(ego_ori: float, hfov_deg: float, brg: float) -> bool:
     return abs(geo.angle_diff_deg(brg, ego_ori)) <= hfov_deg / 2.0
 
 
-def auto_label_frame(obs: Observation, cct: plates.ConversionTable,
-                     camera: str = "front") -> PairingSet:
+def auto_label_frame(messages: list[Message], boxes: list[DetectedBox],
+                     cct: plates.ConversionTable) -> tuple[dict[int, int], int]:
     """Pair boxes with messages through plate reads: canonicalize each box's
-    OCR read, hash it, and match against the message ids. Duplicate canonical
-    ids on either side exclude all colliding parties."""
-    boxes = obs.front_boxes if camera == "front" else obs.rear_boxes
-    result = PairingSet()
-
+    OCR read, hash it, and match against the message ids. Returns the
+    sender id -> box index pairs and the count of collisions: canonical ids
+    duplicated on either side, whose parties all stay unpaired."""
     msg_ids: set[int] = set()
     dup_msgs: set[int] = set()
-    for m in obs.messages:
+    for m in messages:
         if m.id in msg_ids:
             dup_msgs.add(m.id)
         msg_ids.add(m.id)
     read_ids: dict[int, list[int]] = {}
     for idx, box in enumerate(boxes):
-        if box.plate_read is None:
-            continue
-        rid = plates.canonical_plate_id(box.plate_read, cct)
-        read_ids.setdefault(rid, []).append(idx)
+        if box.plate_read is not None:
+            read_ids.setdefault(plates.canonical_plate_id(box.plate_read, cct), []).append(idx)
 
-    for rid, box_idxs in sorted(read_ids.items()):
+    pairs: dict[int, int] = {}
+    collisions = 0
+    for rid, box_idxs in read_ids.items():
         if rid not in msg_ids:
             continue
         if len(box_idxs) > 1 or rid in dup_msgs:
-            result.ambiguous += 1
-            continue
-        result.add(rid, box_idxs[0])
-    return result
+            collisions += 1
+        else:
+            pairs[rid] = box_idxs[0]
+    return pairs, collisions
 
 
 def build_outside_set(histories: dict[int, dict[int, Sample]],
@@ -103,8 +82,8 @@ def build_outside_set(histories: dict[int, dict[int, Sample]],
                       obs: Observation,
                       hfov_deg: float,
                       k_samples: int,
-                      front_paired: set[int],
-                      rear_paired: set[int]) -> frozenset[int]:
+                      front_paired: Container[int],
+                      rear_paired: Container[int]) -> frozenset[int]:
     """Senders confidently outside the front view at tick t.
 
     A sender qualifies if it stayed outside the field-of-view cone at every
@@ -135,9 +114,8 @@ def build_outside_set(histories: dict[int, dict[int, Sample]],
 
 @dataclass
 class TickLabels:
-    t: int
-    front: PairingSet
-    rear: PairingSet
+    front: dict[int, int]   # sender id -> front box index, plate-matched
+    rear: dict[int, int]    # sender id -> rear box index, plate-matched
     outside: frozenset[int]
 
 
@@ -145,7 +123,6 @@ class TickLabels:
 class LabeledRun:
     """A simulated run plus everything labeling derived from it."""
 
-    cfg: WorldConfig
     observations: list[Observation]
     labels: list[TickLabels]
     histories: dict[int, dict[int, Sample]]   # sender -> tick -> sample
@@ -168,17 +145,12 @@ def label_run(observations: list[Observation], cct: plates.ConversionTable,
         for m in obs.messages:
             histories.setdefault(m.id, {})[obs.t] = (m.lat, m.lng, m.ori, m.spd)
 
-        front = auto_label_frame(obs, cct, camera="front")
-        rear = auto_label_frame(obs, cct, camera="rear")
-        outside = build_outside_set(
-            histories, ego_history, obs,
-            hfov_deg=cfg.front_camera.hfov_deg,
-            k_samples=k_samples,
-            front_paired=set(front.pairs),
-            rear_paired=set(rear.pairs),
-        )
-        labels.append(TickLabels(t=obs.t, front=front, rear=rear, outside=outside))
-    return LabeledRun(cfg=cfg, observations=observations, labels=labels,
+        front, _ = auto_label_frame(obs.messages, obs.front_boxes, cct)
+        rear, _ = auto_label_frame(obs.messages, obs.rear_boxes, cct)
+        outside = build_outside_set(histories, ego_history, obs, cfg.front_camera.hfov_deg,
+                                    k_samples, front_paired=front, rear_paired=rear)
+        labels.append(TickLabels(front=front, rear=rear, outside=outside))
+    return LabeledRun(observations=observations, labels=labels,
                       histories=histories, ego_history=ego_history,
                       feature_cfg=feats.FeatureConfig(window=k_samples,
                                                       comm_range_m=cfg.comm_range))
@@ -188,20 +160,20 @@ def label_run(observations: list[Observation], cct: plates.ConversionTable,
 class LabeledExample:
     features: list[float]         # model input row, from feats.build_feature_vector
     valid: int                    # trailing window slots that hold real samples
-    target: np.ndarray            # 5-vector; [*box, 1] inside or all zeros outside
+    target: tuple[float, ...]     # (*box, 1.0) inside, five zeros outside
     tick: int
     sender_id: int
     source: PairSource
     dataset: DatasetMode
-    feedback: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    feedback: tuple[float, ...]   # the sender's labeled box at t-1, four zeros if none
 
 
-def feature_for(run: LabeledRun, msg, t: int) -> tuple[list[float], int]:
-    """The model input row of `msg`'s sender at tick t, and how many trailing
+def feature_for(run: LabeledRun, sender_id: int, t: int) -> tuple[list[float], int]:
+    """The model input row of a sender at tick t, and how many trailing
     window slots hold real samples. Only the contiguous suffix of samples
     ending at t counts; older-than-gap samples are missing leading slots."""
     w = run.feature_cfg.window
-    samples = run.histories[msg.id]
+    samples = run.histories[sender_id]
     history, ego_records = [], []
     for tt in range(t, t - w, -1):
         s = samples.get(tt)
@@ -222,45 +194,35 @@ def assemble_dataset(run: LabeledRun, mode: DatasetMode) -> list[LabeledExample]
     (teacher forcing), zeros when the sender was not paired at t-1.
     """
     mode = DatasetMode(mode)
-    prev_boxes: dict[int, np.ndarray] = {}
+    prev_boxes: dict[int, tuple[float, ...]] = {}
     examples: list[LabeledExample] = []
 
-    for obs, ticklab in zip(run.observations, run.labels):
-        rows: list[tuple[int, np.ndarray, PairSource]] = []
+    for obs, lab in zip(run.observations, run.labels):
+        rows: list[tuple[int, tuple[float, ...], PairSource]] = []
         if mode in (DatasetMode.AL, DatasetMode.ALDA):
-            for msg_id, box_idx in ticklab.front.pairs.items():
-                box = obs.front_boxes[box_idx].bb_norm
-                rows.append((msg_id, np.array([*box, 1.0]), PairSource.AUTO_FRONT))
-            negatives = {m: PairSource.AUTO_REAR for m in ticklab.rear.pairs}
+            for msg_id, box_idx in lab.front.items():
+                rows.append((msg_id, (*obs.front_boxes[box_idx].bb_norm, 1.0),
+                             PairSource.AUTO_FRONT))
+            negatives = dict.fromkeys(lab.rear, PairSource.AUTO_REAR)
             if mode is DatasetMode.ALDA:
-                for m in ticklab.outside:
+                for m in lab.outside:
                     negatives.setdefault(m, PairSource.AUTO_FOV)
-            for msg_id, src in negatives.items():
-                if msg_id in ticklab.front:
-                    continue
-                rows.append((msg_id, np.zeros(5), src))
+            rows += [(m, (0.0,) * 5, src) for m, src in negatives.items() if m not in lab.front]
         else:
             for msg_id, box_idx in obs.truth_pairs.items():
-                if box_idx == OUTSIDE:
-                    rows.append((msg_id, np.zeros(5), PairSource.MANUAL))
-                else:
-                    box = obs.front_boxes[box_idx].bb_norm
-                    rows.append((msg_id, np.array([*box, 1.0]), PairSource.MANUAL))
+                target = (0.0,) * 5 if box_idx == OUTSIDE else (
+                    *obs.front_boxes[box_idx].bb_norm, 1.0)
+                rows.append((msg_id, target, PairSource.MANUAL))
 
-        msg_by_id = {m.id: m for m in obs.messages}
-        next_prev: dict[int, np.ndarray] = {}
+        next_prev: dict[int, tuple[float, ...]] = {}
         for msg_id, target, src in sorted(rows, key=lambda r: r[0]):
-            msg = msg_by_id.get(msg_id)
-            if msg is None:
-                continue
-            row, valid = feature_for(run, msg, obs.t)
-            fb = prev_boxes.get(msg_id, np.zeros(4))
+            row, valid = feature_for(run, msg_id, obs.t)
             examples.append(LabeledExample(
                 features=row, valid=valid, target=target, tick=obs.t, sender_id=msg_id,
-                source=src, dataset=mode, feedback=fb,
+                source=src, dataset=mode, feedback=prev_boxes.get(msg_id, (0.0,) * 4),
             ))
             if target[4] == 1.0:
-                next_prev[msg_id] = target[:4].copy()
+                next_prev[msg_id] = target[:4]
         prev_boxes = next_prev
     examples.sort(key=lambda e: (e.tick, e.sender_id))
     return examples
@@ -276,10 +238,9 @@ class TrainingArrays:
 def to_arrays(examples: list[LabeledExample]) -> TrainingArrays:
     if not examples:
         raise ValueError("no labeled examples")
-    X = np.array([e.features for e in examples])
-    FB = np.stack([e.feedback for e in examples])
-    Y = np.stack([e.target for e in examples])
-    return TrainingArrays(X=X, FB=FB, Y=Y)
+    return TrainingArrays(X=np.array([e.features for e in examples], dtype=float),
+                          FB=np.array([e.feedback for e in examples], dtype=float),
+                          Y=np.array([e.target for e in examples], dtype=float))
 
 
 DATASET_SCHEMA_VERSION = 1
@@ -296,10 +257,10 @@ def write_dataset_jsonl(path, examples: list[LabeledExample]) -> None:
                 "sender_id": e.sender_id,
                 "dataset": e.dataset.value,
                 "source": e.source.value,
-                "features": [float(f"{v:.9g}") for v in e.features],
+                "features": [_sig9(v) for v in e.features],
                 "validity_mask": [False] * (w - e.valid) + [True] * e.valid,
-                "feedback": [float(f"{v:.9g}") for v in e.feedback],
-                "target": [float(f"{v:.9g}") for v in e.target],
+                "feedback": [_sig9(v) for v in e.feedback],
+                "target": [_sig9(v) for v in e.target],
             }) + "\n")
 
 

@@ -22,6 +22,8 @@ if TYPE_CHECKING:
 
 FMDF_MAGIC = b"FMDF"
 FMDF_VERSION = 1
+FEEDBACK_DIM = 4   # the previous tick's box
+OUTPUT_DIM = 5     # four box coordinates and the inside probability
 
 
 class ConfigError(ValueError):
@@ -37,8 +39,6 @@ class ModelConfig:
     input_dim: int = 11
     hidden_width: int = 64
     hidden_layers: int = 10
-    feedback_dim: int = 4
-    output_dim: int = 5
     dropout: float = 0.3
     mu: float = 1.0
 
@@ -46,7 +46,7 @@ class ModelConfig:
         """(fan_in, fan_out) of every affine layer, feedback concat included."""
         dims = [self.input_dim] + [self.hidden_width] * self.hidden_layers
         shapes = [(dims[i], dims[i + 1]) for i in range(self.hidden_layers)]
-        shapes.append((self.hidden_width + self.feedback_dim, self.output_dim))
+        shapes.append((self.hidden_width + FEEDBACK_DIM, OUTPUT_DIM))
         return shapes
 
 
@@ -119,7 +119,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, fb: np.ndarray,
                   training: bool = False, rng=None):
     """Batched forward pass.
 
-    x: (B, input_dim), fb: (B, feedback_dim). Returns (outputs (B, 5), cache).
+    x: (B, input_dim), fb: (B, FEEDBACK_DIM). Returns (outputs (B, OUTPUT_DIM), cache).
     Inverted dropout is applied to every hidden activation when training; the
     concatenated feedback is never dropped.
     """

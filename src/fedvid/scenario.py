@@ -677,6 +677,8 @@ def read_run(run_dir) -> list[Observation]:
     out = []
     for frame, msgs, sensors, truth in zip(*files):
         fw, t, (front, rear) = frame
+        if out and t <= out[-1].t:
+            raise ValueError(f"{fw}: tick {t} does not follow tick {out[-1].t}")
         for where, tick, _ in (msgs, sensors, truth):
             if tick != t:
                 raise ValueError(f"{where}: tick {tick}, but {fw} holds tick {t}")

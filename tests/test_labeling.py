@@ -63,13 +63,13 @@ def test_lossless_auto_pairing_equals_truth(cct):
         readable = {obs.front_boxes[b].vehicle_ref for b in in_frustum.values()
                     if obs.front_boxes[b].plate_readable}
         expected = {m: b for m, b in in_frustum.items() if m in readable}
-        assert lab.front.pairs == expected
+        assert lab.front == expected
         checked += len(expected)
     assert checked > 0
 
 
-def test_worked_misread_pairs(cct):
-    # a box whose read is the confusable misread of the sender's plate matches
+def _one_sender_tick(cct, read):
+    """One tick with one sender, plate 5CRD321, whose box reads `read`."""
     cfg = scenario.lossless_config(seed=41, num_vehicles=2, duration=2.0)
     placements = [
         scenario.Placement(north_m=0.0, east_m=0.0, orientation=0.0, speed=0.0),
@@ -78,9 +78,22 @@ def test_worked_misread_pairs(cct):
     ]
     state = scenario.build_scenario(cfg, placements, cct)
     obs = scenario.simulate_tick(state)
-    obs.front_boxes[0].plate_read = "SCRO32I"
-    pairing = labeling.auto_label_frame(obs, cct)
-    assert pairing.pairs == {state.vehicles[1].id: 0}
+    obs.front_boxes[0].plate_read = read
+    return state.vehicles[1].id, obs
+
+
+def test_worked_misread_pairs(cct):
+    # a box whose read is the confusable misread of the sender's plate matches
+    sender, obs = _one_sender_tick(cct, "SCRO32I")
+    pairs, _ = labeling.auto_label_frame(obs.messages, obs.front_boxes, cct)
+    assert pairs == {sender: 0}
+
+
+def test_duplicate_message_ids_excluded(cct):
+    # two messages claim one id: the box that matches it pairs with neither
+    sender, obs = _one_sender_tick(cct, "5CRD321")
+    assert labeling.auto_label_frame(obs.messages, obs.front_boxes, cct) == ({sender: 0}, 0)
+    assert labeling.auto_label_frame(obs.messages * 2, obs.front_boxes, cct) == ({}, 1)
 
 
 def test_auto_label_never_false_pairs(cct):
@@ -88,9 +101,12 @@ def test_auto_label_never_false_pairs(cct):
     _, run = _noisy_run()
     total = 0
     for obs, lab in zip(run.observations, run.labels):
-        for msg_id, box_idx in lab.front.pairs.items():
+        for msg_id, box_idx in lab.front.items():
             assert obs.truth_pairs.get(msg_id) == box_idx
             total += 1
+        # no box is paired with two senders
+        assert len(set(lab.front.values())) == len(lab.front)
+        assert len(set(lab.rear.values())) == len(lab.rear)
     assert total > 0
 
 
@@ -106,18 +122,9 @@ def test_duplicate_canonical_reads_excluded(cct):
     assert len(obs.front_boxes) == 2
     obs.front_boxes[0].plate_read = state.vehicles[1].plate
     obs.front_boxes[1].plate_read = state.vehicles[1].plate  # colliding read
-    pairing = labeling.auto_label_frame(obs, cct)
-    assert len(pairing.pairs) == 0
-    assert pairing.ambiguous == 1
-
-
-def test_pairing_set_injectivity_enforced():
-    ps = labeling.PairingSet()
-    ps.add(1, 0)
-    with pytest.raises(ValueError):
-        ps.add(1, 1)
-    with pytest.raises(ValueError):
-        ps.add(2, 0)
+    pairs, collisions = labeling.auto_label_frame(obs.messages, obs.front_boxes, cct)
+    assert len(pairs) == 0
+    assert collisions == 1
 
 
 # --- outside set ----------------------------------------------------------------
@@ -178,7 +185,7 @@ def test_incomplete_window_skipped():
 def test_outside_disjoint_from_front_pairs():
     _, run = _noisy_run(seed=53)
     for lab in run.labels:
-        assert not (lab.outside & set(lab.front.pairs))
+        assert not (lab.outside & set(lab.front))
 
 
 def test_outside_matches_truth_with_zero_noise():
@@ -203,7 +210,7 @@ def test_outside_matches_truth_with_zero_noise():
         if obs.t < k:
             continue
         for m in obs.messages:
-            if m.id in lab.front.pairs or m.id in lab.rear.pairs:
+            if m.id in lab.front or m.id in lab.rear:
                 continue
             window = [true_pos[m.id].get(t) for t in range(obs.t - k + 1, obs.t + 1)]
             if any(w is None for w in window):
@@ -267,11 +274,12 @@ def test_target_invariants():
     _, run = _noisy_run(seed=73)
     for mode in DatasetMode:
         for e in labeling.assemble_dataset(run, mode):
-            assert e.target.shape == (5,)
-            assert np.all((0.0 <= e.target) & (e.target <= 1.0))
-            assert e.target[4] in (0.0, 1.0)
-            if e.target[4] == 0.0:
-                assert np.all(e.target == 0.0)
+            target = np.asarray(e.target)
+            assert target.shape == (5,)
+            assert np.all((0.0 <= target) & (target <= 1.0))
+            assert target[4] in (0.0, 1.0)
+            if target[4] == 0.0:
+                assert np.all(target == 0.0)
 
 
 def test_feedback_teacher_forcing():
@@ -282,10 +290,10 @@ def test_feedback_teacher_forcing():
     for e in examples:
         prev = by_key.get((e.tick - 1, e.sender_id))
         if prev is not None and prev.target[4] == 1.0:
-            assert np.array_equal(e.feedback, prev.target[:4])
+            assert np.array_equal(np.asarray(e.feedback), np.asarray(prev.target[:4]))
             nonzero += 1
         else:
-            assert np.all(e.feedback == 0.0)
+            assert np.all(np.asarray(e.feedback) == 0.0)
     assert nonzero > 0
 
 

@@ -22,7 +22,9 @@ FED_SPANS = ("fed.round", "fed.fed_avg", "fed.params_digest", "fed.params_b64",
              "fed.params_from_b64", "model.params_to_bytes", "model.params_from_bytes",
              "model.forward_batch.train", "model.backward_batch", "model.Adam.step")
 WORLD_SPANS = ("scenario.simulate_tick", "scenario.detect_vehicles", "geo.haversine_m",
-               "plates.sample_ocr", "features.latlng_delta_norm", "labeling.feature_for",
+               "plates.sample_ocr", "labeling.label_run", "labeling.auto_label_frame",
+               "labeling.build_outside_set", "labeling.assemble_dataset", "labeling.to_arrays",
+               "features.latlng_delta_norm", "labeling.feature_for",
                "mapping.decide_mapping", "mapping.build_score_table", "experiment.predict_run",
                "metrics.compute_cr")
 
@@ -78,12 +80,15 @@ def test_tracer_sees_the_world_path(monkeypatch):
 
     def body():
         _, run = experiment.simulate_and_label(world, 101)
+        labeling.to_arrays(labeling.assemble_dataset(run, labeling.DatasetMode.ALDA))
         # an inside threshold of 0 keeps every estimate, so tables and pairs are built
         experiment.evaluate_model(params, run, mapping.MappingConfig(threshold_inside=0.0))
 
     values = _traced(monkeypatch, body)
     for name in WORLD_SPANS:
         assert values.get(f"{name}.calls", 0) >= 1, f"{name} recorded no calls"
-    # the tracer reads ScoreTable.scores and MappingResult.pairs
-    assert values.get("mapping.table_cells", 0) > 0
-    assert values.get("mapping.pairs", 0) > 0
+    # the tracer takes the length of the labels, the examples, ScoreTable.scores
+    # and MappingResult.pairs
+    for name in ("labeling.pairs_front", "labeling.pairs_rear", "labeling.outside",
+                 "labeling.examples", "mapping.table_cells", "mapping.pairs"):
+        assert values.get(name, 0) > 0, f"{name} counted nothing"

@@ -480,6 +480,19 @@ def test_read_run_names_line_of_mismatched_tick(tmp_path):
     assert msg == f"{path}:5: tick 6, but {tmp_path / 'frames.jsonl'}:5 holds tick 5"
 
 
+@pytest.mark.parametrize("edit,line,message", [
+    (lambda lines: lines[:3] + lines[2:], 4, "tick 3 does not follow tick 3"),
+    (lambda lines: lines[:3] + [lines[4], lines[3]] + lines[5:], 5,
+     "tick 4 does not follow tick 5"),
+], ids=["repeated", "swapped"])
+def test_read_run_rejects_ticks_that_do_not_increase(edit, line, message, tmp_path):
+    _written_run(tmp_path)
+    for name in ("frames.jsonl", "messages.jsonl", "sensors.jsonl", "truth.jsonl"):
+        path = tmp_path / name
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    assert _read_error(tmp_path) == f"{tmp_path / 'frames.jsonl'}:{line}: {message}"
+
+
 def test_read_run_names_files_of_mismatched_tick_count(tmp_path):
     _written_run(tmp_path)
     path = tmp_path / "messages.jsonl"
