@@ -1,3 +1,4 @@
+import hashlib
 import json
 import select
 import socket
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvid import fed, labeling, model as mdl
+from fedvid import experiment, fed, labeling, model as mdl
 
 NARROW = mdl.ModelConfig(input_dim=11, hidden_width=8, hidden_layers=10)
 
@@ -139,6 +140,26 @@ def test_tcp_session_two_clients_records_and_transcript():
     assert kinds.count("update") == 6
     assert kinds.count("round_end") == 6
     assert kinds.count("shutdown") == 2
+
+
+def test_short_federated_session_bytes_pinned():
+    # criterion 9's session with a held-out set: the round digests, the final
+    # model bytes and the per-round held-out losses must not move
+    shards = experiment.split_shards(_toy_dataset(n=30, seed=9), 2)
+    init = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(21))
+    final, records, _, losses = fed.train_federated_tcp(
+        shards, init, mdl.OptConfig(), rounds=3, seeds=[51, 52],
+        eval_dataset=_toy_dataset(n=20, seed=10), timeout=30.0)
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    assert sha(repr([r.digest for r in records]).encode()) == (
+        "4c1bcac55bf74397a901745f6a59f8effbb7f93c871b0f9cb662d3101aa44d08")
+    assert sha(mdl.params_to_bytes(final)) == (
+        "f7b0903a3fdaad46107fcd56b366cfb69c6fe55aefc09619f273a370081da342")
+    assert sha(repr(losses).encode()) == (
+        "ea65b3521961de584a1d3c3a333e0ffe1c8bb514fa58efcd17d1216a7faa2934")
 
 
 def test_tcp_single_client_degenerates_to_centralized():
