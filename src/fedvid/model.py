@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -115,40 +116,111 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rows(buf: np.ndarray, batch: int, widths) -> list[np.ndarray]:
+    """(batch, w) views of the start of a flat buffer, one per width: scratch
+    that each layer in turn overwrites."""
+    return [buf[:batch * w].reshape(batch, w) for w in widths]
+
+
+class Workspace:
+    """Buffers that the forward and backward pass of one batch size write into
+    with `out=`, so that a training step or an evaluation allocates no
+    per-layer arrays. Each call overwrites what the previous one returned.
+
+    The last hidden activation is written straight into `h_cat`, beside the
+    feedback. With `keep_layers=False` the hidden layers alternate between
+    two buffers: enough for an eval-mode forward, which then returns no
+    cache. The dropout masks and the backward buffers are made on first use.
+    """
+
+    def __init__(self, params: ModelParams, batch: int, keep_layers: bool = True):
+        self.batch, self.keep_layers = batch, keep_layers
+        self.size, self.shapes = params.flat.size, params.shapes
+        self.dropout, self.mu = params.dropout, params.mu
+        self.widths = [fan_out for _, fan_out in params.shapes[:-1]]
+        self.h_cat = np.empty((batch, params.shapes[-1][0]))
+        self.z_out = np.empty((batch, params.shapes[-1][1]))
+        if keep_layers:
+            self.zs = [np.empty((batch, w)) for w in self.widths]
+            hidden = [np.empty((batch, w)) for w in self.widths[:-1]]
+        else:   # each layer's ReLU overwrites its z; layers alternate between two buffers
+            pair = [_rows(np.empty(batch * max(self.widths)), batch, self.widths) for _ in range(2)]
+            self.zs = [pair[i % 2][i] for i in range(len(self.widths))]
+            hidden = self.zs[:-1]
+        self.hidden = [*hidden, self.h_cat[:, :self.widths[-1]]]
+
+    @cached_property
+    def masks(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """One flat buffer for every hidden layer's dropout mask, layer after
+        layer, and its per-layer views."""
+        flat = np.empty(self.batch * sum(self.widths))
+        parts = np.split(flat, np.cumsum([self.batch * w for w in self.widths[:-1]]))
+        return flat, [part.reshape(self.batch, w) for part, w in zip(parts, self.widths)]
+
+    @cached_property
+    def grad(self) -> ModelParams:
+        return ModelParams(np.empty(self.size), self.shapes, dropout=self.dropout, mu=self.mu)
+
+    @cached_property
+    def back(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, list]:
+        """dz and (1 - y) at the output, dh of `h_cat`, then dh and dz per hidden layer."""
+        out, scratch = (np.empty(self.z_out.shape) for _ in range(2))
+        dh, dz = (_rows(np.empty(self.batch * max(self.widths)), self.batch, self.widths)
+                  for _ in range(2))
+        return out, scratch, np.empty(self.h_cat.shape), dh, dz
+
+
+def dropout_masks(rng, dropout: float, out: np.ndarray) -> np.ndarray:
+    """Inverted-dropout masks for every hidden layer of one batch, from one draw.
+
+    One `rng.random` fills the flat buffer `out` with the uniforms that one
+    draw per layer would give, layer after layer; two in-place ops turn each
+    into 0 or 1 / (1 - dropout).
+    """
+    rng.random(out=out)
+    np.greater_equal(out, dropout, out=out)
+    out /= 1.0 - dropout
+    return out
+
+
 def forward_batch(params: ModelParams, x: np.ndarray, fb: np.ndarray,
-                  training: bool = False, rng=None):
+                  training: bool = False, rng=None, ws: Workspace | None = None):
     """Batched forward pass.
 
     x: (B, input_dim), fb: (B, FEEDBACK_DIM). Returns (outputs (B, OUTPUT_DIM), cache).
     Inverted dropout is applied to every hidden activation when training; the
-    concatenated feedback is never dropped.
+    concatenated feedback is never dropped. Without a workspace the call
+    makes its own; the cache then holds the only references to its buffers.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     fb = np.atleast_2d(np.asarray(fb, dtype=np.float64))
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(fb)):
         raise ValueError("non-finite model input")
+    if fb.shape[0] != x.shape[0]:
+        raise ValueError(f"{x.shape[0]} input rows but {fb.shape[0]} feedback rows")
     if training and rng is None:
         raise ValueError("training forward requires an rng for dropout")
+    if ws is None:
+        ws = Workspace(params, x.shape[0])
 
-    n_hidden = params.hidden_layer_count()
-    keep = 1.0 - params.dropout
+    masks = [None] * len(ws.zs)
+    if training and params.dropout > 0.0:
+        flat, masks = ws.masks
+        dropout_masks(rng, params.dropout, flat)
     h = x
-    zs, acts, masks = [], [x], []
-    for layer in range(n_hidden):
-        z = h @ params.weights[layer] + params.biases[layer]
-        a = np.maximum(z, 0.0)
-        if training and params.dropout > 0.0:
-            mask = (rng.random(a.shape) >= params.dropout) / keep
-        else:
-            mask = None
-        h = a * mask if mask is not None else a
-        zs.append(z)
-        masks.append(mask)
-        acts.append(h)
-    h_cat = np.concatenate([h, fb], axis=1)
-    z_out = h_cat @ params.weights[-1] + params.biases[-1]
-    y = _sigmoid(z_out)
-    cache = {"zs": zs, "acts": acts, "masks": masks, "h_cat": h_cat, "y": y}
+    for layer, (z, out, mask) in enumerate(zip(ws.zs, ws.hidden, masks)):
+        np.matmul(h, params.weights[layer], out=z)
+        z += params.biases[layer]
+        h = np.maximum(z, 0.0, out=out)
+        if mask is not None:
+            h *= mask
+    ws.h_cat[:, h.shape[1]:] = fb
+    np.matmul(ws.h_cat, params.weights[-1], out=ws.z_out)
+    ws.z_out += params.biases[-1]
+    y = _sigmoid(ws.z_out)
+    if not ws.keep_layers:
+        return y, None
+    cache = {"zs": ws.zs, "acts": [x, *ws.hidden], "masks": masks, "h_cat": ws.h_cat, "y": y}
     return y, cache
 
 
@@ -171,31 +243,37 @@ def _loss_grad_batch(y: np.ndarray, targets: np.ndarray, mu: float):
     return float(per_example.mean()), grad
 
 
-def backward_batch(params: ModelParams, cache, dy: np.ndarray) -> ModelParams:
+def backward_batch(params: ModelParams, cache, dy: np.ndarray,
+                   ws: Workspace | None = None) -> ModelParams:
     """Gradients of the (already batch-averaged) loss w.r.t. every weight and bias,
     in one vector laid out like `params`; unpacks as `(grads_w, grads_b)`.
+    With a workspace that vector is its `grad`, overwritten by the next call.
 
     The feedback block is treated as a constant input: no gradient flows into
     the previous timestep.
     """
-    grad = replace(params, flat=np.empty_like(params.flat))
+    if ws is None:
+        ws = Workspace(params, dy.shape[0])
+    grad = ws.grad
     grads_w, grads_b = grad
+    dz, one_minus_y, dh_cat, dhs, dzs = ws.back
     y = cache["y"]
-    dz = dy * y * (1.0 - y)
+    np.multiply(dy, y, out=dz)
+    dz *= np.subtract(1.0, y, out=one_minus_y)
     np.matmul(cache["h_cat"].T, dz, out=grads_w[-1])
     np.sum(dz, axis=0, out=grads_b[-1])
-    hidden_width = params.shapes[-2][1]
-    dh = (dz @ params.weights[-1].T)[:, :hidden_width]
+    dh = np.matmul(dz, params.weights[-1].T, out=dh_cat)[:, :params.shapes[-2][1]]
 
     for layer in range(params.hidden_layer_count() - 1, -1, -1):
         mask = cache["masks"][layer]
         if mask is not None:
-            dh = dh * mask
-        dz = dh * (cache["zs"][layer] > 0.0)
+            dh *= mask
+        dz = np.greater(cache["zs"][layer], 0.0, out=dzs[layer])
+        np.multiply(dh, dz, out=dz)
         np.matmul(cache["acts"][layer].T, dz, out=grads_w[layer])
         np.sum(dz, axis=0, out=grads_b[layer])
         if layer > 0:
-            dh = dz @ params.weights[layer].T
+            dh = np.matmul(dz, params.weights[layer].T, out=dhs[layer - 1])
     return grad
 
 
@@ -234,12 +312,13 @@ class Adam:
         params.flat -= np.divide(s, d, out=s)
 
 
-def train_epoch(params: ModelParams, dataset: TrainingArrays, opt: Adam,
-                rng) -> tuple[ModelParams, float]:
+def train_epoch(params: ModelParams, dataset: TrainingArrays, opt: Adam, rng,
+                workspaces: dict[int, Workspace] | None = None) -> tuple[ModelParams, float]:
     """One pass of seeded, shuffled mini-batch Adam over a dataset.
 
     Mutates `params` in place and returns it with the mean batch loss.
-    Aborts on a non-finite loss.
+    Aborts on a non-finite loss. With `workspaces`, each batch size's
+    workspace is taken from it, or made and kept there.
     """
     X, FB, Y = dataset.X, dataset.FB, dataset.Y
     n = X.shape[0]
@@ -250,15 +329,20 @@ def train_epoch(params: ModelParams, dataset: TrainingArrays, opt: Adam,
     losses = []
     weights = []
     bs = opt.cfg.batch_size
+    ws = None
     for start in range(0, n, bs):
         idx = order[start:start + bs]
-        y, cache = forward_batch(params, X[idx], FB[idx], training=True, rng=rng)
+        if workspaces is not None:
+            ws = workspaces.get(idx.size)
+            if ws is None:
+                ws = workspaces[idx.size] = Workspace(params, idx.size)
+        y, cache = forward_batch(params, X[idx], FB[idx], training=True, rng=rng, ws=ws)
         loss, dy = _loss_grad_batch(y, Y[idx], params.mu)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"training diverged: non-finite loss at batch starting {start}"
             )
-        opt.step(params, backward_batch(params, cache, dy))
+        opt.step(params, backward_batch(params, cache, dy, ws))
         losses.append(loss)
         weights.append(len(idx))
     epoch_loss = float(np.average(losses, weights=weights))
@@ -266,7 +350,8 @@ def train_epoch(params: ModelParams, dataset: TrainingArrays, opt: Adam,
 
 
 class Trainer:
-    """Bundles parameters, optimizer state, and the shuffling/dropout stream.
+    """Bundles parameters, optimizer state, the shuffling/dropout stream and
+    one workspace per batch size (the full batch and the last, partial one).
 
     Reused verbatim by centralized training and by a federated client, which
     is what makes single-client federated averaging reproduce centralized
@@ -277,18 +362,21 @@ class Trainer:
         self.params = params
         self.opt = Adam(opt_cfg)
         self.rng = np.random.default_rng(seed)
+        self.workspaces: dict[int, Workspace] = {}
 
     def run_epochs(self, dataset: TrainingArrays, epochs: int) -> list[float]:
         losses = []
         for _ in range(epochs):
-            _, loss = train_epoch(self.params, dataset, self.opt, self.rng)
+            _, loss = train_epoch(self.params, dataset, self.opt, self.rng, self.workspaces)
             losses.append(loss)
         return losses
 
 
 def mean_loss(params: ModelParams, dataset: TrainingArrays) -> float:
-    """Eval-mode mean loss over a dataset (no dropout, no updates)."""
-    y, _ = forward_batch(params, dataset.X, dataset.FB, training=False)
+    """Eval-mode mean loss over a dataset (no dropout, no updates), through
+    two alternating hidden buffers."""
+    ws = Workspace(params, dataset.X.shape[0], keep_layers=False)
+    y, _ = forward_batch(params, dataset.X, dataset.FB, training=False, ws=ws)
     loss, _ = _loss_grad_batch(y, dataset.Y, params.mu)
     return loss
 

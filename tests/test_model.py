@@ -277,6 +277,137 @@ def test_train_aborts_on_nonfinite_loss():
         mdl.train_epoch(params, data, mdl.Adam(mdl.OptConfig()), np.random.default_rng(0))
 
 
+# --- workspaces ---------------------------------------------------------------------
+
+def _reference_forward(params, x, fb, training=False, rng=None):
+    """The forward pass with a fresh array per layer and one dropout draw per
+    layer: the arithmetic that a workspace must reproduce bit for bit."""
+    h, zs, acts, masks = x, [], [x], []
+    for layer in range(params.hidden_layer_count()):
+        z = h @ params.weights[layer] + params.biases[layer]
+        a = np.maximum(z, 0.0)
+        mask = None
+        if training and params.dropout > 0.0:
+            mask = (rng.random(a.shape) >= params.dropout) / (1.0 - params.dropout)
+        h = a * mask if mask is not None else a
+        zs.append(z)
+        acts.append(h)
+        masks.append(mask)
+    h_cat = np.concatenate([h, fb], axis=1)
+    y = mdl._sigmoid(h_cat @ params.weights[-1] + params.biases[-1])
+    return y, {"zs": zs, "acts": acts, "masks": masks, "h_cat": h_cat, "y": y}
+
+
+def _reference_backward(params, cache, dy):
+    grads_w = [np.empty_like(w) for w in params.weights]
+    grads_b = [np.empty_like(b) for b in params.biases]
+    y = cache["y"]
+    dz = dy * y * (1.0 - y)
+    grads_w[-1], grads_b[-1] = cache["h_cat"].T @ dz, np.sum(dz, axis=0)
+    dh = (dz @ params.weights[-1].T)[:, :params.shapes[-2][1]]
+    for layer in range(params.hidden_layer_count() - 1, -1, -1):
+        if cache["masks"][layer] is not None:
+            dh = dh * cache["masks"][layer]
+        dz = dh * (cache["zs"][layer] > 0.0)
+        grads_w[layer], grads_b[layer] = cache["acts"][layer].T @ dz, np.sum(dz, axis=0)
+        if layer > 0:
+            dh = dz @ params.weights[layer].T
+    return np.concatenate([g.ravel() for g in (*grads_w, *grads_b)])
+
+
+_WS_PARAMS = {p: mdl.init_model(mdl.ModelConfig(dropout=p), np.random.default_rng(30))
+              for p in (0.0, 0.3)}
+_WORKSPACES = {p: {} for p in _WS_PARAMS}   # shared by every example, as a Trainer's are
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(1, 70), dropout=st.sampled_from(sorted(_WS_PARAMS)),
+       training=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_workspace_outputs_and_gradients_are_byte_identical(batch, dropout, training, seed):
+    params = _WS_PARAMS[dropout]
+    ws = _WORKSPACES[dropout].setdefault(batch, mdl.Workspace(params, batch))
+    data = np.random.default_rng(seed)
+    x, fb, target = data.random((batch, 11)), data.random((batch, 4)), data.random((batch, 5))
+
+    runs = []
+    for kind in ("workspace", "none", "reference"):
+        rng = np.random.default_rng(seed) if training else None
+        if kind == "reference":
+            y, cache = _reference_forward(params, x, fb, training, rng)
+        else:
+            y, cache = mdl.forward_batch(params, x, fb, training=training, rng=rng,
+                                         ws=ws if kind == "workspace" else None)
+        y = y.copy()   # the workspace's next call may not touch what was returned
+        _, dy = mdl._loss_grad_batch(y, target, params.mu)
+        if kind == "reference":
+            grad = _reference_backward(params, cache, dy)
+        else:
+            grad = mdl.backward_batch(params, cache, dy,
+                                      ws if kind == "workspace" else None).flat.copy()
+        runs.append((y.tobytes(), grad.tobytes()))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 70), dropout=st.sampled_from(sorted(_WS_PARAMS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_trainer_with_workspaces_matches_train_epoch_without(n, dropout, seed):
+    # n need not be a multiple of the batch size: the last batch is partial
+    data = np.random.default_rng(seed)
+    dataset = labeling.TrainingArrays(X=data.random((n, 11)), FB=data.random((n, 4)),
+                                      Y=data.random((n, 5)))
+    trainer = mdl.Trainer(_WS_PARAMS[dropout].copy(), mdl.OptConfig(), seed=seed)
+    losses = trainer.run_epochs(dataset, 2)
+    assert sorted(trainer.workspaces) == sorted({min(32, n), n % 32 or min(32, n)})
+
+    params, opt = _WS_PARAMS[dropout].copy(), mdl.Adam(mdl.OptConfig())
+    rng = np.random.default_rng(seed)
+    plain = [mdl.train_epoch(params, dataset, opt, rng)[1] for _ in range(2)]
+    assert losses == plain
+    assert trainer.params.flat.tobytes() == params.flat.tobytes()
+
+
+def test_mean_loss_peak_memory_stays_below_eight_row_buffers():
+    # an evaluation keeps two alternating hidden buffers, not one per layer
+    import tracemalloc
+
+    n = 1208
+    data = _toy_dataset(n=n, seed=31)
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(32))
+    mdl.mean_loss(params, data)
+    tracemalloc.start()
+    try:
+        mdl.mean_loss(params, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * 64 * 8, f"peak {peak / (n * 64 * 8):.1f} row buffers"
+
+
+def test_dropout_drawn_once_per_training_batch(monkeypatch):
+    calls = []
+    draw = mdl.dropout_masks
+
+    def counting(rng, dropout, out):
+        calls.append(out.size)
+        return draw(rng, dropout, out)
+
+    monkeypatch.setattr(mdl, "dropout_masks", counting)
+    data = _toy_dataset(n=70)   # batches of 32, 32 and 6
+    trainer = mdl.Trainer(mdl.init_model(mdl.ModelConfig(), np.random.default_rng(1)),
+                          mdl.OptConfig(), seed=2)
+    trainer.run_epochs(data, 2)
+    assert calls == [32 * 64 * 10, 32 * 64 * 10, 6 * 64 * 10] * 2
+
+    calls.clear()
+    mdl.mean_loss(trainer.params, data)
+    mdl.forward_batch(trainer.params, data.X, data.FB, training=False)
+    still = mdl.Trainer(mdl.init_model(mdl.ModelConfig(dropout=0.0), np.random.default_rng(1)),
+                        mdl.OptConfig(), seed=2)
+    still.run_epochs(data, 2)
+    assert calls == []
+
+
 # --- binary format --------------------------------------------------------------
 
 def test_codec_roundtrip_bitwise():

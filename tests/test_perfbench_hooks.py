@@ -92,3 +92,24 @@ def test_tracer_sees_the_world_path(monkeypatch):
     for name in ("labeling.pairs_front", "labeling.pairs_rear", "labeling.outside",
                  "labeling.examples", "mapping.table_cells", "mapping.pairs"):
         assert values.get(name, 0) > 0, f"{name} counted nothing"
+
+
+def test_tracer_sees_the_train_path(monkeypatch):
+    # a trainer reaches forward, backward and Adam through module globals, so
+    # each step records exactly one call of each; the evaluation records one
+    rng = np.random.default_rng(5)
+    data = labeling.TrainingArrays(X=rng.random((40, 11)), FB=rng.random((40, 4)),
+                                   Y=rng.random((40, 5)))   # batches of 32 and 8
+    trainer = mdl.Trainer(mdl.init_model(mdl.ModelConfig(hidden_width=8), np.random.default_rng(4)),
+                          mdl.OptConfig(), seed=6)
+    epochs, steps = 3, 6
+
+    def body():
+        trainer.run_epochs(data, epochs)
+        mdl.mean_loss(trainer.params, data)
+
+    values = _traced(monkeypatch, body)
+    for name in ("model.forward_batch.train", "model.backward_batch", "model.Adam.step"):
+        assert values.get(f"{name}.calls", 0) == steps, f"{name}: {values.get(f'{name}.calls')}"
+    assert values.get("model.forward_batch.eval.calls", 0) >= 1
+    assert values["model.steps"] == steps
