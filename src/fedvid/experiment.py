@@ -57,13 +57,15 @@ def predict_run(params: mdl.ModelParams, run: labeling.LabeledRun,
     fed back as the next tick's feedback input; zeros for an unmapped sender."""
     preds: list[metrics.TickPrediction] = []
     prev_feedback: dict[int, tuple[float, ...]] = {}
+    workspaces: dict[int, mdl.Workspace] = {}
     for obs in run.observations:
         ids = sorted(m.id for m in obs.messages)
         pairs, entries = [], {}
         if ids:
             X = np.array([labeling.feature_for(run, i, obs.t)[0] for i in ids])
             FB = np.array([prev_feedback.get(i, (0.0,) * 4) for i in ids], dtype=float)
-            y, _ = mdl.forward_batch(params, X, FB, training=False)
+            ws = mdl.workspace_for(workspaces, params, len(ids), keep_layers=False)
+            y, _ = mdl.forward_batch(params, X, FB, training=False, ws=ws)
             boxes = [b.bb_norm for b in obs.front_boxes]
             pairs = mapping.decide_mapping(ids, y, boxes, mcfg).pairs
             mapped = dict(pairs)

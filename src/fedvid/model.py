@@ -125,7 +125,7 @@ def _rows(buf: np.ndarray, batch: int, widths) -> list[np.ndarray]:
 class Workspace:
     """Buffers that the forward and backward pass of one batch size write into
     with `out=`, so that a training step or an evaluation allocates no
-    per-layer arrays. Each call overwrites what the previous one returned.
+    per-layer arrays. Each call overwrites the previous call's cache and gradient.
 
     The last hidden activation is written straight into `h_cat`, beside the
     feedback. With `keep_layers=False` the hidden layers alternate between
@@ -168,6 +168,15 @@ class Workspace:
         dh, dz = (_rows(np.empty(self.batch * max(self.widths)), self.batch, self.widths)
                   for _ in range(2))
         return out, scratch, np.empty(self.h_cat.shape), dh, dz
+
+
+def workspace_for(workspaces: dict[int, Workspace], params: ModelParams, batch: int,
+                  keep_layers: bool = True) -> Workspace:
+    """`workspaces[batch]`, made and kept there on first use."""
+    ws = workspaces.get(batch)
+    if ws is None:
+        ws = workspaces[batch] = Workspace(params, batch, keep_layers)
+    return ws
 
 
 def dropout_masks(rng, dropout: float, out: np.ndarray) -> np.ndarray:
@@ -317,8 +326,8 @@ def train_epoch(params: ModelParams, dataset: TrainingArrays, opt: Adam, rng,
     """One pass of seeded, shuffled mini-batch Adam over a dataset.
 
     Mutates `params` in place and returns it with the mean batch loss.
-    Aborts on a non-finite loss. With `workspaces`, each batch size's
-    workspace is taken from it, or made and kept there.
+    Aborts on a non-finite loss. With `workspaces`, each batch runs in the
+    workspace kept there for its size.
     """
     X, FB, Y = dataset.X, dataset.FB, dataset.Y
     n = X.shape[0]
@@ -329,13 +338,9 @@ def train_epoch(params: ModelParams, dataset: TrainingArrays, opt: Adam, rng,
     losses = []
     weights = []
     bs = opt.cfg.batch_size
-    ws = None
     for start in range(0, n, bs):
         idx = order[start:start + bs]
-        if workspaces is not None:
-            ws = workspaces.get(idx.size)
-            if ws is None:
-                ws = workspaces[idx.size] = Workspace(params, idx.size)
+        ws = workspace_for(workspaces, params, idx.size) if workspaces is not None else None
         y, cache = forward_batch(params, X[idx], FB[idx], training=True, rng=rng, ws=ws)
         loss, dy = _loss_grad_batch(y, Y[idx], params.mu)
         if not np.isfinite(loss):

@@ -64,9 +64,9 @@ def test_predict_run_feeds_back_the_mapped_box(run307, monkeypatch):
     calls = []
     forward = mdl.forward_batch
 
-    def recording_forward(params, X, FB, training=False):
+    def recording_forward(params, X, FB, training=False, ws=None):
         calls.append(FB.copy())
-        return forward(params, X, FB, training=training)
+        return forward(params, X, FB, training=training, ws=ws)
 
     monkeypatch.setattr(mdl, "forward_batch", recording_forward)
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(0))
