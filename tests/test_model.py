@@ -325,7 +325,7 @@ _WORKSPACES = {p: {} for p in _WS_PARAMS}   # shared by every example, as a Trai
        training=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_workspace_outputs_and_gradients_are_byte_identical(batch, dropout, training, seed):
     params = _WS_PARAMS[dropout]
-    ws = _WORKSPACES[dropout].setdefault(batch, mdl.Workspace(params, batch))
+    ws = mdl.workspace_for(_WORKSPACES[dropout], params, batch)
     data = np.random.default_rng(seed)
     x, fb, target = data.random((batch, 11)), data.random((batch, 4)), data.random((batch, 5))
 
@@ -334,16 +334,12 @@ def test_workspace_outputs_and_gradients_are_byte_identical(batch, dropout, trai
         rng = np.random.default_rng(seed) if training else None
         if kind == "reference":
             y, cache = _reference_forward(params, x, fb, training, rng)
+            grad = _reference_backward(params, cache, mdl._loss_grad_batch(y, target, params.mu)[1])
         else:
-            y, cache = mdl.forward_batch(params, x, fb, training=training, rng=rng,
-                                         ws=ws if kind == "workspace" else None)
-        y = y.copy()   # the workspace's next call may not touch what was returned
-        _, dy = mdl._loss_grad_batch(y, target, params.mu)
-        if kind == "reference":
-            grad = _reference_backward(params, cache, dy)
-        else:
-            grad = mdl.backward_batch(params, cache, dy,
-                                      ws if kind == "workspace" else None).flat.copy()
+            use = ws if kind == "workspace" else None
+            y, cache = mdl.forward_batch(params, x, fb, training=training, rng=rng, ws=use)
+            dy = mdl._loss_grad_batch(y, target, params.mu)[1]
+            grad = mdl.backward_batch(params, cache, dy, use).flat
         runs.append((y.tobytes(), grad.tobytes()))
     assert runs[0] == runs[1] == runs[2]
 
@@ -358,7 +354,7 @@ def test_trainer_with_workspaces_matches_train_epoch_without(n, dropout, seed):
                                       Y=data.random((n, 5)))
     trainer = mdl.Trainer(_WS_PARAMS[dropout].copy(), mdl.OptConfig(), seed=seed)
     losses = trainer.run_epochs(dataset, 2)
-    assert sorted(trainer.workspaces) == sorted({min(32, n), n % 32 or min(32, n)})
+    assert set(trainer.workspaces) == {min(n, 32), n % 32 or 32}
 
     params, opt = _WS_PARAMS[dropout].copy(), mdl.Adam(mdl.OptConfig())
     rng = np.random.default_rng(seed)
