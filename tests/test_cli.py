@@ -1,3 +1,4 @@
+import hashlib
 import json
 import socket
 import threading
@@ -199,3 +200,31 @@ def test_world_json_round_trips_camera_config(tmp_path):
     wide = replace(cfg, front_camera=scenario.default_front_camera())
     assert dataset.read_bytes() == alda_jsonl(cfg, "narrow.jsonl")
     assert dataset.read_bytes() != alda_jsonl(wide, "wide.jsonl")
+
+
+def test_cli_round_trip_bytes_pinned(tmp_path):
+    # gen -> label -> train -> eval at default seeds: every file the chain
+    # hands on must keep its bytes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"num_vehicles": 12, "duration": 20.0,
+                                    "weather": "light_haze"}))
+    run_dir, label_dir, model_dir, eval_dir = (tmp_path / d for d in ("run", "labels",
+                                                                      "model", "eval"))
+    assert cli.cli_main(["--seed", "77", "--config", str(cfg_path), "--out", str(run_dir),
+                         "gen"]) == 0
+    assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_dir),
+                         "--mode", "ALDA"]) == 0
+    assert cli.cli_main(["--out", str(model_dir), "train",
+                         "--dataset", str(label_dir / "dataset.jsonl"), "--epochs", "3"]) == 0
+    assert cli.cli_main(["--out", str(eval_dir), "eval", "--model", str(model_dir / "model.fmdf"),
+                         "--run", str(run_dir)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (
+        label_dir / "dataset.jsonl", model_dir / "model.fmdf", eval_dir / "report.csv")}
+    assert digests == {
+        "dataset.jsonl":
+            "14b05ca257e9f7364d12f63c1dad7d4c1b26c80d9cbbd53041f78d6f4d02d842",
+        "model.fmdf":
+            "e98365eb252e72ffa41974cae73d674dd9278627b63966a639af5e0480ca09d8",
+        "report.csv":
+            "7b5d080a642fdc55cf0f6975a217d7c8919528f34b089e828239bb594bcb9f5b",
+    }

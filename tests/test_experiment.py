@@ -1,5 +1,6 @@
 import csv
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,3 +148,21 @@ def test_unknown_training_mode_rejected(tmp_path):
     )
     with pytest.raises(ValueError):
         experiment.run_experiment(cfg, tmp_path)
+
+
+def test_small_experiment_bytes_pinned(tmp_path):
+    # two training worlds, central and federated-2, a few epochs and rounds:
+    # both report files must keep their bytes
+    cfg = experiment.ExperimentConfig(train_seeds=(101, 102), eval_seed=201,
+                                      training_modes=("central", "federated-2"),
+                                      epochs=2, rounds=2, local_epochs=1)
+    cfg = replace(cfg, world=replace(cfg.world, num_vehicles=20, duration=40.0))
+    experiment.run_experiment(cfg, tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("report.csv", "autolabel.csv")}
+    assert digests == {
+        "report.csv":
+            "ee95a14f91127fbd21c8ed370b01c152e7da4510cb3d806e740af31f23ce4dbd",
+        "autolabel.csv":
+            "4e94a808bf192c52623f6821962a6d55080e841aa0cf16b6676fa65335905e3f",
+    }
