@@ -39,7 +39,9 @@ state2, observations2 = scenario.run_scenario(cfg)
 same = all(a.truth_pairs == b.truth_pairs for a, b in zip(observations, observations2))
 print(f"\nre-run with the same seed identical: {same}")
 
-out = Path(tempfile.mkdtemp(prefix="fedvid_world_"))
-scenario.write_run(out, observations)
-print(f"record files written to {out}: "
-      f"{sorted(p.name for p in out.iterdir())}")
+# the recording: a header with the whole WorldConfig, then one line per tick
+path = Path(tempfile.mkdtemp(prefix="fedvid_world_")) / "run.jsonl"
+scenario.write_run(path, cfg, observations)
+cfg_back, observations_back = scenario.read_run(path)
+print(f"run written to {path}: {len(observations_back)} ticks, "
+      f"config read back equal: {cfg_back == cfg}")

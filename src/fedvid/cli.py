@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen (simulate a scenario to record files), label (build the
+Subcommands: gen (simulate a scenario to a run.jsonl file), label (build the
 conversion table and a dataset from a recorded run), train (fit the model on
 a dataset file), serve/client (federated server and participant), eval
 (correctness ratios of a model on a scenario), and demo-tables (print and
@@ -52,6 +52,10 @@ def _world_from_args(args) -> scenario.WorldConfig:
     return scenario.WorldConfig.from_dict(overrides)
 
 
+def _train_seed(args) -> int:
+    return experiment.ExperimentConfig.train_seed if args.seed is None else args.seed
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -60,30 +64,15 @@ def _out_dir(args) -> Path:
 
 def cmd_gen(args) -> int:
     cfg = _world_from_args(args)
-    out = _out_dir(args)
-    ticks = args.ticks if args.ticks is not None else cfg.num_ticks()
-    _, observations = scenario.run_scenario(cfg, ticks=ticks)
-    scenario.write_run(out, observations)
-    with open(out / "world.json", "w") as f:
-        json.dump({**dataclasses.asdict(cfg), "ticks": ticks}, f, indent=2)
-    print(f"wrote {ticks} ticks to {out}")
+    path = _out_dir(args) / "run.jsonl"
+    _, observations = scenario.run_scenario(cfg, ticks=args.ticks)
+    scenario.write_run(path, cfg, observations)
+    print(f"wrote {len(observations)} ticks to {path}")
     return 0
 
 
-def _load_world(run_dir: Path) -> scenario.WorldConfig:
-    meta = run_dir / "world.json"
-    if not meta.exists():
-        raise FileNotFoundError(f"missing {meta}; generate the run with `fedvid gen`")
-    with open(meta) as f:
-        data = json.load(f)
-    data.pop("ticks", None)
-    return scenario.WorldConfig.from_dict(data)
-
-
 def cmd_label(args) -> int:
-    run_dir = Path(args.run)
-    cfg = _load_world(run_dir)
-    observations = scenario.read_run(run_dir)
+    cfg, observations = scenario.read_run(args.run)
     out = _out_dir(args)
 
     confusion = plates.builtin_confusion_table()
@@ -101,7 +90,7 @@ def cmd_label(args) -> int:
 def cmd_train(args) -> int:
     arrays = labeling.read_dataset_jsonl(args.dataset)
     cfg = mdl.ModelConfig(input_dim=arrays.X.shape[1])
-    seed = 7 if args.seed is None else args.seed
+    seed = _train_seed(args)
     params = mdl.init_model(cfg, np.random.default_rng(seed))
     trainer = mdl.Trainer(params, mdl.OptConfig(), seed)
     losses = trainer.run_epochs(arrays, args.epochs)
@@ -113,8 +102,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    seed = 7 if args.seed is None else args.seed
-    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(seed))
+    if args.min_clients > args.clients:
+        raise UsageError(f"--min-clients {args.min_clients} exceeds --clients {args.clients}")
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(_train_seed(args)))
     server = fed.FedServer(
         params, expected_clients=args.clients, rounds=args.rounds,
         min_clients=args.min_clients, timeout_s=args.timeout, host=args.host, port=args.port,
@@ -133,7 +123,7 @@ def cmd_serve(args) -> int:
 
 def cmd_client(args) -> int:
     arrays = labeling.read_dataset_jsonl(args.dataset)
-    seed = 1000 + args.id if args.seed is None else args.seed
+    seed = experiment.client_seed(_train_seed(args), args.id)
     client = fed.FedClient(client_id=args.id, dataset=arrays, opt_cfg=mdl.OptConfig(),
                            seed=seed, local_epochs=args.local_epochs)
     rounds = client.run(args.host, args.port, timeout=args.timeout)
@@ -148,9 +138,7 @@ def cmd_eval(args) -> int:
     params = mdl.load_model(model_path)
     cct = plates.default_conversion_table()
     if args.run:
-        run_dir = Path(args.run)
-        cfg = _load_world(run_dir)
-        observations = scenario.read_run(run_dir)
+        cfg, observations = scenario.read_run(args.run)
     else:
         cfg = _world_from_args(args)
         _, observations = scenario.run_scenario(cfg, cct=cct)
@@ -201,12 +189,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--out", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("gen", help="simulate a scenario into record files")
+    p = sub.add_parser("gen", help="simulate a scenario into run.jsonl")
     p.add_argument("--ticks", type=_count, default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("label", help="auto-label a recorded run into a dataset")
-    p.add_argument("--run", required=True, help="directory written by gen")
+    p.add_argument("--run", required=True, help="run.jsonl written by gen")
     p.add_argument("--mode", default="ALDA", choices=[m.value for m in labeling.DatasetMode])
     p.set_defaults(func=cmd_label)
 
@@ -218,9 +206,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("serve", help="run the federated parameter server")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
-    p.add_argument("--clients", type=int, required=True)
-    p.add_argument("--rounds", type=int, default=50)
-    p.add_argument("--min-clients", type=int, default=1)
+    p.add_argument("--clients", type=_count, required=True)
+    p.add_argument("--rounds", type=_count, default=50)
+    p.add_argument("--min-clients", type=_count, default=1)
     p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)
     p.set_defaults(func=cmd_serve)
 
@@ -229,13 +217,13 @@ def build_parser() -> _Parser:
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--local-epochs", type=int, default=1)
+    p.add_argument("--local-epochs", type=_count, default=1)
     p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)
     p.set_defaults(func=cmd_client)
 
     p = sub.add_parser("eval", help="evaluate a model on a scenario")
     p.add_argument("--model", required=True)
-    p.add_argument("--run", default=None, help="recorded run directory (else --seed)")
+    p.add_argument("--run", default=None, help="run.jsonl written by gen (else --seed)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("demo-tables", help="print and check the worked examples")

@@ -122,11 +122,17 @@ def split_shards(arrays: labeling.TrainingArrays, n: int) -> list[labeling.Train
     return shards
 
 
+def client_seed(train_seed: int, client_id: int) -> int:
+    """Training seed of federated client `client_id` (ids count from 1) in a
+    session seeded with `train_seed`."""
+    return train_seed + 1000 * client_id
+
+
 def train_federated(arrays: labeling.TrainingArrays, n_clients: int, cfg: ExperimentConfig,
                     eval_dataset=None):
     params0 = mdl.init_model(cfg.model_cfg, np.random.default_rng(cfg.train_seed))
     shards = split_shards(arrays, n_clients)
-    seeds = [cfg.train_seed + 1000 * (i + 1) for i in range(n_clients)]
+    seeds = [client_seed(cfg.train_seed, i + 1) for i in range(n_clients)]
     return fed.train_federated_tcp(
         shards, params0, cfg.opt_cfg, rounds=cfg.rounds, seeds=seeds,
         local_epochs=cfg.local_epochs, eval_dataset=eval_dataset,

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -553,6 +552,9 @@ def run_scenario(cfg: WorldConfig, ticks: int | None = None,
 
 # --- record files ------------------------------------------------------------
 
+_POSE_KEYS = ("lat", "lng", "ori", "spd")   # of a message and of the ego record
+
+
 def _sig9(x: float) -> float:
     return float(f"{x:.9g}")
 
@@ -566,34 +568,29 @@ def _box_record(b: DetectedBox) -> dict:
     }
 
 
-def write_run(out_dir, observations: list[Observation]) -> None:
-    """Write frames/messages/sensors/truth record files, one JSON object per tick."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "frames.jsonl", "w") as ff, \
-            open(out / "messages.jsonl", "w") as mf, \
-            open(out / "sensors.jsonl", "w") as sf, \
-            open(out / "truth.jsonl", "w") as tf:
+def _pose_record(x) -> dict:
+    return {k: _sig9(getattr(x, k)) for k in _POSE_KEYS}
+
+
+def write_run(path, cfg: WorldConfig, observations: list[Observation]) -> None:
+    """Write a run as one JSON-lines file: a header `{"world": asdict(cfg),
+    "ticks": n}`, then one record per tick. Each record's `truth_pairs` is
+    the simulator's answer key, which the pipeline never reads. A config that
+    JSON cannot hold (an infinite camera range, say) raises ValueError."""
+    try:
+        header = json.dumps({"world": asdict(cfg), "ticks": len(observations)}, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: cannot record a world config with a non-finite field: "
+                         f"{exc}") from None
+    with open(path, "w") as f:
+        f.write(header + "\n")
         for obs in observations:
-            ff.write(json.dumps({
+            f.write(json.dumps({
                 "t": obs.t,
                 "front_boxes": [_box_record(b) for b in obs.front_boxes],
                 "rear_boxes": [_box_record(b) for b in obs.rear_boxes],
-            }) + "\n")
-            mf.write(json.dumps({
-                "t": obs.t,
-                "messages": [{
-                    "lat": _sig9(m.lat), "lng": _sig9(m.lng), "ori": _sig9(m.ori),
-                    "spd": _sig9(m.spd), "id": m.id,
-                } for m in obs.messages],
-            }) + "\n")
-            sf.write(json.dumps({
-                "t": obs.t,
-                "lat": _sig9(obs.ego_sensors.lat), "lng": _sig9(obs.ego_sensors.lng),
-                "ori": _sig9(obs.ego_sensors.ori), "spd": _sig9(obs.ego_sensors.spd),
-            }) + "\n")
-            tf.write(json.dumps({
-                "t": obs.t,
+                "messages": [{**_pose_record(m), "id": m.id} for m in obs.messages],
+                "ego": _pose_record(obs.ego_sensors),
                 "truth_pairs": {str(k): v for k, v in obs.truth_pairs.items()},
             }) + "\n")
 
@@ -638,55 +635,60 @@ def _typed(key, v, *types):
 
 
 def _box(d) -> DetectedBox:
-    return DetectedBox(vehicle_ref=_typed("vehicle_ref", d["vehicle_ref"], int),
-                       bb_norm=tuple(map(_num, d["bb_norm"])),
+    bb_norm = tuple(map(_num, d["bb_norm"]))
+    if len(bb_norm) != 4:
+        raise ValueError(f"bb_norm {d['bb_norm']!r} does not hold 4 numbers")
+    return DetectedBox(vehicle_ref=_typed("vehicle_ref", d["vehicle_ref"], int), bb_norm=bb_norm,
                        plate_readable=_typed("plate_readable", d["plate_readable"], bool),
                        plate_read=_typed("plate_read", d.get("plate_read"), str, type(None)))
 
 
-def _read_records(path, build) -> list[tuple[str, int, object]]:
-    """`(where, tick, build(record))` per record of one record file."""
+def _pose(d) -> dict:
+    return {k: _num(d[k]) for k in _POSE_KEYS}
+
+
+def _observation(rec: dict) -> Observation:
+    front = [_box(b) for b in rec["front_boxes"]]
+    messages = [Message(**_pose(m), id=_typed("id", m["id"], int)) for m in rec["messages"]]
+    truth = {int(k): _typed("truth box", v, int) for k, v in rec["truth_pairs"].items()}
+    for v in truth.values():
+        if v != OUTSIDE and not 0 <= v < len(front):
+            raise ValueError(f"truth box {v} is neither {OUTSIDE} nor one of "
+                             f"{len(front)} front boxes")
+    if sorted(m.id for m in messages) != sorted(truth):
+        raise ValueError("message ids differ from the truth senders")
+    return Observation(t=_typed("t", rec["t"], int), front_boxes=front,
+                       rear_boxes=[_box(b) for b in rec["rear_boxes"]], messages=messages,
+                       ego_sensors=SensorRecord(**_pose(rec["ego"])), truth_pairs=truth)
+
+
+def _parsed(where: str, what: str, build, rec):
+    """`build(rec)`, with any error it raises named as a ValueError at `where`."""
+    try:
+        return build(rec)
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: malformed {what}: {exc}") from None
+
+
+def read_run(path) -> tuple[WorldConfig, list[Observation]]:
+    """Rebuild a run's world config and observation stream from its file.
+    A damaged header or record raises ValueError naming `path:line`, and a
+    file that holds fewer or more ticks than its header says names the file."""
+    records = read_jsonl(path)
+    where, header = next(records, (f"{path}:1", {}))
+    cfg, ticks = _parsed(where, "header", lambda h: (
+        WorldConfig.from_dict(h["world"]), _typed("ticks", h["ticks"], int)), header)
     out = []
-    for where, rec in read_jsonl(path):
-        try:
-            out.append((where, _num(rec["t"]), build(rec)))
-        except KeyError as exc:
-            raise ValueError(f"{where}: missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: malformed record: {exc}") from None
-    return out
-
-
-def read_run(run_dir) -> list[Observation]:
-    """Rebuild an observation stream from the record files. A damaged or
-    inconsistent record raises ValueError naming `path:line`."""
-    run = Path(run_dir)
-    names = ("frames.jsonl", "messages.jsonl", "sensors.jsonl", "truth.jsonl")
-    files = [_read_records(run / name, build) for name, build in zip(names, (
-        lambda r: ([_box(b) for b in r["front_boxes"]], [_box(b) for b in r["rear_boxes"]]),
-        lambda r: [Message(lat=_num(m["lat"]), lng=_num(m["lng"]), ori=_num(m["ori"]),
-                           spd=_num(m["spd"]), id=_num(m["id"])) for m in r["messages"]],
-        lambda r: SensorRecord(lat=_num(r["lat"]), lng=_num(r["lng"]),
-                               ori=_num(r["ori"]), spd=_num(r["spd"])),
-        lambda r: {int(k): v for k, v in r["truth_pairs"].items()},
-    ))]
-    if len({len(records) for records in files}) > 1:
-        raise ValueError("record files disagree on tick count: " + ", ".join(
-            f"{run / name} has {len(records)}" for name, records in zip(names, files)))
-
-    out = []
-    for frame, msgs, sensors, truth in zip(*files):
-        fw, t, (front, rear) = frame
-        if out and t <= out[-1].t:
-            raise ValueError(f"{fw}: tick {t} does not follow tick {out[-1].t}")
-        for where, tick, _ in (msgs, sensors, truth):
-            if tick != t:
-                raise ValueError(f"{where}: tick {tick}, but {fw} holds tick {t}")
-        if sorted(m.id for m in msgs[2]) != sorted(truth[2]):
-            raise ValueError(f"{msgs[0]}: message ids differ from the senders at {truth[0]}")
-        out.append(Observation(t=t, front_boxes=front, rear_boxes=rear, messages=msgs[2],
-                               ego_sensors=sensors[2], truth_pairs=truth[2]))
-    return out
+    for where, rec in records:
+        obs = _parsed(where, "record", _observation, rec)
+        if out and obs.t <= out[-1].t:
+            raise ValueError(f"{where}: tick {obs.t} does not follow tick {out[-1].t}")
+        out.append(obs)
+    if len(out) != ticks:
+        raise ValueError(f"{path}: the header promises {ticks} ticks, the file holds {len(out)}")
+    return cfg, out
 
 
 def lossless_config(seed: int, **overrides) -> WorldConfig:

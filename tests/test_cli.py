@@ -2,12 +2,13 @@ import hashlib
 import json
 import socket
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedvid import cli, experiment, labeling, model as mdl, plates, scenario
+from fedvid import cli, experiment, fed, labeling, model as mdl, plates, scenario
 
 
 def test_no_arguments_usage_exit_1(capsys):
@@ -47,6 +48,9 @@ def test_gen_requires_seed(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["gen", "--ticks", "0"], ["gen", "--ticks", "-4"],
     ["train", "--dataset", "x.jsonl", "--epochs", "0"],
+    ["serve", "--clients", "0"], ["serve", "--clients", "2", "--rounds", "0"],
+    ["serve", "--clients", "2", "--min-clients", "-1"],
+    ["client", "--port", "9", "--id", "1", "--dataset", "x.jsonl", "--local-epochs", "0"],
 ])
 def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
     flag, value = argv[-2:]
@@ -54,6 +58,24 @@ def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"argument {flag}: '{value}' is not an integer of at least 1" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_min_clients_above_clients_is_a_usage_error(tmp_path, capsys):
+    assert cli.cli_main(["--out", str(tmp_path), "serve", "--clients", "2",
+                         "--min-clients", "3"]) == 1
+    assert "--min-clients 3 exceeds --clients 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_flag_names_a_path_that_is_no_run_file(tmp_path, capsys):
+    # a directory of the old four record files is not a run
+    (tmp_path / "frames.jsonl").write_text("{}\n")
+    model_path = tmp_path / "model.fmdf"
+    mdl.save_model(mdl.init_model(mdl.ModelConfig(), np.random.default_rng(3)), model_path)
+    for command in (["label", "--run", str(tmp_path)],
+                    ["eval", "--model", str(model_path), "--run", str(tmp_path)]):
+        assert cli.cli_main(["--out", str(tmp_path / "out"), *command]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_full_cli_pipeline(tmp_path, capsys):
@@ -64,11 +86,11 @@ def test_full_cli_pipeline(tmp_path, capsys):
 
     assert cli.cli_main(["--seed", "77", "--config", str(cfg_path),
                          "--out", str(run_dir), "gen"]) == 0
-    for name in ("frames.jsonl", "messages.jsonl", "sensors.jsonl", "truth.jsonl", "world.json"):
-        assert (run_dir / name).exists()
+    assert [p.name for p in run_dir.iterdir()] == ["run.jsonl"]
+    run_path = run_dir / "run.jsonl"
 
     label_dir = tmp_path / "labels"
-    assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_dir),
+    assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_path),
                          "--mode", "MANUAL"]) == 0
     assert (label_dir / "dataset.jsonl").exists()
     assert (label_dir / "cct.json").exists()
@@ -85,7 +107,7 @@ def test_full_cli_pipeline(tmp_path, capsys):
     eval_dir = tmp_path / "eval"
     assert cli.cli_main(["--out", str(eval_dir), "eval",
                          "--model", str(model_dir / "model.fmdf"),
-                         "--run", str(run_dir)]) == 0
+                         "--run", str(run_path)]) == 0
     assert (eval_dir / "report.csv").exists()
     out = capsys.readouterr().out
     assert "CR_total=" in out
@@ -116,15 +138,14 @@ def _free_port() -> int:
 
 
 def test_serve_and_client_subcommands(tmp_path):
-    import time
-
     cfg_path = tmp_path / "w.json"
     cfg_path.write_text(json.dumps({"num_vehicles": 10, "duration": 10.0}))
     run_dir = tmp_path / "run"
     assert cli.cli_main(["--seed", "78", "--config", str(cfg_path),
                          "--out", str(run_dir), "gen"]) == 0
     label_dir = tmp_path / "labels"
-    assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_dir)]) == 0
+    assert cli.cli_main(["--out", str(label_dir), "label",
+                         "--run", str(run_dir / "run.jsonl")]) == 0
     dataset = str(label_dir / "dataset.jsonl")
 
     port = _free_port()
@@ -153,16 +174,16 @@ def test_serve_and_client_subcommands(tmp_path):
 
 
 def _gen_and_label(tmp_path, cfg):
-    """gen a seed-79 run from `cfg` and label it as ALDA; returns (run dir, dataset)."""
+    """gen a seed-79 run from `cfg` and label it as ALDA; returns (run file, dataset)."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     run_dir = tmp_path / "run"
     assert cli.cli_main(["--seed", "79", "--config", str(cfg_path),
                          "--out", str(run_dir), "gen"]) == 0
     label_dir = tmp_path / "labels"
-    assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_dir),
+    assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_dir / "run.jsonl"),
                          "--mode", "ALDA"]) == 0
-    return run_dir, label_dir / "dataset.jsonl"
+    return run_dir / "run.jsonl", label_dir / "dataset.jsonl"
 
 
 def test_train_seed_zero_is_honoured(tmp_path):
@@ -176,18 +197,17 @@ def test_train_seed_zero_is_honoured(tmp_path):
     assert models["0"] != models["7"]
 
 
-def test_world_json_round_trips_camera_config(tmp_path):
+def test_run_header_round_trips_camera_config(tmp_path):
     front = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720,
              "facing": "front", "max_range": 60.0}
     world = {"num_vehicles": 20, "duration": 30.0, "front_camera": front}
-    run_dir, dataset = _gen_and_label(tmp_path, world)
+    run_path, dataset = _gen_and_label(tmp_path, world)
 
-    cfg = cli._load_world(run_dir)
+    cfg, observations = scenario.read_run(run_path)
     assert cfg.front_camera.hfov_deg == 60.0
     assert cfg == scenario.WorldConfig.from_dict({**world, "seed": 79})
 
     # label must run the field-of-view test with the 60 degree camera
-    observations = scenario.read_run(run_dir)
     cct = plates.default_conversion_table()
 
     def alda_jsonl(world_cfg, name):
@@ -212,12 +232,12 @@ def test_cli_round_trip_bytes_pinned(tmp_path):
                                                                       "model", "eval"))
     assert cli.cli_main(["--seed", "77", "--config", str(cfg_path), "--out", str(run_dir),
                          "gen"]) == 0
-    assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_dir),
+    assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_dir / "run.jsonl"),
                          "--mode", "ALDA"]) == 0
     assert cli.cli_main(["--out", str(model_dir), "train",
                          "--dataset", str(label_dir / "dataset.jsonl"), "--epochs", "3"]) == 0
     assert cli.cli_main(["--out", str(eval_dir), "eval", "--model", str(model_dir / "model.fmdf"),
-                         "--run", str(run_dir)]) == 0
+                         "--run", str(run_dir / "run.jsonl")]) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (
         label_dir / "dataset.jsonl", model_dir / "model.fmdf", eval_dir / "report.csv")}
     assert digests == {
@@ -228,3 +248,47 @@ def test_cli_round_trip_bytes_pinned(tmp_path):
         "report.csv":
             "7b5d080a642fdc55cf0f6975a217d7c8919528f34b089e828239bb594bcb9f5b",
     }
+
+
+def test_cli_session_at_default_seeds_matches_train_federated_tcp(tmp_path):
+    # serve and two clients, every seed left to its default, train the same
+    # streams as a threaded session on the same two datasets
+    datasets = []
+    for seed in (81, 82):
+        _, run = experiment.simulate_and_label(
+            scenario.WorldConfig(seed=0, num_vehicles=12, duration=15.0), seed)
+        path = tmp_path / f"shard{seed}.jsonl"
+        labeling.write_dataset_jsonl(path, labeling.assemble_dataset(run, labeling.DatasetMode.ALDA))
+        datasets.append(path)
+
+    port = _free_port()
+    serve_dir = tmp_path / "serve"
+    rc = {}
+
+    def serve():
+        rc["serve"] = cli.cli_main(["--out", str(serve_dir), "serve", "--port", str(port),
+                                    "--clients", "2", "--rounds", "3", "--timeout", "10"])
+
+    def client(cid):
+        for _ in range(50):  # wait for the listener to come up
+            rc[cid] = cli.cli_main(["client", "--port", str(port), "--id", str(cid),
+                                    "--dataset", str(datasets[cid - 1]), "--timeout", "10"])
+            if rc[cid] == 0:
+                return
+            time.sleep(0.1)
+
+    threads = [threading.Thread(target=f, args=a, daemon=True)
+               for f, a in ((serve, ()), (client, (1,)), (client, (2,)))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+    assert rc == {"serve": 0, 1: 0, 2: 0}
+
+    train_seed = experiment.ExperimentConfig.train_seed
+    init = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(train_seed))
+    final, _, _, _ = fed.train_federated_tcp(
+        [labeling.read_dataset_jsonl(p) for p in datasets], init, mdl.OptConfig(), rounds=3,
+        seeds=[train_seed + 1000, train_seed + 2000], timeout=30.0)
+    mdl.save_model(final, tmp_path / "threads.fmdf")
+    assert (serve_dir / "model.fmdf").read_bytes() == (tmp_path / "threads.fmdf").read_bytes()

@@ -365,10 +365,12 @@ def test_plate_unreadable_below_min_height():
 def test_run_files_roundtrip(tmp_path):
     cfg = _world(num_vehicles=15, seed=19, duration=5.0)
     _, observations = scenario.run_scenario(cfg)
-    scenario.write_run(tmp_path, observations)
-    for name in ("frames.jsonl", "messages.jsonl", "sensors.jsonl", "truth.jsonl"):
-        assert (tmp_path / name).exists()
-    back = scenario.read_run(tmp_path)
+    path = tmp_path / "run.jsonl"
+    scenario.write_run(path, cfg, observations)
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header == {"world": dataclasses.asdict(cfg), "ticks": len(observations)}
+    cfg_back, back = scenario.read_run(path)
+    assert cfg_back == cfg
     assert len(back) == len(observations)
     for a, b in zip(observations, back):
         assert a.t == b.t
@@ -381,31 +383,28 @@ def test_run_files_roundtrip(tmp_path):
         for mx, my in zip(a.messages, b.messages):
             assert mx.id == my.id
             assert abs(mx.lat - my.lat) < 1e-7
+        assert abs(a.ego_sensors.lng - b.ego_sensors.lng) < 1e-6
 
 
-def test_read_run_ignores_legacy_message_state(tmp_path):
-    # record files from before the always-"cruising" state field was dropped
-    cfg = _world(num_vehicles=15, seed=19, duration=5.0)
+def test_write_run_refuses_a_config_json_cannot_hold(tmp_path):
+    cfg = scenario.lossless_config(seed=3, num_vehicles=4, duration=1.0)  # infinite ranges
     _, observations = scenario.run_scenario(cfg)
-    scenario.write_run(tmp_path, observations)
-    path = tmp_path / "messages.jsonl"
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    for rec in records:
-        for m in rec["messages"]:
-            m["state"] = "cruising"
-    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
-    back = scenario.read_run(tmp_path)
-    ids = [[m.id for m in o.messages] for o in observations]
-    assert [[m.id for m in o.messages] for o in back] == ids
+    path = tmp_path / "run.jsonl"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: cannot record ")):
+        scenario.write_run(path, cfg, observations)
+    assert not path.exists()
 
 
 # --- record reader errors -------------------------------------------------------------
 
 def _written_run(tmp_path, ticks=10):
+    """A seed-19 run of `ticks` ticks written to tmp_path/run.jsonl; line 1 is
+    the header, so tick t is on line t + 1."""
     cfg = _world(num_vehicles=15, seed=19, duration=5.0)
     _, observations = scenario.run_scenario(cfg, ticks=ticks)
-    scenario.write_run(tmp_path, observations)
-    return observations
+    path = tmp_path / "run.jsonl"
+    scenario.write_run(path, cfg, observations)
+    return path, observations
 
 
 def _edit_record(path, line, edit):
@@ -414,48 +413,45 @@ def _edit_record(path, line, edit):
     path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
 
 
-def _read_error(tmp_path):
+def _read_error(path):
     with pytest.raises(ValueError) as exc:
-        scenario.read_run(tmp_path)
+        scenario.read_run(path)
     return str(exc.value)
 
 
 def test_read_run_rejects_non_finite_values(tmp_path):
-    _written_run(tmp_path)
-    path = tmp_path / "messages.jsonl"
-    _edit_record(path, 2, lambda rec: rec["messages"][0].update(lat=float("nan")))
-    msg = _read_error(tmp_path)
-    assert msg.startswith(f"{path}:2: ") and "non-finite value NaN" in msg
+    path, _ = _written_run(tmp_path)
+    _edit_record(path, 3, lambda rec: rec["messages"][0].update(lat=float("nan")))
+    msg = _read_error(path)
+    assert msg.startswith(f"{path}:3: ") and "non-finite value NaN" in msg
     path.write_text(path.read_text().replace("NaN", "1e999"))
-    assert _read_error(tmp_path).startswith(f"{path}:2: ")
+    assert _read_error(path).startswith(f"{path}:3: ")
 
 
 def test_read_run_names_line_of_missing_key(tmp_path):
-    _written_run(tmp_path)
-    path = tmp_path / "messages.jsonl"
-    _edit_record(path, 3, lambda rec: rec["messages"][0].pop("spd"))
-    assert _read_error(tmp_path) == f"{path}:3: missing key 'spd'"
+    path, _ = _written_run(tmp_path)
+    _edit_record(path, 4, lambda rec: rec["messages"][0].pop("spd"))
+    assert _read_error(path) == f"{path}:4: missing key 'spd'"
 
 
 def test_read_run_names_line_of_truncated_record(tmp_path):
-    _written_run(tmp_path)
-    path = tmp_path / "sensors.jsonl"
+    path, _ = _written_run(tmp_path)
     lines = path.read_text().splitlines()
-    lines[1] = lines[1][:-9]
+    lines[2] = lines[2][:-9]
     path.write_text("\n".join(lines) + "\n")
-    msg = _read_error(tmp_path)
-    assert msg.startswith(f"{path}:2: not JSON: ")
+    assert _read_error(path).startswith(f"{path}:3: not JSON: ")
 
 
 def test_read_run_names_line_of_wrong_type(tmp_path):
-    _written_run(tmp_path)
-    path = tmp_path / "frames.jsonl"
-    _edit_record(path, 4, lambda rec: rec.update(front_boxes=5))
-    assert _read_error(tmp_path).startswith(f"{path}:4: malformed record: ")
-    _written_run(tmp_path)
-    path = tmp_path / "sensors.jsonl"
-    _edit_record(path, 4, lambda rec: rec.update(spd="12.5"))
-    assert _read_error(tmp_path) == f"{path}:4: malformed record: '12.5' is not a number"
+    path, _ = _written_run(tmp_path)
+    _edit_record(path, 5, lambda rec: rec.update(front_boxes=5))
+    assert _read_error(path).startswith(f"{path}:5: malformed record: ")
+    path, _ = _written_run(tmp_path)
+    _edit_record(path, 5, lambda rec: rec["ego"].update(spd="12.5"))
+    assert _read_error(path) == f"{path}:5: malformed record: '12.5' is not a number"
+    path, _ = _written_run(tmp_path)
+    _edit_record(path, 5, lambda rec: rec.update(t=5.0))
+    assert _read_error(path) == f"{path}:5: malformed record: t 5.0 is not int"
 
 
 @pytest.mark.parametrize("key,value", [
@@ -464,62 +460,99 @@ def test_read_run_names_line_of_wrong_type(tmp_path):
 ], ids=["plate_read-int", "plate_read-list", "vehicle_ref-str", "vehicle_ref-bool",
         "plate_readable-int"])
 def test_read_run_names_line_of_wrong_box_field_type(key, value, tmp_path):
-    observations = _written_run(tmp_path)
-    line = next(i for i, obs in enumerate(observations, 1) if obs.front_boxes)
-    path = tmp_path / "frames.jsonl"
+    path, observations = _written_run(tmp_path)
+    line = next(obs.t + 1 for obs in observations if obs.front_boxes)
     _edit_record(path, line, lambda rec: rec["front_boxes"][0].update({key: value}))
-    msg = _read_error(tmp_path)
+    msg = _read_error(path)
     assert msg.startswith(f"{path}:{line}: malformed record: {key} {value!r} is not ")
 
 
-def test_read_run_names_line_of_mismatched_tick(tmp_path):
-    _written_run(tmp_path)
-    path = tmp_path / "truth.jsonl"
-    _edit_record(path, 5, lambda rec: rec.update(t=rec["t"] + 1))
-    msg = _read_error(tmp_path)
-    assert msg == f"{path}:5: tick 6, but {tmp_path / 'frames.jsonl'}:5 holds tick 5"
+def test_read_run_names_line_of_short_box(tmp_path):
+    path, observations = _written_run(tmp_path)
+    line = next(obs.t + 1 for obs in observations if obs.front_boxes)
+    _edit_record(path, line, lambda rec: rec["front_boxes"][0]["bb_norm"].pop())
+    msg = _read_error(path)
+    assert msg.startswith(f"{path}:{line}: malformed record: bb_norm [")
+    assert msg.endswith("] does not hold 4 numbers")
+
+
+@pytest.mark.parametrize("value", ["x", True, 1.5, 99, -2, None])
+def test_read_run_names_line_of_bad_truth_box(value, tmp_path):
+    path, observations = _written_run(tmp_path)
+    # on a tick with one front box, only -1 (outside) and 0 are truth boxes
+    line = next(obs.t + 1 for obs in observations if len(obs.front_boxes) == 1)
+
+    def edit(rec):
+        sender = next(iter(rec["truth_pairs"]))
+        rec["truth_pairs"][sender] = value
+    _edit_record(path, line, edit)
+    msg = _read_error(path)
+    assert msg.startswith(f"{path}:{line}: malformed record: truth box {value!r} ")
+
+
+@pytest.mark.parametrize("value", ["12", True, 1.5, None])
+def test_read_run_names_line_of_message_id_of_wrong_type(value, tmp_path):
+    path, _ = _written_run(tmp_path)
+    _edit_record(path, 4, lambda rec: rec["messages"][0].update(id=value))
+    assert _read_error(path).startswith(f"{path}:4: malformed record: id {value!r} is not int")
 
 
 @pytest.mark.parametrize("edit,line,message", [
-    (lambda lines: lines[:3] + lines[2:], 4, "tick 3 does not follow tick 3"),
-    (lambda lines: lines[:3] + [lines[4], lines[3]] + lines[5:], 5,
+    (lambda lines: lines[:4] + lines[3:], 5, "tick 3 does not follow tick 3"),
+    (lambda lines: lines[:4] + [lines[5], lines[4]] + lines[6:], 6,
      "tick 4 does not follow tick 5"),
 ], ids=["repeated", "swapped"])
 def test_read_run_rejects_ticks_that_do_not_increase(edit, line, message, tmp_path):
-    _written_run(tmp_path)
-    for name in ("frames.jsonl", "messages.jsonl", "sensors.jsonl", "truth.jsonl"):
-        path = tmp_path / name
-        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
-    assert _read_error(tmp_path) == f"{tmp_path / 'frames.jsonl'}:{line}: {message}"
-
-
-def test_read_run_names_files_of_mismatched_tick_count(tmp_path):
-    _written_run(tmp_path)
-    path = tmp_path / "messages.jsonl"
-    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-    msg = _read_error(tmp_path)
-    assert f"{path} has 9" in msg and f"{tmp_path / 'frames.jsonl'} has 10" in msg
+    path, _ = _written_run(tmp_path)
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    assert _read_error(path) == f"{path}:{line}: {message}"
 
 
 def test_read_run_checks_message_ids_against_truth(tmp_path):
-    _written_run(tmp_path)
-    path = tmp_path / "messages.jsonl"
-    _edit_record(path, 6, lambda rec: rec["messages"][0].update(id=999))
-    msg = _read_error(tmp_path)
-    assert msg == f"{path}:6: message ids differ from the senders at {tmp_path / 'truth.jsonl'}:6"
+    path, _ = _written_run(tmp_path)
+    _edit_record(path, 7, lambda rec: rec["messages"][0].update(id=999))
+    msg = _read_error(path)
+    assert msg == f"{path}:7: malformed record: message ids differ from the truth senders"
 
 
-def _message_values(observations):
-    return [[(m.lat, m.lng, m.ori, m.spd) for m in o.messages] for o in observations]
+@pytest.mark.parametrize("lines,message", [
+    (lambda lines: [], "missing key 'world'"),
+    (lambda lines: lines[1:], "missing key 'world'"),
+    (lambda lines: ['{"world": {"seed": 19, "weather": "sunny"}, "ticks": 10}\n', *lines[1:]],
+     "malformed header: unknown weather 'sunny'"),
+    (lambda lines: ['{"world": {"seed": 19, "fog": 1}, "ticks": 10}\n', *lines[1:]],
+     "malformed header: "),
+    (lambda lines: ['{"world": {"seed": 19}, "ticks": "10"}\n', *lines[1:]],
+     "malformed header: ticks '10' is not int"),
+], ids=["empty", "no-header", "bad-weather", "unknown-field", "ticks-str"])
+def test_read_run_names_line_1_of_a_bad_header(lines, message, tmp_path):
+    path, _ = _written_run(tmp_path)
+    path.write_text("".join(lines(path.read_text().splitlines(keepends=True))))
+    assert _read_error(path).startswith(f"{path}:1: {message}")
+
+
+def test_read_run_names_the_file_cut_at_a_line_boundary(tmp_path):
+    path, _ = _written_run(tmp_path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    assert _read_error(path) == f"{path}: the header promises 10 ticks, the file holds 9"
+
+
+def _scalars(x, at=()):
+    """`(place, value)` of every leaf of a config, observation or container."""
+    if dataclasses.is_dataclass(x):
+        x = vars(x)
+    if isinstance(x, dict):
+        return [leaf for k, v in x.items() for leaf in _scalars(v, (*at, k))]
+    if isinstance(x, (list, tuple)):
+        return [leaf for i, v in enumerate(x) for leaf in _scalars(v, (*at, i))]
+    return [(at, x)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_damaged_messages_load_as_written_or_name_the_file(tmp_path_factory, data):
-    run_dir = tmp_path_factory.mktemp("damaged")
-    _written_run(run_dir)
-    written = scenario.read_run(run_dir)
-    path = run_dir / "messages.jsonl"
+def test_damaged_run_loads_as_written_or_names_the_file(tmp_path_factory, data):
+    path, _ = _written_run(tmp_path_factory.mktemp("damaged"))
+    written = _scalars(scenario.read_run(path))
     raw = path.read_bytes()
     if data.draw(st.booleans(), label="truncate"):
         damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
@@ -528,28 +561,26 @@ def test_damaged_messages_load_as_written_or_name_the_file(tmp_path_factory, dat
         damaged = raw[:i] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[i + 1:]
     path.write_bytes(damaged)
     try:
-        back = scenario.read_run(run_dir)
-    except ValueError as exc:   # a damaged line, or a tick count that differs
-        assert re.search(re.escape(str(path)) + r"(:\d+: | has \d+)", str(exc))
+        back = _scalars(scenario.read_run(path))
+    except ValueError as exc:   # a damaged line, or fewer ticks than the header says
+        assert re.match(re.escape(str(path)) + r"(:\d+: |: the header promises \d+ ticks)",
+                        str(exc))
         return
-    # a byte inside one number may change that number, and nothing else
-    assert [(o.t, [m.id for m in o.messages]) for o in back] == \
-        [(o.t, [m.id for m in o.messages]) for o in written]
-    changed = [(a, b) for ta, tb in zip(_message_values(back), _message_values(written))
-               for ma, mb in zip(ta, tb) for a, b in zip(ma, mb) if a != b]
+    # a byte inside one value may change that value, and nothing else
+    assert [place for place, _ in back] == [place for place, _ in written]
+    changed = [(a, b) for (_, a), (_, b) in zip(back, written) if a != b]
     assert len(changed) <= 1
-    for a, _ in changed:
-        assert type(a) in (int, float) and math.isfinite(a)
-    rest = [[(o.front_boxes, o.rear_boxes, o.ego_sensors, o.truth_pairs) for o in obs]
-            for obs in (back, written)]
-    assert rest[0] == rest[1]
+    for a, b in changed:
+        assert type(a) in (int, float, str) and type(b) in (int, float, str)
+        assert type(a) is str or math.isfinite(a)
 
 
 def test_run_files_nine_significant_digits(tmp_path):
     cfg = _world(num_vehicles=5, seed=19, duration=2.0)
     _, observations = scenario.run_scenario(cfg)
-    scenario.write_run(tmp_path, observations)
-    import json as _json
-    with open(tmp_path / "sensors.jsonl") as f:
-        rec = _json.loads(f.readline())
-    assert float(f"{rec['lat']:.9g}") == rec["lat"]
+    path = tmp_path / "run.jsonl"
+    scenario.write_run(path, cfg, observations)
+    with open(path) as f:
+        f.readline()   # the header
+        rec = json.loads(f.readline())
+    assert float(f"{rec['ego']['lat']:.9g}") == rec["ego"]["lat"]
