@@ -640,7 +640,7 @@ def _box(d) -> DetectedBox:
         raise ValueError(f"bb_norm {d['bb_norm']!r} does not hold 4 numbers")
     return DetectedBox(vehicle_ref=_typed("vehicle_ref", d["vehicle_ref"], int), bb_norm=bb_norm,
                        plate_readable=_typed("plate_readable", d["plate_readable"], bool),
-                       plate_read=_typed("plate_read", d.get("plate_read"), str, type(None)))
+                       plate_read=_typed("plate_read", d["plate_read"], str, type(None)))
 
 
 def _pose(d) -> dict:

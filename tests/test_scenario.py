@@ -434,6 +434,13 @@ def test_read_run_names_line_of_missing_key(tmp_path):
     assert _read_error(path) == f"{path}:4: missing key 'spd'"
 
 
+def test_read_run_names_line_of_box_without_plate_read(tmp_path):
+    # a box read without a plate_read key would otherwise load as unread
+    path, _ = _written_run(tmp_path)
+    _edit_record(path, 4, lambda rec: rec["rear_boxes"][0].pop("plate_read"))
+    assert _read_error(path) == f"{path}:4: missing key 'plate_read'"
+
+
 def test_read_run_names_line_of_truncated_record(tmp_path):
     path, _ = _written_run(tmp_path)
     lines = path.read_text().splitlines()
