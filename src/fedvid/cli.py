@@ -40,8 +40,21 @@ def _count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
 
 
-def _world_from_args(args) -> scenario.WorldConfig:
-    overrides = {}
+def _check_global_flags(args) -> None:
+    """A global flag that the chosen command never reads is a usage error. A
+    recorded run carries its world, so a command given --run reads neither
+    --seed nor --config."""
+    reads = ("out",) if getattr(args, "run", None) else args.reads
+    unread = [f"--{flag}" for flag in ("seed", "config", "out")
+              if getattr(args, flag) is not None and flag not in reads]
+    if unread:
+        raise UsageError(f"{args.command} does not read {' or '.join(unread)}")
+
+
+def _world_from_args(args, **defaults) -> scenario.WorldConfig:
+    """The world of `defaults` with the --config overrides; its seed comes
+    from --seed, else from the file, else from `defaults`."""
+    overrides = dict(defaults)
     if args.config:
         with open(args.config) as f:
             overrides.update(json.load(f))
@@ -52,8 +65,12 @@ def _world_from_args(args) -> scenario.WorldConfig:
     return scenario.WorldConfig.from_dict(overrides)
 
 
-def _train_seed(args) -> int:
-    return experiment.ExperimentConfig.train_seed if args.seed is None else args.seed
+def _experiment(args, **changes) -> experiment.ExperimentConfig:
+    """The experiment config of a training command; --seed, when given, is
+    its training seed."""
+    if args.seed is not None:
+        changes["train_seed"] = args.seed
+    return experiment.ExperimentConfig(**changes)
 
 
 def _out_dir(args) -> Path:
@@ -89,22 +106,19 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     arrays = labeling.read_dataset_jsonl(args.dataset)
-    cfg = mdl.ModelConfig(input_dim=arrays.X.shape[1])
-    seed = _train_seed(args)
-    params = mdl.init_model(cfg, np.random.default_rng(seed))
-    trainer = mdl.Trainer(params, mdl.OptConfig(), seed)
-    losses = trainer.run_epochs(arrays, args.epochs)
-    out = _out_dir(args)
-    path = out / "model.fmdf"
-    mdl.save_model(trainer.params, path)
-    print(f"trained {args.epochs} epochs; loss {losses[0]:.5f} -> {losses[-1]:.5f}; wrote {path}")
+    params = experiment.train_central(arrays, _experiment(args, epochs=args.epochs))
+    path = _out_dir(args) / "model.fmdf"
+    mdl.save_model(params, path)
+    print(f"trained {args.epochs} epochs; loss {mdl.mean_loss(params, arrays):.5f}; wrote {path}")
     return 0
 
 
 def cmd_serve(args) -> int:
     if args.min_clients > args.clients:
         raise UsageError(f"--min-clients {args.min_clients} exceeds --clients {args.clients}")
-    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(_train_seed(args)))
+    world = _world_from_args(args, seed=0)   # sets the model's width; the seed plays no part
+    params = experiment.init_params(_experiment(args),
+                                    labeling.feature_config(world).input_dim())
     server = fed.FedServer(
         params, expected_clients=args.clients, rounds=args.rounds,
         min_clients=args.min_clients, timeout_s=args.timeout, host=args.host, port=args.port,
@@ -123,27 +137,24 @@ def cmd_serve(args) -> int:
 
 def cmd_client(args) -> int:
     arrays = labeling.read_dataset_jsonl(args.dataset)
-    seed = experiment.client_seed(_train_seed(args), args.id)
-    client = fed.FedClient(client_id=args.id, dataset=arrays, opt_cfg=mdl.OptConfig(),
-                           seed=seed, local_epochs=args.local_epochs)
+    cfg = _experiment(args)
+    client = fed.FedClient(client_id=args.id, dataset=arrays, opt_cfg=cfg.opt_cfg,
+                           seed=experiment.client_seed(cfg.train_seed, args.id),
+                           local_epochs=args.local_epochs)
     rounds = client.run(args.host, args.port, timeout=args.timeout)
     print(f"client {args.id} finished after {rounds} rounds")
     return 0
 
 
 def cmd_eval(args) -> int:
-    model_path = Path(args.model)
-    if not model_path.exists():
-        raise FileNotFoundError(f"model file not found: {model_path}")
-    params = mdl.load_model(model_path)
-    cct = plates.default_conversion_table()
+    params = mdl.load_model(args.model)
     if args.run:
-        cfg, observations = scenario.read_run(args.run)
+        world, observations = scenario.read_run(args.run)
+        run = labeling.label_run(observations, plates.default_conversion_table(), world)
     else:
-        cfg = _world_from_args(args)
-        _, observations = scenario.run_scenario(cfg, cct=cct)
-    run = labeling.label_run(observations, cct, cfg)
-    report = experiment.evaluate_model(params, run, mapping.MappingConfig())
+        world = _world_from_args(args)
+        _, run = experiment.simulate_and_label(world, world.seed)
+    report = experiment.evaluate_model(params, run, experiment.ExperimentConfig().mapping_cfg)
     out = _out_dir(args)
     experiment.write_report(out / "report.csv", [dataclasses.asdict(report)],
                             experiment.REPORT_COLUMNS[2:])
@@ -184,24 +195,29 @@ def cmd_demo_tables(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fedvid", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help="scenario seed")
-    parser.add_argument("--config", default=None, help="JSON world-config overrides")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help=(
+        "the scenario seed of gen and of eval without --run; the training seed "
+        f"of train, serve and client (default {experiment.ExperimentConfig.train_seed})"))
+    parser.add_argument("--config", default=None, help=(
+        "JSON world-config overrides, read by gen, by eval without --run, and by serve, "
+        "whose model takes its input width from the world"))
+    parser.add_argument("--out", default=None,
+                        help="output directory of gen, label, train, serve and eval")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen", help="simulate a scenario into run.jsonl")
     p.add_argument("--ticks", type=_count, default=None)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, reads=("seed", "config", "out"))
 
     p = sub.add_parser("label", help="auto-label a recorded run into a dataset")
     p.add_argument("--run", required=True, help="run.jsonl written by gen")
     p.add_argument("--mode", default="ALDA", choices=[m.value for m in labeling.DatasetMode])
-    p.set_defaults(func=cmd_label)
+    p.set_defaults(func=cmd_label, reads=("out",))
 
     p = sub.add_parser("train", help="train the model on a dataset file")
     p.add_argument("--dataset", required=True)
     p.add_argument("--epochs", type=_count, default=200)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, reads=("seed", "out"))
 
     p = sub.add_parser("serve", help="run the federated parameter server")
     p.add_argument("--host", default="127.0.0.1")
@@ -210,7 +226,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rounds", type=_count, default=50)
     p.add_argument("--min-clients", type=_count, default=1)
     p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)
-    p.set_defaults(func=cmd_serve)
+    p.set_defaults(func=cmd_serve, reads=("seed", "config", "out"))
 
     p = sub.add_parser("client", help="run one federated client")
     p.add_argument("--host", default="127.0.0.1")
@@ -219,15 +235,15 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--local-epochs", type=_count, default=1)
     p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)
-    p.set_defaults(func=cmd_client)
+    p.set_defaults(func=cmd_client, reads=("seed",))
 
     p = sub.add_parser("eval", help="evaluate a model on a scenario")
     p.add_argument("--model", required=True)
     p.add_argument("--run", default=None, help="run.jsonl written by gen (else --seed)")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, reads=("seed", "config", "out"))
 
     p = sub.add_parser("demo-tables", help="print and check the worked examples")
-    p.set_defaults(func=cmd_demo_tables)
+    p.set_defaults(func=cmd_demo_tables, reads=())
     return parser
 
 
@@ -238,6 +254,7 @@ def cli_main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
+        _check_global_flags(args)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

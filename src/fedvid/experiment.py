@@ -105,9 +105,15 @@ def autolabel_rates(state: scenario.ScenarioState, run: labeling.LabeledRun,
     return matched_with / inside, matched_without / inside
 
 
+def init_params(cfg: ExperimentConfig, input_dim: int) -> mdl.ModelParams:
+    """The initial model of a session seeded with `cfg.train_seed`, for
+    feature rows `input_dim` wide."""
+    return mdl.init_model(replace(cfg.model_cfg, input_dim=input_dim),
+                          np.random.default_rng(cfg.train_seed))
+
+
 def train_central(arrays: labeling.TrainingArrays, cfg: ExperimentConfig) -> mdl.ModelParams:
-    params = mdl.init_model(cfg.model_cfg, np.random.default_rng(cfg.train_seed))
-    trainer = mdl.Trainer(params, cfg.opt_cfg, cfg.train_seed)
+    trainer = mdl.Trainer(init_params(cfg, arrays.X.shape[1]), cfg.opt_cfg, cfg.train_seed)
     trainer.run_epochs(arrays, cfg.epochs)
     return trainer.params
 
@@ -130,7 +136,7 @@ def client_seed(train_seed: int, client_id: int) -> int:
 
 def train_federated(arrays: labeling.TrainingArrays, n_clients: int, cfg: ExperimentConfig,
                     eval_dataset=None):
-    params0 = mdl.init_model(cfg.model_cfg, np.random.default_rng(cfg.train_seed))
+    params0 = init_params(cfg, arrays.X.shape[1])
     shards = split_shards(arrays, n_clients)
     seeds = [client_seed(cfg.train_seed, i + 1) for i in range(n_clients)]
     return fed.train_federated_tcp(

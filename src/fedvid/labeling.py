@@ -130,11 +130,18 @@ class LabeledRun:
     feature_cfg: feats.FeatureConfig
 
 
+def feature_config(cfg: WorldConfig) -> feats.FeatureConfig:
+    """The feature rows of a world: the window holds the ticks of `K_SECONDS`
+    (at least one), so the model's input width follows the tick interval."""
+    return feats.FeatureConfig(window=max(1, int(round(K_SECONDS / cfg.tick_interval))),
+                               comm_range_m=cfg.comm_range)
+
+
 def label_run(observations: list[Observation], cct: plates.ConversionTable,
               cfg: WorldConfig) -> LabeledRun:
     """Run auto-labeling and augmentation over a full observation stream.
-    The feature window spans the same `K_SECONDS` as the outside-set history."""
-    k_samples = max(1, int(round(K_SECONDS / cfg.tick_interval)))
+    The feature window spans the same ticks as the outside-set history."""
+    feature_cfg = feature_config(cfg)
 
     histories: dict[int, dict[int, Sample]] = {}
     ego_history: dict[int, Sample] = {}
@@ -148,12 +155,10 @@ def label_run(observations: list[Observation], cct: plates.ConversionTable,
         front, _ = auto_label_frame(obs.messages, obs.front_boxes, cct)
         rear, _ = auto_label_frame(obs.messages, obs.rear_boxes, cct)
         outside = build_outside_set(histories, ego_history, obs, cfg.front_camera.hfov_deg,
-                                    k_samples, front_paired=front, rear_paired=rear)
+                                    feature_cfg.window, front_paired=front, rear_paired=rear)
         labels.append(TickLabels(front=front, rear=rear, outside=outside))
     return LabeledRun(observations=observations, labels=labels,
-                      histories=histories, ego_history=ego_history,
-                      feature_cfg=feats.FeatureConfig(window=k_samples,
-                                                      comm_range_m=cfg.comm_range))
+                      histories=histories, ego_history=ego_history, feature_cfg=feature_cfg)
 
 
 @dataclass

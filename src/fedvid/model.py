@@ -456,5 +456,10 @@ def save_model(params: ModelParams, path) -> None:
 
 
 def load_model(path) -> ModelParams:
+    """The parameters in an FMDF file; a DecodeError names the file."""
     with open(path, "rb") as f:
-        return params_from_bytes(f.read())
+        blob = f.read()
+    try:
+        return params_from_bytes(blob)
+    except DecodeError as exc:
+        raise DecodeError(f"{path}: {exc}") from None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -78,6 +78,10 @@ class CapacityError(ValueError):
     """The requested vehicle count does not fit on the road layout."""
 
 
+# the values each WorldConfig annotation takes (a bool is neither int nor float)
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "CameraModel": CameraModel}
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     seed: int
@@ -96,6 +100,10 @@ class WorldConfig:
     ocr_channel: str = "builtin"        # "builtin" | "identity"
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[f.type]):
+                raise TypeError(f"{f.name} {v!r} is not {f.type}")
         if self.num_vehicles < 2:
             raise ValueError("num_vehicles must be at least 2")
         if self.tick_interval <= 0:

@@ -34,6 +34,47 @@ def test_eval_missing_model_exit_2(capsys):
     assert "missing.fmdf" in capsys.readouterr().err
 
 
+def test_eval_names_model_file_that_is_no_fmdf(tmp_path, capsys):
+    model_path = tmp_path / "model.fmdf"
+    model_path.write_bytes(b"FMD")
+    assert cli.cli_main(["--seed", "5", "--out", str(tmp_path / "out"), "eval",
+                         "--model", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {model_path}: truncated blob: needed 4 bytes for magic at offset 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+_LABEL = ["label", "--run", "run.jsonl"]
+_EVAL_RUN = ["eval", "--model", "model.fmdf", "--run", "run.jsonl"]
+_CLIENT = ["client", "--port", "9", "--id", "1", "--dataset", "d.jsonl"]
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--seed", _LABEL), ("--config", _LABEL),
+    ("--seed", _EVAL_RUN), ("--config", _EVAL_RUN),
+    ("--config", ["train", "--dataset", "d.jsonl"]),
+    ("--config", _CLIENT), ("--out", _CLIENT),
+    ("--seed", ["demo-tables"]), ("--config", ["demo-tables"]), ("--out", ["demo-tables"]),
+])
+def test_global_flag_the_command_never_reads_is_a_usage_error(flag, argv, tmp_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    value = {"--seed": "5", "--config": "w.json", "--out": "out"}[flag]
+    assert cli.cli_main([flag, value, *argv]) == 1
+    assert f"usage error: {argv[0]} does not read {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key,value", [("num_vehicles", 5.5), ("seed", "x")])
+def test_gen_config_field_of_wrong_type_exit_2(key, value, tmp_path, capsys):
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(json.dumps({"seed": 3, key: value}))
+    out = tmp_path / "run"
+    assert cli.cli_main(["--config", str(cfg_path), "--out", str(out), "gen"]) == 2
+    assert f"error: {key} {value!r} is not int" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_serve_has_no_local_epochs_flag():
     # each client sets its own local epochs; the server never trains
     with pytest.raises(cli.UsageError):
@@ -137,9 +178,12 @@ def _free_port() -> int:
         return s.getsockname()[1]
 
 
-def test_serve_and_client_subcommands(tmp_path):
+@pytest.mark.parametrize("world", [{}, {"tick_interval": 1.0}], ids=["tick-0.5s", "tick-1s"])
+def test_serve_and_client_subcommands(world, tmp_path):
+    # serve reads the world of --config, so its model is as wide as the rows
+    # label writes for that world
     cfg_path = tmp_path / "w.json"
-    cfg_path.write_text(json.dumps({"num_vehicles": 10, "duration": 10.0}))
+    cfg_path.write_text(json.dumps({"num_vehicles": 10, "duration": 10.0, **world}))
     run_dir = tmp_path / "run"
     assert cli.cli_main(["--seed", "78", "--config", str(cfg_path),
                          "--out", str(run_dir), "gen"]) == 0
@@ -153,7 +197,8 @@ def test_serve_and_client_subcommands(tmp_path):
     rc = {}
 
     def serve():
-        rc["serve"] = cli.cli_main(["--seed", "7", "--out", str(serve_dir), "serve",
+        rc["serve"] = cli.cli_main(["--seed", "7", "--config", str(cfg_path),
+                                    "--out", str(serve_dir), "serve",
                                     "--port", str(port), "--clients", "1",
                                     "--rounds", "2", "--timeout", "10"])
 
@@ -169,7 +214,8 @@ def test_serve_and_client_subcommands(tmp_path):
     t.join(timeout=30.0)
     assert client_rc == 0
     assert rc["serve"] == 0
-    assert (serve_dir / "model.fmdf").exists()
+    width = labeling.read_dataset_jsonl(dataset).X.shape[1]
+    assert mdl.load_model(serve_dir / "model.fmdf").shapes[0][0] == width
     assert (serve_dir / "transcript.log").exists()
 
 

@@ -166,3 +166,16 @@ def test_small_experiment_bytes_pinned(tmp_path):
         "autolabel.csv":
             "4e94a808bf192c52623f6821962a6d55080e841aa0cf16b6676fa65335905e3f",
     }
+
+
+def test_experiment_at_one_second_ticks_trains_on_its_rows_width(tmp_path):
+    # a 1 s tick gives a 2-sample window, so the rows are 7 wide, not the
+    # default model's 11
+    world = scenario.WorldConfig(seed=0, num_vehicles=20, duration=40.0, tick_interval=1.0)
+    cfg = experiment.ExperimentConfig(train_seeds=(101,), eval_seed=201, world=world,
+                                      dataset_modes=(DatasetMode.ALDA,),
+                                      training_modes=("central", "federated-2"),
+                                      epochs=1, rounds=1, local_epochs=1)
+    rows = experiment.run_experiment(cfg, tmp_path)
+    assert [r["training_mode"] for r in rows] == ["central", "federated-2"]
+    assert all(0.0 <= r["cr_total"] <= 1.0 for r in rows)

@@ -531,11 +531,30 @@ def test_read_run_checks_message_ids_against_truth(tmp_path):
      "malformed header: "),
     (lambda lines: ['{"world": {"seed": 19}, "ticks": "10"}\n', *lines[1:]],
      "malformed header: ticks '10' is not int"),
-], ids=["empty", "no-header", "bad-weather", "unknown-field", "ticks-str"])
+    (lambda lines: ['{"world": {"seed": 19, "num_vehicles": 5.5}, "ticks": 10}\n', *lines[1:]],
+     "malformed header: num_vehicles 5.5 is not int"),
+    (lambda lines: ['{"world": {"seed": "x"}, "ticks": 10}\n', *lines[1:]],
+     "malformed header: seed 'x' is not int"),
+], ids=["empty", "no-header", "bad-weather", "unknown-field", "ticks-str", "vehicles-float",
+        "seed-str"])
 def test_read_run_names_line_1_of_a_bad_header(lines, message, tmp_path):
     path, _ = _written_run(tmp_path)
     path.write_text("".join(lines(path.read_text().splitlines(keepends=True))))
     assert _read_error(path).startswith(f"{path}:1: {message}")
+
+
+@pytest.mark.parametrize("key,value,expected", [
+    ("seed", True, "int"), ("num_vehicles", 40.0, "int"), ("duration", False, "float"),
+    ("duration", "60", "float"), ("weather", None, "str"),
+    ("front_camera", {"hfov_deg": 90.0}, "CameraModel"),
+])
+def test_world_config_checks_field_types(key, value, expected):
+    with pytest.raises(TypeError, match=f"^{key} .* is not {expected}$"):
+        scenario.WorldConfig(**{"seed": 1, key: value})
+
+
+def test_world_config_takes_an_int_for_a_float_field():
+    assert scenario.WorldConfig(seed=1, duration=10).num_ticks() == 20
 
 
 def test_read_run_names_the_file_cut_at_a_line_boundary(tmp_path):
