@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -56,8 +55,10 @@ def _world_from_args(args, **defaults) -> scenario.WorldConfig:
     from --seed, else from the file, else from `defaults`."""
     overrides = dict(defaults)
     if args.config:
-        with open(args.config) as f:
-            overrides.update(json.load(f))
+        try:
+            overrides.update(scenario.decode_record(Path(args.config).read_bytes()))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     if args.seed is not None:
         overrides["seed"] = args.seed
     if "seed" not in overrides:

@@ -146,6 +146,7 @@ def train_federated(arrays: labeling.TrainingArrays, n_clients: int, cfg: Experi
 
 
 REPORT_COLUMNS = ["dataset", "training_mode", *(f.name for f in fields(metrics.MetricsReport))]
+AUTOLABEL_COLUMNS = ["scenario_seed", "rate_with_conversion", "rate_without_conversion"]
 
 
 def write_report(path, rows: list[dict], columns: list[str]) -> None:
@@ -171,12 +172,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
     for seed in cfg.train_seeds:
         state, run = simulate_and_label(cfg.world, seed, cct)
         train_runs.append(run)
-        with_rate, without_rate = autolabel_rates(state, run, cct)
-        autolabel_rows.append({
-            "scenario_seed": seed,
-            "rate_with_conversion": f"{with_rate:.6f}",
-            "rate_without_conversion": f"{without_rate:.6f}",
-        })
+        autolabel_rows.append(dict(zip(AUTOLABEL_COLUMNS,
+                                       (seed, *autolabel_rates(state, run, cct)))))
     _, eval_run = simulate_and_label(cfg.world, cfg.eval_seed, cct)
 
     rows = []
@@ -198,9 +195,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
                          "n_examples": arrays.X.shape[0], **asdict(report)})
 
     write_report(out / "report.csv", rows, REPORT_COLUMNS)
-    with open(out / "autolabel.csv", "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=["scenario_seed", "rate_with_conversion",
-                                          "rate_without_conversion"])
-        w.writeheader()
-        w.writerows(autolabel_rows)
+    write_report(out / "autolabel.csv", autolabel_rows, AUTOLABEL_COLUMNS)
     return rows

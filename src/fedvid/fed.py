@@ -1,10 +1,11 @@
 """Federated averaging over a newline-delimited JSON TCP protocol.
 
 Clients train the box-prediction model on their own labeled shards; a server
-broadcasts global parameters each round, collects example-count-weighted
-updates, and installs the weighted mean as the new global model. Only model
-parameters, counts, and control fields ever cross the wire. Parameters travel
-base64-encoded in the same binary format as the on-disk model file.
+broadcasts global parameters each round, collects updates, and installs their
+mean, weighted by each client's hello example count, as the new global model.
+Only model parameters, counts, and control fields ever cross the wire.
+Parameters travel base64-encoded in the same binary format as the on-disk
+model file.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as mdl
+from .scenario import decode_record
 
 if TYPE_CHECKING:
     from .labeling import TrainingArrays
@@ -53,9 +55,9 @@ def params_from_b64(text: str) -> mdl.ModelParams:
 
 
 def local_train(trainer: mdl.Trainer, dataset: TrainingArrays, global_params: mdl.ModelParams,
-                epochs: int) -> tuple[mdl.ModelParams, int]:
+                epochs: int) -> mdl.ModelParams:
     """Install the broadcast parameters in `trainer` and run local epochs on
-    `dataset`; returns the updated parameters and the local example count.
+    `dataset`; returns the updated parameters.
 
     The optimizer moments and the shuffle/dropout stream persist across
     rounds; only the parameters are replaced by each broadcast. With a single
@@ -63,32 +65,18 @@ def local_train(trainer: mdl.Trainer, dataset: TrainingArrays, global_params: md
     """
     trainer.params = global_params.copy()
     trainer.run_epochs(dataset, epochs)
-    return trainer.params, int(dataset.X.shape[0])
-
-
-def _check_compatible(params: mdl.ModelParams, ref: mdl.ModelParams) -> None:
-    """Raise ProtocolError unless `params` has the layer shapes and model config of `ref`."""
-    if params.shapes != ref.shapes:
-        raise ProtocolError(f"parameter dimensions {params.shapes} differ from {ref.shapes}")
-    if params.mu != ref.mu or params.dropout != ref.dropout:
-        raise ProtocolError("model config (mu, dropout) differs")
+    return trainer.params
 
 
 def fed_avg(updates: list[tuple[mdl.ModelParams, int]]) -> mdl.ModelParams:
     """Example-count-weighted elementwise mean of parameter updates.
 
-    Updates are averaged in the given order; callers sort by ascending client
-    id for a documented deterministic reduction.
+    Updates, already checked by the server, are averaged in the given order;
+    callers sort by ascending client id for a documented deterministic reduction.
     """
     if not updates:
         raise ProtocolError("fed_avg requires at least one update")
-    for params, count in updates:
-        if count <= 0:
-            raise ProtocolError("update example counts must be positive")
     first, _ = updates[0]
-    for params, _ in updates[1:]:
-        _check_compatible(params, first)
-
     total = sum(c for _, c in updates)
     out = mdl.ModelParams(np.zeros_like(first.flat), first.shapes,
                           dropout=first.dropout, mu=first.mu)
@@ -108,7 +96,7 @@ class RoundRecord:
 # --- TCP transport -----------------------------------------------------------
 
 class _Conn:
-    """One end of a connection that carries one JSON object per line.
+    """One end of a connection that carries one `decode_record` object per line.
 
     `recv` gives each frame one deadline, `timeout` seconds from its call, and
     refuses a frame longer than `max_frame` bytes. With a `transcript` list,
@@ -150,26 +138,25 @@ class _Conn:
         try:
             text = line.decode("utf-8")
             self._log("recv", text)
-            frame = json.loads(text)
-        except ValueError:
-            raise ProtocolError("frame is not UTF-8 JSON") from None
-        if not isinstance(frame, dict):
-            raise ProtocolError("frame is not a JSON object")
-        return frame
+            return decode_record(text)
+        except ValueError as exc:
+            raise ProtocolError(f"bad frame: {exc}") from None
 
 
 class FedServer:
     """Synchronous-barrier federated server.
 
     Accepts `expected_clients` hello frames, then runs `rounds` rounds of
-    broadcast/collect/aggregate. A bad hello (malformed, incomplete after
-    `timeout_s`, longer than the broadcast plus `ENVELOPE_BYTES`, or claiming
-    a connected client id) gets an error frame and its connection is closed.
-    A client is dropped for the rest of the session when a send to it fails or
-    its update is bad in those ways, has a layout or model config other than
-    the global model's, or holds a non-finite value. Each round averages the
-    updates that arrived, provided at least `min_clients` did. Every frame
-    sent or received is appended to the transcript for audit.
+    broadcast/collect/aggregate. A hello's `examples` is that client's FedAvg
+    weight for the session (`weights`). A bad hello (malformed, incomplete
+    after `timeout_s`, longer than the broadcast plus `ENVELOPE_BYTES`, without
+    an int `client_id` and an int `examples` above 0, or claiming a connected
+    client id) gets an error frame and its connection is closed. A client is
+    dropped for the rest of the session when a send to it fails or its update
+    is bad in those ways, names another round, has a layout or model config
+    other than the global model's, or holds a non-finite value. Each round
+    averages the updates that arrived, provided at least `min_clients` did.
+    Every frame sent or received is appended to the transcript for audit.
     """
 
     def __init__(self, global_params: mdl.ModelParams, expected_clients: int, rounds: int, *,
@@ -177,6 +164,7 @@ class FedServer:
                  host: str = "127.0.0.1", port: int = 0, eval_dataset=None):
         self.global_params = global_params
         self.records: list[RoundRecord] = []
+        self.weights: dict[int, int] = {}
         self.expected_clients = expected_clients
         self.rounds = rounds
         self.min_clients = min_clients
@@ -188,16 +176,20 @@ class FedServer:
         self.address = self._listener.getsockname()
 
     def _hello(self, conn: _Conn, conns: dict[int, _Conn]) -> int | None:
-        """Read one connection's hello; returns its client id, or None once refused."""
+        """Read one connection's hello and keep its weight; returns its client
+        id, or None once refused."""
         try:
             hello = conn.recv()
             if hello.get("type") != "hello":
                 raise ProtocolError("expected hello")
-            cid = hello.get("client_id")
+            cid, examples = hello.get("client_id"), hello.get("examples")
             if type(cid) is not int:
                 raise ProtocolError("hello needs an integer client_id")
+            if type(examples) is not int or examples <= 0:
+                raise ProtocolError("hello needs an integer examples count above 0")
             if cid in conns:
                 raise ProtocolError(f"client_id {cid} is already connected")
+            self.weights[cid] = examples
             return cid
         except (ProtocolError, OSError) as exc:
             try:
@@ -240,24 +232,23 @@ class FedServer:
             self._listener.close()
 
     def _run_tcp_round(self, r: int, conns: dict[int, _Conn]) -> None:
-        self._send_all(conns, {"type": "round_begin", "round": r,
-                               "params_b64": params_b64(self.global_params)})
-        updates: list[tuple[int, mdl.ModelParams, int]] = []
+        g = self.global_params
+        self._send_all(conns, {"type": "round_begin", "round": r, "params_b64": params_b64(g)})
+        updates: list[tuple[int, mdl.ModelParams]] = []
         for cid in sorted(conns):
             conn = conns[cid]
             try:
                 frame = conn.recv()
-                if frame.get("type") != "update" or int(frame.get("round", -1)) != r:
+                rnd = frame.get("round")
+                if frame.get("type") != "update" or type(rnd) is not int or rnd != r:
                     conn.send({"type": "error", "reason": "expected update"})
                     raise ProtocolError(f"client {cid}: bad frame in round {r}")
                 params = params_from_b64(frame["params_b64"])
-                count = int(frame["examples"])
-                _check_compatible(params, self.global_params)
-                if count <= 0:
-                    raise ProtocolError(f"client {cid}: example count {count} in round {r}")
+                if (params.shapes, params.mu, params.dropout) != (g.shapes, g.mu, g.dropout):
+                    raise ProtocolError(f"client {cid}: layout or model config in round {r}")
                 if not np.isfinite(params.flat).all():
                     raise ProtocolError(f"client {cid}: non-finite parameters in round {r}")
-                updates.append((cid, params, count))
+                updates.append((cid, params))
             except (ProtocolError, OSError, KeyError, TypeError, ValueError):
                 conns.pop(cid).sock.close()
         need = max(1, self.min_clients)
@@ -265,9 +256,9 @@ class FedServer:
             raise ProtocolError(f"round {r}: only {len(updates)} updates arrived, need {need}")
 
         # `updates` is in ascending client id order: a deterministic reduction
-        self.global_params = fed_avg([(p, n) for _, p, n in updates])
-        record = RoundRecord(round=r, participants=[cid for cid, _, _ in updates],
-                             example_counts={cid: n for cid, _, n in updates},
+        counts = {cid: self.weights[cid] for cid, _ in updates}
+        self.global_params = fed_avg([(p, counts[cid]) for cid, p in updates])
+        record = RoundRecord(round=r, participants=list(counts), example_counts=counts,
                              digest=params_digest(self.global_params))
         self.records.append(record)
         self._send_all(conns, {"type": "round_end", "round": r, "digest": record.digest})
@@ -306,10 +297,10 @@ class FedClient:
                 global_params = params_from_b64(frame["params_b64"])
                 if self.trainer is None:
                     self.trainer = mdl.Trainer(global_params, self.opt_cfg, self.seed)
-                params, count = local_train(self.trainer, self.dataset, global_params,
-                                            self.local_epochs)
+                params = local_train(self.trainer, self.dataset, global_params,
+                                     self.local_epochs)
                 conn.send({"type": "update", "round": frame["round"],
-                           "params_b64": params_b64(params), "examples": count})
+                           "params_b64": params_b64(params)})
                 rounds += 1
 
 

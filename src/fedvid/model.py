@@ -207,6 +207,8 @@ def forward_batch(params: ModelParams, x: np.ndarray, fb: np.ndarray,
         raise ValueError("non-finite model input")
     if fb.shape[0] != x.shape[0]:
         raise ValueError(f"{x.shape[0]} input rows but {fb.shape[0]} feedback rows")
+    if x.shape[1] != (width := params.shapes[0][0]):
+        raise ValueError(f"the model takes {width} input features, the data has {x.shape[1]}")
     if training and rng is None:
         raise ValueError("training forward requires an rng for dropout")
     if ws is None:

@@ -609,21 +609,32 @@ def _finite(text: str) -> float:
     return x
 
 
+def decode_record(text: str | bytes) -> dict:
+    """The JSON object that `text` holds: the one rule of record lines, wire
+    frames and config files. Text that is not JSON, nests too deep, holds a
+    non-finite number or is not an object raises ValueError."""
+    try:
+        rec = json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise ValueError("not a JSON object")
+    return rec
+
+
 def read_jsonl(path):
     """Yield `(f"{path}:{line}", record)` for each non-blank line of a
-    JSON-lines file. A line that is not JSON, holds a non-finite number or is
-    not an object raises ValueError naming `path:line`."""
+    JSON-lines file. A line that `decode_record` refuses raises ValueError
+    naming `path:line`."""
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
             try:
-                rec = json.loads(line, parse_constant=_finite, parse_float=_finite)
+                rec = decode_record(line)
             except ValueError as exc:
-                raise ValueError(f"{where}: not JSON: {exc}") from None
-            if not isinstance(rec, dict):
-                raise ValueError(f"{where}: record is not a JSON object")
+                raise ValueError(f"{where}: {exc}") from None
             yield where, rec
 
 

@@ -75,6 +75,17 @@ def test_gen_config_field_of_wrong_type_exit_2(key, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["[1]", "not json", '{"duration": NaN}'],
+                         ids=["not-object", "not-json", "nan"])
+def test_gen_config_file_that_is_no_json_object_is_named(text, tmp_path, capsys):
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "run"
+    assert cli.cli_main(["--seed", "3", "--config", str(cfg_path), "--out", str(out), "gen"]) == 2
+    assert f"error: {cfg_path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_serve_has_no_local_epochs_flag():
     # each client sets its own local epochs; the server never trains
     with pytest.raises(cli.UsageError):
@@ -230,6 +241,20 @@ def _gen_and_label(tmp_path, cfg):
     assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_dir / "run.jsonl"),
                          "--mode", "ALDA"]) == 0
     return run_dir / "run.jsonl", label_dir / "dataset.jsonl"
+
+
+def test_eval_of_a_model_of_another_width_names_both(tmp_path, capsys):
+    # a 1 s tick gives 7 input features; the default model takes 11
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(json.dumps({"num_vehicles": 10, "duration": 10.0, "tick_interval": 1.0}))
+    run_dir = tmp_path / "run"
+    assert cli.cli_main(["--seed", "3", "--config", str(cfg_path),
+                         "--out", str(run_dir), "gen"]) == 0
+    model_path = tmp_path / "model.fmdf"
+    mdl.save_model(mdl.init_model(mdl.ModelConfig(), np.random.default_rng(3)), model_path)
+    assert cli.cli_main(["--out", str(tmp_path / "out"), "eval", "--model", str(model_path),
+                         "--run", str(run_dir / "run.jsonl")]) == 2
+    assert "the model takes 11 input features, the data has 7" in capsys.readouterr().err
 
 
 def test_train_seed_zero_is_honoured(tmp_path):

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedvid import experiment, fed, labeling, model as mdl
@@ -56,16 +56,10 @@ def test_fed_avg_weighted_mean():
     assert out.weights[0][0, 0] == pytest.approx(3.0)
 
 
-def test_fed_avg_rejects_empty_and_mismatched():
+def test_fed_avg_rejects_empty():
+    # layouts and counts are the server's checks: see the update and hello tests
     with pytest.raises(fed.ProtocolError):
         fed.fed_avg([])
-    p = mdl.init_model(NARROW, np.random.default_rng(0))
-    q = mdl.init_model(mdl.ModelConfig(input_dim=11, hidden_width=16, hidden_layers=10),
-                       np.random.default_rng(0))
-    with pytest.raises(fed.ProtocolError):
-        fed.fed_avg([(p, 1), (q, 1)])
-    with pytest.raises(fed.ProtocolError):
-        fed.fed_avg([(p, 0)])
 
 
 def test_fed_avg_preserves_elementwise_bounds():
@@ -85,19 +79,17 @@ def test_local_train_zero_epochs_returns_global():
     data = _toy_dataset()
     global_params = mdl.init_model(NARROW, np.random.default_rng(2))
     trainer = mdl.Trainer(global_params, mdl.OptConfig(), seed=3)
-    params, count = fed.local_train(trainer, data, global_params, epochs=0)
+    params = fed.local_train(trainer, data, global_params, epochs=0)
     assert _equal(params, global_params)
-    assert count == 40
 
 
 def test_two_clients_report_partition_sizes():
-    a = _toy_dataset(n=12, seed=1)
-    b = _toy_dataset(n=30, seed=2)
+    # each round weighs a client by the example count of its hello
+    shards = [_toy_dataset(n=12, seed=1), _toy_dataset(n=30, seed=2)]
     g = mdl.init_model(NARROW, np.random.default_rng(2))
-    ta = mdl.Trainer(g, mdl.OptConfig(), seed=3)
-    tb = mdl.Trainer(g, mdl.OptConfig(), seed=4)
-    assert fed.local_train(ta, a, g, 1)[1] == 12
-    assert fed.local_train(tb, b, g, 1)[1] == 30
+    _, records, _, _ = fed.train_federated_tcp(shards, g, mdl.OptConfig(), rounds=2,
+                                               seeds=[3, 4], timeout=10.0)
+    assert [r.example_counts for r in records] == [{1: 12, 2: 30}] * 2
 
 
 # --- wire encoding ----------------------------------------------------------------
@@ -178,7 +170,7 @@ def test_tcp_session_raises_a_failing_clients_error():
     bad = labeling.TrainingArrays(X=data.X[20:, :10], FB=data.FB[20:], Y=data.Y[20:])
     init = mdl.init_model(NARROW, np.random.default_rng(12))
     threads_before = threading.active_count()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="takes 11 input features, the data has 10"):
         fed.train_federated_tcp([data, bad], init, mdl.OptConfig(), rounds=2, seeds=[21, 22],
                                 timeout=10.0)
     assert threading.active_count() == threads_before
@@ -359,54 +351,80 @@ def _serve_in_thread(server):
     return t, out
 
 
-def _poison_nan(frame):
-    params = fed.params_from_b64(frame["params_b64"])
-    params.weights[0][0, 3] = np.nan
-    frame["params_b64"] = fed.params_b64(params)
-
-
-def _poison_zero_count(frame):
-    frame["examples"] = 0
-
-
-def _poison_blob_type(frame):
-    frame["params_b64"] = 12345
-
-
-@pytest.mark.parametrize("poison", [_poison_nan, _poison_zero_count, _poison_blob_type])
-def test_tcp_poisoned_update_is_dropped(poison):
+def _session_with_peer(update, rounds=1):
+    """Serve the honest client 1 and peer 2 for `rounds` rounds. The peer says
+    hello with 4 examples, then answers each round_begin frame with the line
+    `update(frame)`, until the server sends shutdown or drops it."""
     data = _toy_dataset(n=20)
     init = mdl.init_model(NARROW, np.random.default_rng(19))
-    server = fed.FedServer(init, expected_clients=2, rounds=1,
+    server = fed.FedServer(init, expected_clients=2, rounds=rounds,
                            min_clients=1, timeout_s=5.0)
     host, port = server.address
 
     def honest():
         fed.FedClient(1, data, mdl.OptConfig(), seed=52).run(host, port, timeout=10.0)
 
-    def poisoner():
+    def peer():
         with socket.create_connection((host, port), timeout=5.0) as sock:
             sock.sendall(b'{"type":"hello","client_id":2,"examples":4}\n')
             conn = fed._Conn(sock, 5.0)
-            begin = conn.recv()
-            frame = {"type": "update", "round": 1, "examples": 4,
-                     "params_b64": begin["params_b64"]}
-            poison(frame)
-            conn.send(frame)
             try:
-                conn.recv()
+                while (frame := conn.recv())["type"] != "shutdown":
+                    if frame["type"] == "round_begin":
+                        sock.sendall(update(frame).encode() + b"\n")
             except (fed.ProtocolError, OSError):
                 pass
 
-    threads = [threading.Thread(target=f, daemon=True) for f in (honest, poisoner)]
+    threads = [threading.Thread(target=f, daemon=True) for f in (honest, peer)]
     for t in threads:
         t.start()
     records = server.serve()
     for t in threads:
         t.join(timeout=10.0)
     assert not any(t.is_alive() for t in threads)
+    return server, records
+
+
+def _update(frame, **fields):
+    """The update line that answers `frame` with its own parameters, changed
+    by `fields`. It carries the count an older server required, which this
+    one ignores, so that only `fields` can get it dropped."""
+    return json.dumps({"type": "update", "round": frame["round"], "examples": 4,
+                       "params_b64": frame["params_b64"], **fields})
+
+
+def _poison_nan(frame):
+    params = fed.params_from_b64(frame["params_b64"])
+    params.weights[0][0, 3] = np.nan
+    return _update(frame, params_b64=fed.params_b64(params))
+
+
+def _poison_blob_type(frame):
+    return _update(frame, params_b64=12345)
+
+
+@pytest.mark.parametrize("poison", [_poison_nan, _poison_blob_type])
+def test_tcp_poisoned_update_is_dropped(poison):
+    server, records = _session_with_peer(poison)
     assert [r.participants for r in records] == [[1]]
     assert np.isfinite(server.global_params.flat).all()
+
+
+@pytest.mark.parametrize("value", ["Infinity", "1e999", "true", "1.0", '"1"'])
+def test_tcp_update_whose_round_is_not_the_int_round_is_dropped(value):
+    _, records = _session_with_peer(lambda frame: _update(frame, round="R").replace('"R"', value))
+    assert [r.participants for r in records] == [[1]]
+
+
+def test_tcp_update_cannot_claim_a_weight_beyond_its_hello():
+    # the hello's examples are the weight; a count in an update is ignored
+    digests = []
+    for claim in (4, 10**12):
+        _, records = _session_with_peer(lambda frame: _update(frame, examples=claim), rounds=2)
+        assert [r.participants for r in records] == [[1, 2], [1, 2]]
+        assert all(r.example_counts == {1: 20, 2: 4} for r in records)
+        digests.append([r.digest for r in records])
+    assert digests[0] == digests[1]
 
 
 def test_tcp_update_of_other_architecture_is_not_installed():
@@ -438,16 +456,10 @@ def test_tcp_update_of_other_architecture_is_not_installed():
     assert not server.records
 
 
-@pytest.mark.parametrize("hello", [
-    b"not json\n",
-    b'["hello"]\n',
-    b'{"type":"hello","examples":4}\n',
-    b'{"type":"hello","client_id":"one","examples":4}\n',
-    b"",
-], ids=["not-json", "not-object", "no-client-id", "string-client-id", "silent"])
-def test_tcp_bad_hello_gets_error_and_server_keeps_accepting(hello):
+def _bad_hello_then_honest_client(init, hello):
+    """Send `hello` to a one-client server of `init`; it must answer with an
+    error frame and a hang-up, then serve an honest client."""
     data = _toy_dataset(n=20)
-    init = mdl.init_model(NARROW, np.random.default_rng(21))
     server = fed.FedServer(init, expected_clients=1, rounds=1,
                            min_clients=1, timeout_s=2.0)
     host, port = server.address
@@ -466,6 +478,30 @@ def test_tcp_bad_hello_gets_error_and_server_keeps_accepting(hello):
     assert not serving.is_alive()
     assert rounds == 1
     assert [r.participants for r in out["records"]] == [[3]]
+
+
+_HELLO_EXAMPLES = {"zero": b"0", "negative": b"-1", "true": b"true", "float": b"1.5",
+                   "string": b'"4"'}
+
+
+@pytest.mark.parametrize("hello", [
+    b"not json\n",
+    b'["hello"]\n',
+    b'{"type":"hello","examples":4}\n',
+    b'{"type":"hello","client_id":"one","examples":4}\n',
+    b"",
+    *(b'{"type":"hello","client_id":2,"examples":%s}\n' % v for v in _HELLO_EXAMPLES.values()),
+    b'{"type":"hello","client_id":2}\n',
+], ids=["not-json", "not-object", "no-client-id", "string-client-id", "silent",
+        *(f"examples-{name}" for name in _HELLO_EXAMPLES), "no-examples"])
+def test_tcp_bad_hello_gets_error_and_server_keeps_accepting(hello):
+    _bad_hello_then_honest_client(mdl.init_model(NARROW, np.random.default_rng(21)), hello)
+
+
+def test_tcp_deeply_nested_hello_to_a_default_size_server_is_refused():
+    # 200,000 '[' fit in the frame cap of the default model's broadcast
+    init = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(21))
+    _bad_hello_then_honest_client(init, b"[" * 200_000 + b"\n")
 
 
 def test_tcp_duplicate_client_id_is_refused_and_first_keeps_its_slot():
@@ -592,18 +628,23 @@ _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_siz
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.binary(max_size=300).map(lambda b: b.replace(b"\n", b""))
-       | _JSON.map(lambda v: json.dumps(v).encode()))
-def test_frame_reader_returns_an_object_or_raises_protocol_error(line):
+@given(line=st.binary(max_size=300).map(lambda b: b.replace(b"\n", b""))
+       | _JSON.map(lambda v: json.dumps(v).encode()), max_frame=st.just(200))
+@example(line=b'{"a": NaN}', max_frame=200)
+@example(line=b'{"a": [-Infinity]}', max_frame=200)
+@example(line=b'{"a": 1e999}', max_frame=200)
+@example(line=b"[" * 100_000, max_frame=200_000)
+def test_frame_reader_returns_an_object_or_raises_protocol_error(line, max_frame):
     a, b = socket.socketpair()
     with a, b:
         a.sendall(line + b"\n")
         try:
-            frame = fed._Conn(b, 1.0, max_frame=200).recv()
+            frame = fed._Conn(b, 1.0, max_frame=max_frame).recv()
         except fed.ProtocolError:
             return
-    assert isinstance(frame, dict) and len(line) <= 200
+    assert isinstance(frame, dict) and len(line) <= max_frame
     assert frame == json.loads(line)
+    json.dumps(frame, allow_nan=False)   # every number is finite
 
 
 def test_transcript_carries_no_training_payloads():

@@ -379,6 +379,11 @@ def test_reader_names_line_of_bad_json(run89, tmp_path):
     _damage_line_3(path, lines, lambda rec: json.dumps([rec]))
 
 
+def test_reader_names_line_of_deeply_nested_json(run89, tmp_path):
+    path, lines = _dataset_lines(run89, tmp_path)
+    _damage_line_3(path, lines, lambda rec: "[" * 100_000)
+
+
 def test_reader_names_line_of_wrong_schema(run89, tmp_path):
     path, lines = _dataset_lines(run89, tmp_path)
     msg = _damage_line_3(path, lines, lambda rec: json.dumps({**rec, "schema_version": 9}))

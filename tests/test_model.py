@@ -93,6 +93,12 @@ def test_forward_rejects_nonfinite():
         _predict(params, x, np.zeros(4))
 
 
+def test_forward_names_both_input_widths():
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(4))
+    with pytest.raises(ValueError, match="^the model takes 11 input features, the data has 7$"):
+        mdl.forward_batch(params, np.zeros((3, 7)), np.zeros((3, 4)))
+
+
 def test_forward_requires_rng_when_training():
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(4))
     with pytest.raises(ValueError):

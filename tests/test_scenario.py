@@ -449,6 +449,13 @@ def test_read_run_names_line_of_truncated_record(tmp_path):
     assert _read_error(path).startswith(f"{path}:3: not JSON: ")
 
 
+def test_read_run_names_line_of_deeply_nested_record(tmp_path):
+    path, _ = _written_run(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([*lines[:2], "[" * 100_000 + "\n", *lines[3:]]))
+    assert _read_error(path).startswith(f"{path}:3: not JSON: ")
+
+
 def test_read_run_names_line_of_wrong_type(tmp_path):
     path, _ = _written_run(tmp_path)
     _edit_record(path, 5, lambda rec: rec.update(front_boxes=5))
