@@ -44,4 +44,5 @@ path = Path(tempfile.mkdtemp(prefix="fedvid_world_")) / "run.jsonl"
 scenario.write_run(path, cfg, observations)
 cfg_back, observations_back = scenario.read_run(path)
 print(f"run written to {path}: {len(observations_back)} ticks, "
-      f"config read back equal: {cfg_back == cfg}")
+      f"config read back equal: {cfg_back == cfg}, "
+      f"observations read back equal: {observations_back == observations}")

@@ -52,18 +52,19 @@ def _check_global_flags(args) -> None:
 
 def _world_from_args(args, **defaults) -> scenario.WorldConfig:
     """The world of `defaults` with the --config overrides; its seed comes
-    from --seed, else from the file, else from `defaults`."""
+    from --seed, else from the file, else from `defaults`. An error in the
+    world names the --config file."""
     overrides = dict(defaults)
-    if args.config:
-        try:
+    try:
+        if args.config:
             overrides.update(scenario.decode_record(Path(args.config).read_bytes()))
-        except ValueError as exc:
-            raise ValueError(f"{args.config}: {exc}") from None
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if "seed" not in overrides:
-        raise UsageError("a scenario seed is required (--seed or config file)")
-    return scenario.WorldConfig.from_dict(overrides)
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if "seed" not in overrides:
+            raise UsageError("a scenario seed is required (--seed or config file)")
+        return scenario.WorldConfig.from_dict(overrides)
+    except (TypeError, ValueError) as exc:   # only a --config file can hold a bad field
+        raise ValueError(f"{args.config}: {exc}") from None
 
 
 def _experiment(args, **changes) -> experiment.ExperimentConfig:

@@ -87,8 +87,10 @@ def autolabel_rates(state: scenario.ScenarioState, run: labeling.LabeledRun,
     """Fraction of in-image senders auto-paired, with and without the
     character-conversion step, over the same reads of the same run.
 
-    The without-conversion baseline matches raw reads against the raw plates
-    of the simulated senders (exact string matching).
+    The with-conversion rate counts the front pairs that `run` already holds,
+    so it reflects the conversion table that labelled `run`; `cct` is never
+    read. The without-conversion baseline matches raw reads against the raw
+    plates of the simulated senders (exact string matching).
     """
     raw_ids = {v.plate: v.id for v in state.vehicles}
     inside = 0

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 from . import geo
 
-V_MAX_DEFAULT = 40.0  # m/s ceiling for speed normalization
+V_MAX = 40.0  # m/s ceiling for speed normalization
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
     window: int = 4            # samples of lat/lng history (newest last)
-    v_max: float = V_MAX_DEFAULT
     comm_range_m: float = 50.0  # sets the lat/lng difference normalization scale
 
     def input_dim(self) -> int:
@@ -88,5 +87,5 @@ def build_feature_vector(history, ego_records, cfg: FeatureConfig) -> list[float
     ego_now = ego_records[-1]
     brg = geo.initial_bearing(ego_now[0], ego_now[1], newest[0], newest[1])
     gamma = orientation_gamma(ego_now[2], brg)
-    row += (speed_norm(newest[3], cfg.v_max), speed_norm(ego_now[3], cfg.v_max), gamma)
+    row += (speed_norm(newest[3], V_MAX), speed_norm(ego_now[3], V_MAX), gamma)
     return row

@@ -19,22 +19,17 @@ def haversine_m(lat1: float, lng1: float, lat2: float, lng2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
-def initial_bearing_flagged(lat1: float, lng1: float, lat2: float, lng2: float) -> tuple[float, bool]:
+def initial_bearing(lat1: float, lng1: float, lat2: float, lng2: float) -> float:
     """Initial great-circle bearing from point 1 to point 2, clockwise from north
-    in [0, 360). Coincident points are degenerate: returns (0.0, True)."""
+    in [0, 360). Coincident points are degenerate: returns 0.0."""
     if lat1 == lat2 and lng1 == lng2:
-        return 0.0, True
+        return 0.0
     p1 = math.radians(lat1)
     p2 = math.radians(lat2)
     dl = math.radians(lng2 - lng1)
     y = math.sin(dl) * math.cos(p2)
     x = math.cos(p1) * math.sin(p2) - math.sin(p1) * math.cos(p2) * math.cos(dl)
-    return math.degrees(math.atan2(y, x)) % 360.0, False
-
-
-def initial_bearing(lat1: float, lng1: float, lat2: float, lng2: float) -> float:
-    """Bearing without the degenerate flag; 0.0 for coincident points."""
-    return initial_bearing_flagged(lat1, lng1, lat2, lng2)[0]
+    return math.degrees(math.atan2(y, x)) % 360.0
 
 
 def angle_diff_deg(a: float, b: float) -> float:

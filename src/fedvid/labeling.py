@@ -19,8 +19,7 @@ import numpy as np
 
 from . import features as feats
 from . import geo, plates
-from .scenario import (OUTSIDE, DetectedBox, Message, Observation, WorldConfig, _num, _sig9,
-                       read_jsonl)
+from .scenario import OUTSIDE, DetectedBox, Message, Observation, WorldConfig, _num, read_jsonl
 
 
 class PairSource(str, Enum):
@@ -252,7 +251,7 @@ DATASET_SCHEMA_VERSION = 1
 
 
 def write_dataset_jsonl(path, examples: list[LabeledExample]) -> None:
-    """One record per example, ordered by (tick, sender id)."""
+    """One record per example, ordered by (tick, sender id), floats exact."""
     with open(path, "w") as f:
         for e in sorted(examples, key=lambda e: (e.tick, e.sender_id)):
             w = (len(e.features) - 3) // 2
@@ -262,10 +261,10 @@ def write_dataset_jsonl(path, examples: list[LabeledExample]) -> None:
                 "sender_id": e.sender_id,
                 "dataset": e.dataset.value,
                 "source": e.source.value,
-                "features": [_sig9(v) for v in e.features],
+                "features": e.features,
                 "validity_mask": [False] * (w - e.valid) + [True] * e.valid,
-                "feedback": [_sig9(v) for v in e.feedback],
-                "target": [_sig9(v) for v in e.target],
+                "feedback": e.feedback,
+                "target": e.target,
             }) + "\n")
 
 

@@ -560,31 +560,13 @@ def run_scenario(cfg: WorldConfig, ticks: int | None = None,
 
 # --- record files ------------------------------------------------------------
 
-_POSE_KEYS = ("lat", "lng", "ori", "spd")   # of a message and of the ego record
-
-
-def _sig9(x: float) -> float:
-    return float(f"{x:.9g}")
-
-
-def _box_record(b: DetectedBox) -> dict:
-    return {
-        "vehicle_ref": b.vehicle_ref,
-        "bb_norm": [_sig9(v) for v in b.bb_norm],
-        "plate_readable": b.plate_readable,
-        "plate_read": b.plate_read,
-    }
-
-
-def _pose_record(x) -> dict:
-    return {k: _sig9(getattr(x, k)) for k in _POSE_KEYS}
-
-
 def write_run(path, cfg: WorldConfig, observations: list[Observation]) -> None:
     """Write a run as one JSON-lines file: a header `{"world": asdict(cfg),
-    "ticks": n}`, then one record per tick. Each record's `truth_pairs` is
-    the simulator's answer key, which the pipeline never reads. A config that
-    JSON cannot hold (an infinite camera range, say) raises ValueError."""
+    "ticks": n}`, then one record per tick holding the Observation's own
+    fields, each float in its shortest round-trip form, so `read_run` gives
+    back equal observations. Each record's `truth_pairs` is the simulator's
+    answer key, which the pipeline never reads. A config that JSON cannot
+    hold (an infinite camera range, say) raises ValueError."""
     try:
         header = json.dumps({"world": asdict(cfg), "ticks": len(observations)}, allow_nan=False)
     except ValueError as exc:
@@ -593,14 +575,7 @@ def write_run(path, cfg: WorldConfig, observations: list[Observation]) -> None:
     with open(path, "w") as f:
         f.write(header + "\n")
         for obs in observations:
-            f.write(json.dumps({
-                "t": obs.t,
-                "front_boxes": [_box_record(b) for b in obs.front_boxes],
-                "rear_boxes": [_box_record(b) for b in obs.rear_boxes],
-                "messages": [{**_pose_record(m), "id": m.id} for m in obs.messages],
-                "ego": _pose_record(obs.ego_sensors),
-                "truth_pairs": {str(k): v for k, v in obs.truth_pairs.items()},
-            }) + "\n")
+            f.write(json.dumps(obs, default=vars) + "\n")
 
 
 def _finite(text: str) -> float:
@@ -662,6 +637,9 @@ def _box(d) -> DetectedBox:
                        plate_read=_typed("plate_read", d["plate_read"], str, type(None)))
 
 
+_POSE_KEYS = ("lat", "lng", "ori", "spd")   # of a message and of the ego record
+
+
 def _pose(d) -> dict:
     return {k: _num(d[k]) for k in _POSE_KEYS}
 
@@ -678,7 +656,7 @@ def _observation(rec: dict) -> Observation:
         raise ValueError("message ids differ from the truth senders")
     return Observation(t=_typed("t", rec["t"], int), front_boxes=front,
                        rear_boxes=[_box(b) for b in rec["rear_boxes"]], messages=messages,
-                       ego_sensors=SensorRecord(**_pose(rec["ego"])), truth_pairs=truth)
+                       ego_sensors=SensorRecord(**_pose(rec["ego_sensors"])), truth_pairs=truth)
 
 
 def _parsed(where: str, what: str, build, rec):

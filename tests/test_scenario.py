@@ -4,7 +4,6 @@ import json
 import math
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -362,28 +361,19 @@ def test_plate_unreadable_below_min_height():
 
 # --- record files ------------------------------------------------------------------
 
-def test_run_files_roundtrip(tmp_path):
-    cfg = _world(num_vehicles=15, seed=19, duration=5.0)
+@pytest.mark.parametrize("name", sorted(PINNED_WORLDS))
+def test_run_files_roundtrip(name, tmp_path):
+    cfg, _ = PINNED_WORLDS[name]
+    if name == "lossless":   # JSON cannot hold its infinite camera ranges
+        cfg = dataclasses.replace(
+            cfg, front_camera=dataclasses.replace(cfg.front_camera, max_range=1e6),
+            rear_camera=dataclasses.replace(cfg.rear_camera, max_range=1e6))
     _, observations = scenario.run_scenario(cfg)
     path = tmp_path / "run.jsonl"
     scenario.write_run(path, cfg, observations)
     header = json.loads(path.read_text().splitlines()[0])
     assert header == {"world": dataclasses.asdict(cfg), "ticks": len(observations)}
-    cfg_back, back = scenario.read_run(path)
-    assert cfg_back == cfg
-    assert len(back) == len(observations)
-    for a, b in zip(observations, back):
-        assert a.t == b.t
-        assert a.truth_pairs == b.truth_pairs
-        assert len(a.front_boxes) == len(b.front_boxes)
-        for x, y in zip(a.front_boxes, b.front_boxes):
-            assert x.vehicle_ref == y.vehicle_ref
-            assert x.plate_read == y.plate_read
-            assert np.allclose(x.bb_norm, y.bb_norm, atol=1e-8)
-        for mx, my in zip(a.messages, b.messages):
-            assert mx.id == my.id
-            assert abs(mx.lat - my.lat) < 1e-7
-        assert abs(a.ego_sensors.lng - b.ego_sensors.lng) < 1e-6
+    assert scenario.read_run(path) == (cfg, observations)
 
 
 def test_write_run_refuses_a_config_json_cannot_hold(tmp_path):
@@ -461,7 +451,7 @@ def test_read_run_names_line_of_wrong_type(tmp_path):
     _edit_record(path, 5, lambda rec: rec.update(front_boxes=5))
     assert _read_error(path).startswith(f"{path}:5: malformed record: ")
     path, _ = _written_run(tmp_path)
-    _edit_record(path, 5, lambda rec: rec["ego"].update(spd="12.5"))
+    _edit_record(path, 5, lambda rec: rec["ego_sensors"].update(spd="12.5"))
     assert _read_error(path) == f"{path}:5: malformed record: '12.5' is not a number"
     path, _ = _written_run(tmp_path)
     _edit_record(path, 5, lambda rec: rec.update(t=5.0))
@@ -606,14 +596,3 @@ def test_damaged_run_loads_as_written_or_names_the_file(tmp_path_factory, data):
     for a, b in changed:
         assert type(a) in (int, float, str) and type(b) in (int, float, str)
         assert type(a) is str or math.isfinite(a)
-
-
-def test_run_files_nine_significant_digits(tmp_path):
-    cfg = _world(num_vehicles=5, seed=19, duration=2.0)
-    _, observations = scenario.run_scenario(cfg)
-    path = tmp_path / "run.jsonl"
-    scenario.write_run(path, cfg, observations)
-    with open(path) as f:
-        f.readline()   # the header
-        rec = json.loads(f.readline())
-    assert float(f"{rec['ego']['lat']:.9g}") == rec["ego"]["lat"]
