@@ -40,9 +40,11 @@ same = all(a.truth_pairs == b.truth_pairs for a, b in zip(observations, observat
 print(f"\nre-run with the same seed identical: {same}")
 
 # the recording: a header with the whole WorldConfig, then one line per tick
-path = Path(tempfile.mkdtemp(prefix="fedvid_world_")) / "run.jsonl"
-scenario.write_run(path, cfg, observations)
-cfg_back, observations_back = scenario.read_run(path)
-print(f"run written to {path}: {len(observations_back)} ticks, "
+with tempfile.TemporaryDirectory(prefix="fedvid_world_") as tmp:
+    path = Path(tmp) / "run.jsonl"
+    scenario.write_run(path, cfg, observations)
+    cfg_back, observations_back = scenario.read_run(path)
+    size = path.stat().st_size
+print(f"run.jsonl: {size} bytes, {len(observations_back)} ticks, "
       f"config read back equal: {cfg_back == cfg}, "
       f"observations read back equal: {observations_back == observations}")

@@ -35,8 +35,10 @@ out, _ = mdl.forward_batch(trainer.params, arrays.X[row:row + 1], arrays.FB[row:
 print(f"\nprediction for an inside row: box {out[0, :4].round(3)}, inside {out[0, 4]:.3f}")
 print(f"                      target: box {arrays.Y[row, :4].round(3)}, inside {arrays.Y[row, 4]:.0f}")
 
-path = Path(tempfile.mkdtemp(prefix="fedvid_model_")) / "model.fmdf"
-mdl.save_model(trainer.params, path)
-loaded = mdl.load_model(path)
+with tempfile.TemporaryDirectory(prefix="fedvid_model_") as tmp:
+    path = Path(tmp) / "model.fmdf"
+    mdl.save_model(trainer.params, path)
+    loaded = mdl.load_model(path)
+    size = path.stat().st_size
 identical = all(np.array_equal(a, b) for a, b in zip(trainer.params.weights, loaded.weights))
-print(f"\nsaved {path.stat().st_size} bytes to {path}; reload bit-identical: {identical}")
+print(f"\nsaved {size} bytes to model.fmdf; reload bit-identical: {identical}")

@@ -62,7 +62,7 @@ def _world_from_args(args, **defaults) -> scenario.WorldConfig:
             overrides["seed"] = args.seed
         if "seed" not in overrides:
             raise UsageError("a scenario seed is required (--seed or config file)")
-        return scenario.WorldConfig.from_dict(overrides)
+        return scenario.from_record(scenario.WorldConfig, overrides)
     except (TypeError, ValueError) as exc:   # only a --config file can hold a bad field
         raise ValueError(f"{args.config}: {exc}") from None
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import features as feats
 from . import geo, plates
-from .scenario import OUTSIDE, DetectedBox, Message, Observation, WorldConfig, _num, read_jsonl
+from .scenario import (OUTSIDE, DetectedBox, Message, Observation, WorldConfig, from_record,
+                       read_jsonl)
 
 
 class PairSource(str, Enum):
@@ -279,10 +280,8 @@ def read_dataset_jsonl(path) -> TrainingArrays:
             if key not in rec:
                 raise ValueError(f"{where}: missing key {key!r}")
             try:
-                if type(row := rec[key]) is not list:
-                    raise TypeError
-                row = [float(_num(v)) for v in row]   # _num refuses booleans
-            except (TypeError, OverflowError):
+                row = from_record(list[float], rec[key])
+            except TypeError:
                 raise ValueError(f"{where}: {key!r} is not a flat list of numbers") from None
             if rows and len(row) != len(rows[0]):
                 raise ValueError(f"{where}: {key!r} has {len(row)} values, "

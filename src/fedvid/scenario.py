@@ -9,9 +9,12 @@ detection, and records the ground-truth sender-to-box pairing for every tick.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+import re
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -58,7 +61,7 @@ class CameraModel:
         if not 0.0 < self.hfov_deg < 180.0:
             raise ValueError("hfov_deg must be in (0, 180)")
         if self.image_w <= 0 or self.image_h <= 0:
-            raise ValueError("image dimensions must be positive")
+            raise ValueError("image_w and image_h must be positive")
         if self.facing not in ("front", "rear"):
             raise ValueError("facing must be 'front' or 'rear'")
 
@@ -76,10 +79,6 @@ def default_rear_camera() -> CameraModel:
 
 class CapacityError(ValueError):
     """The requested vehicle count does not fit on the road layout."""
-
-
-# the values each WorldConfig annotation takes (a bool is neither int nor float)
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "CameraModel": CameraModel}
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,6 @@ class WorldConfig:
     ocr_channel: str = "builtin"        # "builtin" | "identity"
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[f.type]):
-                raise TypeError(f"{f.name} {v!r} is not {f.type}")
         if self.num_vehicles < 2:
             raise ValueError("num_vehicles must be at least 2")
         if self.tick_interval <= 0:
@@ -125,16 +120,6 @@ class WorldConfig:
         if self.ocr_channel not in ("builtin", "identity"):
             raise ValueError(f"unknown ocr_channel {self.ocr_channel!r}")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorldConfig":
-        """Inverse of `dataclasses.asdict`: camera fields, when present, are
-        dicts of CameraModel fields."""
-        data = dict(data)
-        for key in ("front_camera", "rear_camera"):
-            if key in data:
-                data[key] = CameraModel(**data[key])
-        return cls(**data)
-
     def num_ticks(self) -> int:
         return int(round(self.duration / self.tick_interval))
 
@@ -153,7 +138,7 @@ class DetectedBox:
     vehicle_ref: int             # simulator-internal ground truth, hidden from the pipeline
     bb_norm: tuple[float, float, float, float]
     plate_readable: bool
-    plate_read: str | None = None  # OCR channel output for this box, if any
+    plate_read: str | None       # OCR channel output for this box, if any
 
 
 @dataclass
@@ -560,6 +545,12 @@ def run_scenario(cfg: WorldConfig, ticks: int | None = None,
 
 # --- record files ------------------------------------------------------------
 
+@dataclass
+class _RunHeader:
+    world: WorldConfig
+    ticks: int
+
+
 def write_run(path, cfg: WorldConfig, observations: list[Observation]) -> None:
     """Write a run as one JSON-lines file: a header `{"world": asdict(cfg),
     "ticks": n}`, then one record per tick holding the Observation's own
@@ -568,7 +559,7 @@ def write_run(path, cfg: WorldConfig, observations: list[Observation]) -> None:
     answer key, which the pipeline never reads. A config that JSON cannot
     hold (an infinite camera range, say) raises ValueError."""
     try:
-        header = json.dumps({"world": asdict(cfg), "ticks": len(observations)}, allow_nan=False)
+        header = json.dumps(asdict(_RunHeader(cfg, len(observations))), allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"{path}: cannot record a world config with a non-finite field: "
                          f"{exc}") from None
@@ -613,60 +604,56 @@ def read_jsonl(path):
             yield where, rec
 
 
-def _num(v):
-    if type(v) not in (int, float):
-        raise TypeError(f"{v!r} is not a number")
-    return v
+def from_record(tp, value, key: str = "record"):
+    """`value`, as `decode_record` gives it, built into the annotated type
+    `tp` by the record rule (README); a value that does not fit raises
+    TypeError naming its field, or `key` at the top."""
+    return _decoder(tp)(value, key)
 
 
-def _typed(key, v, *types):
-    """`v`, the value of field `key`, if its type is exactly one of `types`
-    (so a bool is no int)."""
-    if type(v) not in types:
-        raise TypeError(f"{key} {v!r} is not " + " or ".join(
-            "null" if t is type(None) else t.__name__ for t in types))
-    return v
+_is_decimal_int = re.compile(r"-?[1-9][0-9]*|0").fullmatch
 
 
-def _box(d) -> DetectedBox:
-    bb_norm = tuple(map(_num, d["bb_norm"]))
-    if len(bb_norm) != 4:
-        raise ValueError(f"bb_norm {d['bb_norm']!r} does not hold 4 numbers")
-    return DetectedBox(vehicle_ref=_typed("vehicle_ref", d["vehicle_ref"], int), bb_norm=bb_norm,
-                       plate_readable=_typed("plate_readable", d["plate_readable"], bool),
-                       plate_read=_typed("plate_read", d["plate_read"], str, type(None)))
+@functools.cache
+def _decoder(tp):
+    """The `(value, key)` function that `from_record` applies for `tp`."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    subs = [_decoder(a) for a in args if a is not type(None)]
+    if type(None) in args:   # X | None
+        return lambda v, key: None if v is None else subs[0](v, key)
+    if tp in (int, str, bool, float):   # float() of an int no float can hold raises OverflowError
+        return _shaped((int, float) if tp is float else (tp,), tp.__name__, lambda v, key: tp(v))
+    if origin is list:
+        return _shaped((list,), "list", lambda v, key: [subs[0](x, key) for x in v])
+    if origin is tuple:
+        return _shaped((list,), f"an array of {len(subs)}", lambda v, key: tuple(
+            sub(x, key) for sub, x in zip(subs, v)), lambda v: len(v) == len(subs))
+    if origin is dict and args[0] is int:   # keys as json.dumps writes an int
+        return _shaped((dict,), "an object of decimal int keys", lambda v, key: {
+            int(k): subs[1](x, key) for k, x in v.items()}, lambda v: all(map(_is_decimal_int, v)))
+    hints = typing.get_type_hints(tp)   # a dataclass: fields() refuses any other type
+    members = {f.name: _decoder(hints[f.name]) for f in fields(tp)}
+    required = [f.name for f in fields(tp) if f.default is f.default_factory is MISSING]
+
+    def build(v, key):
+        if missing := [name for name in required if name not in v]:
+            raise TypeError(f"missing key {missing[0]!r}")
+        if unknown := [name for name in v if name not in members]:
+            raise TypeError(f"unknown key {unknown[0]!r}")
+        return tp(**{name: members[name](x, name) for name, x in v.items()})
+    return _shaped((dict,), tp.__name__, build)
 
 
-_POSE_KEYS = ("lat", "lng", "ori", "spd")   # of a message and of the ego record
-
-
-def _pose(d) -> dict:
-    return {k: _num(d[k]) for k in _POSE_KEYS}
-
-
-def _observation(rec: dict) -> Observation:
-    front = [_box(b) for b in rec["front_boxes"]]
-    messages = [Message(**_pose(m), id=_typed("id", m["id"], int)) for m in rec["messages"]]
-    truth = {int(k): _typed("truth box", v, int) for k, v in rec["truth_pairs"].items()}
-    for v in truth.values():
-        if v != OUTSIDE and not 0 <= v < len(front):
-            raise ValueError(f"truth box {v} is neither {OUTSIDE} nor one of "
-                             f"{len(front)} front boxes")
-    if sorted(m.id for m in messages) != sorted(truth):
-        raise ValueError("message ids differ from the truth senders")
-    return Observation(t=_typed("t", rec["t"], int), front_boxes=front,
-                       rear_boxes=[_box(b) for b in rec["rear_boxes"]], messages=messages,
-                       ego_sensors=SensorRecord(**_pose(rec["ego_sensors"])), truth_pairs=truth)
-
-
-def _parsed(where: str, what: str, build, rec):
-    """`build(rec)`, with any error it raises named as a ValueError at `where`."""
-    try:
-        return build(rec)
-    except KeyError as exc:
-        raise ValueError(f"{where}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: malformed {what}: {exc}") from None
+def _shaped(kinds, name, build, fits=None):
+    """The decoder that builds a value of a type in `kinds` that `fits`."""
+    def decode(v, key):
+        try:
+            if type(v) in kinds and (fits is None or fits(v)):
+                return build(v, key)
+        except OverflowError:
+            pass
+        raise TypeError(f"{key} {v!r} is not {name}")
+    return decode
 
 
 def read_run(path) -> tuple[WorldConfig, list[Observation]]:
@@ -675,17 +662,29 @@ def read_run(path) -> tuple[WorldConfig, list[Observation]]:
     file that holds fewer or more ticks than its header says names the file."""
     records = read_jsonl(path)
     where, header = next(records, (f"{path}:1", {}))
-    cfg, ticks = _parsed(where, "header", lambda h: (
-        WorldConfig.from_dict(h["world"]), _typed("ticks", h["ticks"], int)), header)
+    try:
+        header = from_record(_RunHeader, header)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: malformed header: {exc}") from None
     out = []
     for where, rec in records:
-        obs = _parsed(where, "record", _observation, rec)
+        try:
+            obs = from_record(Observation, rec)
+            boxes = len(obs.front_boxes)
+            if bad := [v for v in obs.truth_pairs.values() if v != OUTSIDE and not 0 <= v < boxes]:
+                raise ValueError(f"truth_pairs {bad[0]} is neither {OUTSIDE} nor one of "
+                                 f"{boxes} front boxes")
+            if sorted(m.id for m in obs.messages) != sorted(obs.truth_pairs):
+                raise ValueError("message ids differ from the truth senders")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: malformed record: {exc}") from None
         if out and obs.t <= out[-1].t:
             raise ValueError(f"{where}: tick {obs.t} does not follow tick {out[-1].t}")
         out.append(obs)
-    if len(out) != ticks:
-        raise ValueError(f"{path}: the header promises {ticks} ticks, the file holds {len(out)}")
-    return cfg, out
+    if len(out) != header.ticks:
+        raise ValueError(f"{path}: the header promises {header.ticks} ticks, "
+                         f"the file holds {len(out)}")
+    return header.world, out
 
 
 def lossless_config(seed: int, **overrides) -> WorldConfig:

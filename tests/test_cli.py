@@ -65,13 +65,16 @@ def test_global_flag_the_command_never_reads_is_a_usage_error(flag, argv, tmp_pa
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("key,value", [("num_vehicles", 5.5), ("seed", "x")])
-def test_gen_config_field_of_wrong_type_exit_2(key, value, tmp_path, capsys):
+@pytest.mark.parametrize("key,value,expected", [
+    ("num_vehicles", 5.5, "int"), ("seed", "x", "int"),
+    ("duration", 10**400, "float"), ("comm_range", 10**400, "float"),   # too large for a float
+], ids=["num_vehicles-5.5", "seed-x", "duration-huge", "comm_range-huge"])
+def test_gen_config_field_of_wrong_type_exit_2(key, value, expected, tmp_path, capsys):
     cfg_path = tmp_path / "w.json"
     cfg_path.write_text(json.dumps({"seed": 3, key: value}))
     out = tmp_path / "run"
     assert cli.cli_main(["--config", str(cfg_path), "--out", str(out), "gen"]) == 2
-    assert f"error: {cfg_path}: {key} {value!r} is not int" in capsys.readouterr().err
+    assert f"error: {cfg_path}: {key} {value!r} is not {expected}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -79,9 +82,11 @@ _CAMERA = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720, "facing": "front",
 
 
 @pytest.mark.parametrize("world,message", [
-    ({"nmu_vehicles": 5}, "unexpected keyword argument 'nmu_vehicles'"),
+    ({"nmu_vehicles": 5}, "unknown key 'nmu_vehicles'"),
     ({"front_camera": {**_CAMERA, "hfov_deg": 200.0}}, "hfov_deg must be in (0, 180)"),
-], ids=["unknown-key", "bad-camera"])
+    ({"front_camera": {k: v for k, v in _CAMERA.items() if k != "image_w"}},
+     "missing key 'image_w'"),
+], ids=["unknown-key", "bad-camera", "camera-missing-key"])
 def test_gen_config_that_builds_no_world_is_named(world, message, tmp_path, capsys):
     cfg_path = tmp_path / "w.json"
     cfg_path.write_text(json.dumps(world))
@@ -291,7 +296,7 @@ def test_run_header_round_trips_camera_config(tmp_path):
 
     cfg, observations = scenario.read_run(run_path)
     assert cfg.front_camera.hfov_deg == 60.0
-    assert cfg == scenario.WorldConfig.from_dict({**world, "seed": 79})
+    assert cfg == scenario.from_record(scenario.WorldConfig, {**world, "seed": 79})
 
     # label must run the field-of-view test with the 60 degree camera
     cct = plates.default_conversion_table()

@@ -21,10 +21,13 @@ def test_demo_set():
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name, tmp_path):
-    env = {**os.environ, "TMPDIR": str(tmp_path),
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = {**os.environ, "TMPDIR": str(tmp),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+    assert not list(tmp.iterdir())   # the demo removes the temporary files it makes

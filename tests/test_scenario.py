@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -421,14 +422,14 @@ def test_read_run_rejects_non_finite_values(tmp_path):
 def test_read_run_names_line_of_missing_key(tmp_path):
     path, _ = _written_run(tmp_path)
     _edit_record(path, 4, lambda rec: rec["messages"][0].pop("spd"))
-    assert _read_error(path) == f"{path}:4: missing key 'spd'"
+    assert _read_error(path) == f"{path}:4: malformed record: missing key 'spd'"
 
 
 def test_read_run_names_line_of_box_without_plate_read(tmp_path):
     # a box read without a plate_read key would otherwise load as unread
     path, _ = _written_run(tmp_path)
     _edit_record(path, 4, lambda rec: rec["rear_boxes"][0].pop("plate_read"))
-    assert _read_error(path) == f"{path}:4: missing key 'plate_read'"
+    assert _read_error(path) == f"{path}:4: malformed record: missing key 'plate_read'"
 
 
 def test_read_run_names_line_of_truncated_record(tmp_path):
@@ -452,7 +453,7 @@ def test_read_run_names_line_of_wrong_type(tmp_path):
     assert _read_error(path).startswith(f"{path}:5: malformed record: ")
     path, _ = _written_run(tmp_path)
     _edit_record(path, 5, lambda rec: rec["ego_sensors"].update(spd="12.5"))
-    assert _read_error(path) == f"{path}:5: malformed record: '12.5' is not a number"
+    assert _read_error(path) == f"{path}:5: malformed record: spd '12.5' is not float"
     path, _ = _written_run(tmp_path)
     _edit_record(path, 5, lambda rec: rec.update(t=5.0))
     assert _read_error(path) == f"{path}:5: malformed record: t 5.0 is not int"
@@ -477,7 +478,7 @@ def test_read_run_names_line_of_short_box(tmp_path):
     _edit_record(path, line, lambda rec: rec["front_boxes"][0]["bb_norm"].pop())
     msg = _read_error(path)
     assert msg.startswith(f"{path}:{line}: malformed record: bb_norm [")
-    assert msg.endswith("] does not hold 4 numbers")
+    assert msg.endswith("] is not an array of 4")
 
 
 @pytest.mark.parametrize("value", ["x", True, 1.5, 99, -2, None])
@@ -491,7 +492,21 @@ def test_read_run_names_line_of_bad_truth_box(value, tmp_path):
         rec["truth_pairs"][sender] = value
     _edit_record(path, line, edit)
     msg = _read_error(path)
-    assert msg.startswith(f"{path}:{line}: malformed record: truth box {value!r} ")
+    assert msg.startswith(f"{path}:{line}: malformed record: truth_pairs {value!r} ")
+
+
+@pytest.mark.parametrize("form", ["+{}", " {}", "{} ", "0{}"],
+                         ids=["plus", "leading-space", "trailing-space", "leading-zero"])
+def test_read_run_names_line_of_truth_sender_not_in_decimal_form(form, tmp_path):
+    # int() reads each of these forms as the sender id itself
+    path, observations = _written_run(tmp_path)
+    line = next(obs.t + 1 for obs in observations if obs.truth_pairs)
+
+    def edit(rec):
+        sender = next(iter(rec["truth_pairs"]))
+        rec["truth_pairs"][form.format(sender)] = rec["truth_pairs"].pop(sender)
+    _edit_record(path, line, edit)
+    assert _read_error(path).startswith(f"{path}:{line}: malformed record: truth_pairs {{")
 
 
 @pytest.mark.parametrize("value", ["12", True, 1.5, None])
@@ -520,8 +535,8 @@ def test_read_run_checks_message_ids_against_truth(tmp_path):
 
 
 @pytest.mark.parametrize("lines,message", [
-    (lambda lines: [], "missing key 'world'"),
-    (lambda lines: lines[1:], "missing key 'world'"),
+    (lambda lines: [], "malformed header: missing key 'world'"),
+    (lambda lines: lines[1:], "malformed header: missing key 'world'"),
     (lambda lines: ['{"world": {"seed": 19, "weather": "sunny"}, "ticks": 10}\n', *lines[1:]],
      "malformed header: unknown weather 'sunny'"),
     (lambda lines: ['{"world": {"seed": 19, "fog": 1}, "ticks": 10}\n', *lines[1:]],
@@ -543,15 +558,70 @@ def test_read_run_names_line_1_of_a_bad_header(lines, message, tmp_path):
 @pytest.mark.parametrize("key,value,expected", [
     ("seed", True, "int"), ("num_vehicles", 40.0, "int"), ("duration", False, "float"),
     ("duration", "60", "float"), ("weather", None, "str"),
-    ("front_camera", {"hfov_deg": 90.0}, "CameraModel"),
+    ("front_camera", [90.0], "CameraModel"),
 ])
 def test_world_config_checks_field_types(key, value, expected):
     with pytest.raises(TypeError, match=f"^{key} .* is not {expected}$"):
-        scenario.WorldConfig(**{"seed": 1, key: value})
+        scenario.from_record(scenario.WorldConfig, {"seed": 1, key: value})
 
 
 def test_world_config_takes_an_int_for_a_float_field():
     assert scenario.WorldConfig(seed=1, duration=10).num_ticks() == 20
+    cfg = scenario.from_record(scenario.WorldConfig, {"seed": 1, "duration": 10})
+    assert type(cfg.duration) is float and cfg.duration == 10.0
+
+
+_WORLD_TYPES = typing.get_type_hints(scenario.WorldConfig)
+_CAMERA_TYPES = typing.get_type_hints(scenario.CameraModel)
+_UNKNOWN_KEYS = ["fog", "nmu_vehicles", "zoom"]
+_WORDS = {"road_layout": ["straight", "grid"], "weather": list(scenario.WEATHER_DEGRADATION),
+          "speed_profile": ["varied", "constant"], "ocr_channel": ["builtin", "identity"],
+          "facing": ["front", "rear"]}
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6), st.integers(),
+    st.sampled_from([10**400, -10**400]), st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def _good(name, tp):
+    """Values of field `name` that pass every check of its config."""
+    if tp is scenario.CameraModel:
+        return st.fixed_dictionaries({k: _good(k, t) for k, t in _CAMERA_TYPES.items()})
+    if tp is str:
+        return st.sampled_from(_WORDS[name])
+    # every float field takes (0, 1]; every int field but the seed takes 2 and above
+    return {int: st.integers(2, 2000) | st.just(10**400), float: st.floats(0.01, 1.0)}[tp]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_config_decoder_builds_a_world_or_names_a_key(data):
+    # a valid config object, then at most one damage: a junk value, an unknown
+    # key or a missing key, at its top level or in one of its cameras
+    config = data.draw(st.fixed_dictionaries(
+        {"seed": st.integers()},
+        optional={k: _good(k, t) for k, t in _WORLD_TYPES.items() if k != "seed"}), label="config")
+    cameras = [k for k in config if k.endswith("_camera")]
+    obj = config[data.draw(st.sampled_from(cameras))] if cameras and data.draw(st.booleans()) \
+        else config
+    damage = data.draw(st.sampled_from(["none", "junk", "unknown", "missing"]), label="damage")
+    key = data.draw(st.sampled_from(_UNKNOWN_KEYS if damage == "unknown" else sorted(obj)))
+    if damage == "missing":
+        del obj[key]
+    elif damage != "none":
+        obj[key] = data.draw(_JUNK, label="junk")
+    try:
+        cfg = scenario.from_record(scenario.WorldConfig, config)
+    except (TypeError, ValueError) as exc:
+        assert damage != "none", str(exc)
+        names = [*_WORLD_TYPES, *_CAMERA_TYPES, *_UNKNOWN_KEYS]
+        assert any(name in str(exc) for name in names), str(exc)
+        return
+    # junk may happen to be a valid value, and a field with a default may be left out
+    assert damage in ("none", "junk") or damage == "missing" and obj is config and key != "seed"
+    text = json.dumps(dataclasses.asdict(cfg))
+    assert scenario.from_record(scenario.WorldConfig, scenario.decode_record(text)) == cfg
 
 
 def test_read_run_names_the_file_cut_at_a_line_boundary(tmp_path):
