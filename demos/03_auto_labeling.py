@@ -33,5 +33,5 @@ for mode in labeling.DatasetMode:
 ex = labeling.assemble_dataset(run, labeling.DatasetMode.ALDA)[0]
 print(f"\none row: tick={ex.tick} sender={ex.sender_id:#x} source={ex.source.value}")
 print(f"  features: {' '.join(f'{v:+.3f}' for v in ex.features)}")
-print(f"  real window slots: {ex.valid} of {run.feature_cfg.window}")
+print(f"  real window slots: {sum(ex.validity_mask)} of {len(ex.validity_mask)}")
 print(f"  target:   {tuple(round(v, 3) for v in ex.target)}")

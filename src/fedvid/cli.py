@@ -29,14 +29,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _count(text: str) -> int:
-    """argparse type of the count flags: an integer of at least 1."""
-    try:
-        if (n := int(text)) >= 1:
-            return n
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+def _at_least(low: int):
+    """argparse type of an integer flag of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            if (n := int(text)) >= low:
+                return n
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least {low}")
+    return parse
 
 
 def _check_global_flags(args) -> None:
@@ -197,7 +199,7 @@ def cmd_demo_tables(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fedvid", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help=(
+    parser.add_argument("--seed", type=_at_least(0), default=None, help=(
         "the scenario seed of gen and of eval without --run; the training seed "
         f"of train, serve and client (default {experiment.ExperimentConfig.train_seed})"))
     parser.add_argument("--config", default=None, help=(
@@ -208,7 +210,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen", help="simulate a scenario into run.jsonl")
-    p.add_argument("--ticks", type=_count, default=None)
+    p.add_argument("--ticks", type=_at_least(1), default=None)
     p.set_defaults(func=cmd_gen, reads=("seed", "config", "out"))
 
     p = sub.add_parser("label", help="auto-label a recorded run into a dataset")
@@ -218,15 +220,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the model on a dataset file")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--epochs", type=_count, default=200)
+    p.add_argument("--epochs", type=_at_least(1), default=200)
     p.set_defaults(func=cmd_train, reads=("seed", "out"))
 
     p = sub.add_parser("serve", help="run the federated parameter server")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
-    p.add_argument("--clients", type=_count, required=True)
-    p.add_argument("--rounds", type=_count, default=50)
-    p.add_argument("--min-clients", type=_count, default=1)
+    p.add_argument("--clients", type=_at_least(1), required=True)
+    p.add_argument("--rounds", type=_at_least(1), default=50)
+    p.add_argument("--min-clients", type=_at_least(1), default=1)
     p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)
     p.set_defaults(func=cmd_serve, reads=("seed", "config", "out"))
 
@@ -235,7 +237,7 @@ def build_parser() -> _Parser:
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--local-epochs", type=_count, default=1)
+    p.add_argument("--local-epochs", type=_at_least(1), default=1)
     p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)
     p.set_defaults(func=cmd_client, reads=("seed",))
 

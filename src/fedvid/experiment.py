@@ -9,6 +9,7 @@ writes the report and auto-label-rate files.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -39,6 +40,18 @@ class ExperimentConfig:
             raise ValueError(
                 f"eval seed {self.eval_seed} overlaps the training seeds {self.train_seeds}"
             )
+        for training_mode in self.training_modes:
+            federated_clients(training_mode)
+
+
+def federated_clients(training_mode: str) -> int | None:
+    """The client count of a training mode: None for "central", n for
+    "federated-n" (n >= 1, no leading zero). Any other mode raises ValueError."""
+    if training_mode == "central":
+        return None
+    if not (match := re.fullmatch(r"federated-([1-9][0-9]*)", training_mode)):
+        raise ValueError(f"unknown training mode {training_mode!r} (central or federated-N, N >= 1)")
+    return int(match[1])
 
 
 def simulate_and_label(world: scenario.WorldConfig, seed: int,
@@ -122,12 +135,8 @@ def train_central(arrays: labeling.TrainingArrays, cfg: ExperimentConfig) -> mdl
 
 def split_shards(arrays: labeling.TrainingArrays, n: int) -> list[labeling.TrainingArrays]:
     """Disjoint round-robin shards of a training array set."""
-    shards = []
-    for i in range(n):
-        sel = slice(i, None, n)
-        shards.append(labeling.TrainingArrays(
-            X=arrays.X[sel].copy(), FB=arrays.FB[sel].copy(), Y=arrays.Y[sel].copy()))
-    return shards
+    return [labeling.TrainingArrays(*(a[i::n].copy() for a in vars(arrays).values()))
+            for i in range(n)]
 
 
 def client_seed(train_seed: int, client_id: int) -> int:
@@ -185,13 +194,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
             examples.extend(labeling.assemble_dataset(run, mode))
         arrays = labeling.to_arrays(examples)
         for training_mode in cfg.training_modes:
-            if training_mode == "central":
+            if (n := federated_clients(training_mode)) is None:
                 params = train_central(arrays, cfg)
-            elif training_mode.startswith("federated-"):
-                n = int(training_mode.split("-", 1)[1])
-                params, _, _, _ = train_federated(arrays, n, cfg)
             else:
-                raise ValueError(f"unknown training mode {training_mode!r}")
+                params, _, _, _ = train_federated(arrays, n, cfg)
             report = evaluate_model(params, eval_run, cfg.mapping_cfg)
             rows.append({"dataset": mode.value, "training_mode": training_mode,
                          "n_examples": arrays.X.shape[0], **asdict(report)})

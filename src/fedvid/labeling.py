@@ -163,14 +163,16 @@ def label_run(observations: list[Observation], cct: plates.ConversionTable,
 
 @dataclass
 class LabeledExample:
-    features: list[float]         # model input row, from feats.build_feature_vector
-    valid: int                    # trailing window slots that hold real samples
-    target: tuple[float, ...]     # (*box, 1.0) inside, five zeros outside
+    """A training row, and a line of the dataset file: its keys in field order."""
+
     tick: int
     sender_id: int
-    source: PairSource
     dataset: DatasetMode
-    feedback: tuple[float, ...]   # the sender's labeled box at t-1, four zeros if none
+    source: PairSource
+    features: list[float]         # model input row, from feats.build_feature_vector
+    validity_mask: list[bool]     # per window slot, True where it holds a real sample
+    feedback: tuple[float, float, float, float]   # the sender's labeled box at t-1, else zeros
+    target: tuple[float, float, float, float, float]   # (*box, 1.0) inside, zeros outside
 
 
 def feature_for(run: LabeledRun, sender_id: int, t: int) -> tuple[list[float], int]:
@@ -199,32 +201,29 @@ def assemble_dataset(run: LabeledRun, mode: DatasetMode) -> list[LabeledExample]
     (teacher forcing), zeros when the sender was not paired at t-1.
     """
     mode = DatasetMode(mode)
+    w = run.feature_cfg.window
     prev_boxes: dict[int, tuple[float, ...]] = {}
     examples: list[LabeledExample] = []
 
     for obs, lab in zip(run.observations, run.labels):
-        rows: list[tuple[int, tuple[float, ...], PairSource]] = []
-        if mode in (DatasetMode.AL, DatasetMode.ALDA):
-            for msg_id, box_idx in lab.front.items():
-                rows.append((msg_id, (*obs.front_boxes[box_idx].bb_norm, 1.0),
-                             PairSource.AUTO_FRONT))
-            negatives = dict.fromkeys(lab.rear, PairSource.AUTO_REAR)
-            if mode is DatasetMode.ALDA:
-                for m in lab.outside:
-                    negatives.setdefault(m, PairSource.AUTO_FOV)
+        if mode is DatasetMode.MANUAL:
+            rows = [(m, (0.0,) * 5 if b == OUTSIDE else (*obs.front_boxes[b].bb_norm, 1.0),
+                     PairSource.MANUAL) for m, b in obs.truth_pairs.items()]
+        else:   # a rear pairing outranks the field-of-view test
+            fov = lab.outside if mode is DatasetMode.ALDA else ()
+            negatives = {**dict.fromkeys(fov, PairSource.AUTO_FOV),
+                         **dict.fromkeys(lab.rear, PairSource.AUTO_REAR)}
+            rows = [(m, (*obs.front_boxes[b].bb_norm, 1.0), PairSource.AUTO_FRONT)
+                    for m, b in lab.front.items()]
             rows += [(m, (0.0,) * 5, src) for m, src in negatives.items() if m not in lab.front]
-        else:
-            for msg_id, box_idx in obs.truth_pairs.items():
-                target = (0.0,) * 5 if box_idx == OUTSIDE else (
-                    *obs.front_boxes[box_idx].bb_norm, 1.0)
-                rows.append((msg_id, target, PairSource.MANUAL))
 
         next_prev: dict[int, tuple[float, ...]] = {}
         for msg_id, target, src in sorted(rows, key=lambda r: r[0]):
             row, valid = feature_for(run, msg_id, obs.t)
             examples.append(LabeledExample(
-                features=row, valid=valid, target=target, tick=obs.t, sender_id=msg_id,
-                source=src, dataset=mode, feedback=prev_boxes.get(msg_id, (0.0,) * 4),
+                tick=obs.t, sender_id=msg_id, dataset=mode, source=src, features=row,
+                validity_mask=[False] * (w - valid) + [True] * valid,
+                feedback=prev_boxes.get(msg_id, (0.0,) * 4), target=target,
             ))
             if target[4] == 1.0:
                 next_prev[msg_id] = target[:4]
@@ -255,38 +254,24 @@ def write_dataset_jsonl(path, examples: list[LabeledExample]) -> None:
     """One record per example, ordered by (tick, sender id), floats exact."""
     with open(path, "w") as f:
         for e in sorted(examples, key=lambda e: (e.tick, e.sender_id)):
-            w = (len(e.features) - 3) // 2
-            f.write(json.dumps({
-                "schema_version": DATASET_SCHEMA_VERSION,
-                "tick": e.tick,
-                "sender_id": e.sender_id,
-                "dataset": e.dataset.value,
-                "source": e.source.value,
-                "features": e.features,
-                "validity_mask": [False] * (w - e.valid) + [True] * e.valid,
-                "feedback": e.feedback,
-                "target": e.target,
-            }) + "\n")
+            f.write(json.dumps({"schema_version": DATASET_SCHEMA_VERSION, **vars(e)}) + "\n")
 
 
 def read_dataset_jsonl(path) -> TrainingArrays:
     """Load the flat training arrays back from a dataset file. A damaged
     record, a non-finite value included, raises ValueError naming `path:line`."""
-    columns: dict[str, list[list[float]]] = {"features": [], "feedback": [], "target": []}
+    examples: list[LabeledExample] = []
     for where, rec in read_jsonl(path):
-        if rec.get("schema_version") != DATASET_SCHEMA_VERSION:
-            raise ValueError(f"{where}: unsupported dataset schema {rec.get('schema_version')!r}")
-        for key, rows in columns.items():
-            if key not in rec:
-                raise ValueError(f"{where}: missing key {key!r}")
-            try:
-                row = from_record(list[float], rec[key])
-            except TypeError:
-                raise ValueError(f"{where}: {key!r} is not a flat list of numbers") from None
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"{where}: {key!r} has {len(row)} values, "
-                                 f"the first record {len(rows[0])}")
-            rows.append(row)
-    if not columns["features"]:
+        if (version := rec.pop("schema_version", None)) != DATASET_SCHEMA_VERSION:
+            raise ValueError(f"{where}: unsupported dataset schema {version!r}")
+        try:
+            e = from_record(LabeledExample, rec)
+        except TypeError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if examples and len(e.features) != len(examples[0].features):
+            raise ValueError(f"{where}: features has {len(e.features)} values, "
+                             f"the first record {len(examples[0].features)}")
+        examples.append(e)
+    if not examples:
         raise ValueError(f"empty dataset file {path}")
-    return TrainingArrays(*(np.array(rows, dtype=float) for rows in columns.values()))
+    return to_arrays(examples)

@@ -15,6 +15,7 @@ import math
 import re
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from enum import Enum
 
 import numpy as np
 
@@ -99,6 +100,8 @@ class WorldConfig:
     ocr_channel: str = "builtin"        # "builtin" | "identity"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.num_vehicles < 2:
             raise ValueError("num_vehicles must be at least 2")
         if self.tick_interval <= 0:
@@ -621,6 +624,9 @@ def _decoder(tp):
     subs = [_decoder(a) for a in args if a is not type(None)]
     if type(None) in args:   # X | None
         return lambda v, key: None if v is None else subs[0](v, key)
+    if isinstance(tp, type) and issubclass(tp, Enum):   # a member by its exact value
+        values = {m.value for m in tp}
+        return _shaped((str,), tp.__name__, lambda v, key: tp(v), values.__contains__)
     if tp in (int, str, bool, float):   # float() of an int no float can hold raises OverflowError
         return _shaped((int, float) if tp is float else (tp,), tp.__name__, lambda v, key: tp(v))
     if origin is list:

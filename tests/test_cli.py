@@ -134,6 +134,27 @@ def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen"], ["train", "--dataset", "x.jsonl"], ["serve", "--clients", "1"],
+    ["client", "--port", "9", "--id", "1", "--dataset", "x.jsonl"], ["eval", "--model", "m.fmdf"],
+], ids=["gen", "train", "serve", "client", "eval"])
+def test_negative_seed_flag_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.cli_main(["--seed", "-1", "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --seed: '-1' is not an integer of at least 0")
+    assert not out.exists()
+
+
+def test_gen_config_of_negative_seed_is_named(tmp_path, capsys):
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "run"
+    assert cli.cli_main(["--config", str(cfg_path), "--out", str(out), "gen"]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: seed must be non-negative\n"
+    assert not out.exists()
+
+
 def test_min_clients_above_clients_is_a_usage_error(tmp_path, capsys):
     assert cli.cli_main(["--out", str(tmp_path), "serve", "--clients", "2",
                          "--min-clients", "3"]) == 1

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -141,13 +142,29 @@ def test_run_experiment_repeatable(tmp_path):
     assert (tmp_path / "a" / "report.csv").read_text() == (tmp_path / "b" / "report.csv").read_text()
 
 
-def test_unknown_training_mode_rejected(tmp_path):
-    cfg = experiment.ExperimentConfig(
-        train_seeds=(421,), eval_seed=422, world=_small_world(),
-        dataset_modes=(DatasetMode.AL,), training_modes=("quantum",), epochs=1,
-    )
-    with pytest.raises(ValueError):
-        experiment.run_experiment(cfg, tmp_path)
+def _no_world(*args, **kwargs):
+    raise AssertionError("a world was simulated")
+
+
+@pytest.mark.parametrize("modes", [
+    ("quantum",), ("central", "federated-x"), ("federated-0",), ("federated-",),
+    ("federated-02",), ("federated--1",), ("federated-2 ",),
+], ids=["quantum", "after-central", "zero-clients", "no-count", "leading-zero", "negative",
+        "trailing-space"])
+def test_unknown_training_mode_rejected(modes, tmp_path, monkeypatch):
+    # the config refuses the mode, so no world is simulated and no cell trained
+    monkeypatch.setattr(scenario, "run_scenario", _no_world)
+    with pytest.raises(ValueError, match=f"^unknown training mode {re.escape(repr(modes[-1]))} "):
+        experiment.run_experiment(experiment.ExperimentConfig(
+            train_seeds=(421,), eval_seed=422, world=_small_world(),
+            dataset_modes=(DatasetMode.AL,), training_modes=modes, epochs=1), tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_federated_clients_reads_the_count():
+    assert experiment.federated_clients("central") is None
+    assert experiment.federated_clients("federated-2") == 2
+    assert experiment.federated_clients("federated-12") == 12
 
 
 def test_small_experiment_bytes_pinned(tmp_path):

@@ -339,6 +339,21 @@ def test_dataset_jsonl_roundtrip(run89, tmp_path):
         assert keys == sorted(keys)
 
 
+def test_every_dataset_line_decodes_to_the_example_written(run89, tmp_path):
+    for mode in DatasetMode:
+        examples = labeling.assemble_dataset(run89, mode)
+        path = tmp_path / f"{mode.value}.jsonl"
+        labeling.write_dataset_jsonl(path, examples)
+        back = []
+        for _, rec in scenario.read_jsonl(path):
+            assert rec.pop("schema_version") == labeling.DATASET_SCHEMA_VERSION
+            back.append(scenario.from_record(labeling.LabeledExample, rec))
+        assert back == examples
+        # a str Enum equals its value, so equality alone would pass a plain str
+        assert {(type(e.dataset), type(e.source)) for e in back} <= {
+            (DatasetMode, labeling.PairSource)}
+
+
 @pytest.mark.parametrize("mode", list(DatasetMode))
 def test_dataset_bytes_pinned(mode, run89, tmp_path):
     # the files hold rows of fresh senders, so the pin covers the derived mask
@@ -399,7 +414,7 @@ def test_reader_names_line_of_missing_key(run89, tmp_path):
 def test_reader_names_line_of_ragged_row(key, run89, tmp_path):
     path, lines = _dataset_lines(run89, tmp_path)
     msg = _damage_line_3(path, lines, lambda rec: json.dumps({**rec, key: rec[key] + [0.5]}))
-    assert repr(key) in msg
+    assert msg.startswith(f"{path}:3: {key} ")
 
 
 @pytest.mark.parametrize("key,flag", [("features", True), ("target", False)])
@@ -407,7 +422,21 @@ def test_reader_names_line_of_boolean(key, flag, run89, tmp_path):
     # JSON true/false are not numbers, though numpy would read them as 1.0/0.0
     path, lines = _dataset_lines(run89, tmp_path)
     msg = _damage_line_3(path, lines, lambda rec: json.dumps({**rec, key: [flag] + rec[key][1:]}))
-    assert msg == f"{path}:3: {key!r} is not a flat list of numbers"
+    assert msg == f"{path}:3: {key} {flag!r} is not float"
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda rec: {**rec, "source": "BOGUS"}, "source"),
+    (lambda rec: {**rec, "tick": "x"}, "tick"),
+    (lambda rec: {**rec, "extra": 1}, "unknown key 'extra'"),
+    (lambda rec: {**rec, "validity_mask": [1, 2]}, "validity_mask"),
+    (lambda rec: {k: v for k, v in rec.items() if k != "sender_id"}, "missing key 'sender_id'"),
+], ids=["bad-source", "tick-not-int", "extra-key", "mask-of-ints", "no-sender-id"])
+def test_reader_refuses_line_outside_the_example_fields(edit, key, run89, tmp_path):
+    # each of these lines loaded silently while the reader read only the number columns
+    path, lines = _dataset_lines(run89, tmp_path)
+    msg = _damage_line_3(path, lines, lambda rec: json.dumps(edit(rec)))
+    assert msg.startswith(f"{path}:3: {key}")
 
 
 def test_reader_names_line_of_non_finite_value(run89, tmp_path):

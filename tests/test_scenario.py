@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedvid import geo, plates, scenario
+from fedvid.labeling import DatasetMode
 
 
 def _world(**kw):
@@ -571,6 +572,22 @@ def test_world_config_takes_an_int_for_a_float_field():
     assert type(cfg.duration) is float and cfg.duration == 10.0
 
 
+def test_world_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        scenario.WorldConfig(seed=-1)
+    assert scenario.WorldConfig(seed=0).seed == 0
+
+
+def test_enum_field_takes_one_of_its_values():
+    assert scenario.from_record(DatasetMode, "ALDA", "dataset") is DatasetMode.ALDA
+
+
+@pytest.mark.parametrize("value", ["alda", 1, None], ids=["wrong-case", "int", "null"])
+def test_enum_field_refuses_what_is_not_one_of_its_values(value):
+    with pytest.raises(TypeError, match=f"^dataset {re.escape(repr(value))} is not DatasetMode$"):
+        scenario.from_record(DatasetMode, value, "dataset")
+
+
 _WORLD_TYPES = typing.get_type_hints(scenario.WorldConfig)
 _CAMERA_TYPES = typing.get_type_hints(scenario.CameraModel)
 _UNKNOWN_KEYS = ["fog", "nmu_vehicles", "zoom"]
@@ -600,7 +617,7 @@ def test_config_decoder_builds_a_world_or_names_a_key(data):
     # a valid config object, then at most one damage: a junk value, an unknown
     # key or a missing key, at its top level or in one of its cameras
     config = data.draw(st.fixed_dictionaries(
-        {"seed": st.integers()},
+        {"seed": st.integers(min_value=0)},
         optional={k: _good(k, t) for k, t in _WORLD_TYPES.items() if k != "seed"}), label="config")
     cameras = [k for k in config if k.endswith("_camera")]
     obj = config[data.draw(st.sampled_from(cameras))] if cameras and data.draw(st.booleans()) \
