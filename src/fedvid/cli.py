@@ -235,7 +235,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("client", help="run one federated client")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, required=True)
-    p.add_argument("--id", type=int, required=True)
+    p.add_argument("--id", type=_at_least(1), required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--local-epochs", type=_at_least(1), default=1)
     p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)

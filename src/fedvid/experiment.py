@@ -36,6 +36,10 @@ class ExperimentConfig:
     train_seed: int = 7
 
     def __post_init__(self):
+        for name, seeds in (("train_seeds", self.train_seeds), ("eval_seed", [self.eval_seed]),
+                            ("train_seed", [self.train_seed])):
+            if any(seed < 0 for seed in seeds):
+                raise ValueError(f"{name} must be non-negative")
         if self.eval_seed in self.train_seeds:
             raise ValueError(
                 f"eval seed {self.eval_seed} overlaps the training seeds {self.train_seeds}"
@@ -110,8 +114,9 @@ def autolabel_rates(state: scenario.ScenarioState, run: labeling.LabeledRun,
     matched_with = 0
     matched_without = 0
     for obs, lab in zip(run.observations, run.labels):
-        sender_ids = set(obs.truth_pairs)
-        inside += sum(1 for v in obs.truth_pairs.values() if v != scenario.OUTSIDE)
+        truth = obs.truth_pairs
+        sender_ids = set(truth)
+        inside += sum(1 for v in truth.values() if v != scenario.OUTSIDE)
         matched_with += len(lab.front)
         matched_without += sum(raw_ids.get(box.plate_read) in sender_ids
                                for box in obs.front_boxes)

@@ -33,7 +33,8 @@ def latlng_delta_norm(msg_latlng, ego_latlng, norm_scale) -> tuple[float, float]
     """Signed (msg - ego) lat/lng difference divided by the normalization scale,
     clamped to [-1, 1]. North and east are positive.
 
-    norm_scale is (lat_scale_deg, lng_scale_deg), as from geo.latlng_scale_deg.
+    norm_scale is (lat_scale_deg, lng_scale_deg): the degrees that the range
+    spans at the ego's latitude, as geo.meters_to_deg(range, range, lat) gives.
     """
     s_lat, s_lng = norm_scale
     if s_lat <= 0 or s_lng <= 0:
@@ -80,7 +81,7 @@ def build_feature_vector(history, ego_records, cfg: FeatureConfig) -> list[float
     used = min(cfg.window, len(history))
     row = [0.0] * (2 * (cfg.window - used))
     for h, e in zip(history[-used:], ego_records[-used:]):
-        scale = geo.latlng_scale_deg(cfg.comm_range_m, e[0])
+        scale = geo.meters_to_deg(cfg.comm_range_m, cfg.comm_range_m, e[0])
         row.extend(latlng_delta_norm((h[0], h[1]), (e[0], e[1]), scale))
 
     newest = history[-1]

@@ -50,12 +50,3 @@ def deg_to_meters(dlat: float, dlng: float, at_lat: float) -> tuple[float, float
     east = dlng * METERS_PER_DEG_LAT * math.cos(math.radians(at_lat))
     return north, east
 
-
-def latlng_scale_deg(range_m: float, at_lat: float) -> tuple[float, float]:
-    """Degrees of latitude and longitude spanned by `range_m` meters at a latitude.
-
-    Used as the normalization scale for message/ego position differences.
-    """
-    lat_deg = range_m / METERS_PER_DEG_LAT
-    lng_deg = range_m / (METERS_PER_DEG_LAT * math.cos(math.radians(at_lat)))
-    return lat_deg, lng_deg

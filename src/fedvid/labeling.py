@@ -262,7 +262,8 @@ def read_dataset_jsonl(path) -> TrainingArrays:
     record, a non-finite value included, raises ValueError naming `path:line`."""
     examples: list[LabeledExample] = []
     for where, rec in read_jsonl(path):
-        if (version := rec.pop("schema_version", None)) != DATASET_SCHEMA_VERSION:
+        version = rec.pop("schema_version", None)
+        if type(version) is not int or version != DATASET_SCHEMA_VERSION:   # not True, not 1.0
             raise ValueError(f"{where}: unsupported dataset schema {version!r}")
         try:
             e = from_record(LabeledExample, rec)

@@ -3,8 +3,9 @@
 Generates seeded vehicle trajectories on a straight or grid road layout,
 simulates the ego vehicle's front/rear camera detections through a pinhole
 model (with occlusion merging and random misses), produces in-range V2V
-messages with GPS noise, reads the plate of each readable box as part of
-detection, and records the ground-truth sender-to-box pairing for every tick.
+messages with GPS noise, and reads the plate of each readable box as part of
+detection. Each box names the vehicle it shows, and the ground-truth
+sender-to-box pairing of a tick derives from those names.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
@@ -168,7 +168,15 @@ class Observation:
     rear_boxes: list[DetectedBox]
     messages: list[Message]
     ego_sensors: SensorRecord
-    truth_pairs: dict[int, int]   # sender id -> front box index, or OUTSIDE
+
+    @property
+    def truth_pairs(self) -> dict[int, int]:
+        """The simulator's answer key, which the pipeline never reads: each
+        sender id -> the index of the front box whose `vehicle_ref` it is, or
+        OUTSIDE. Computed on each read: a copy cached in the instance would
+        be written by `write_run`, and `read_run` refuses it."""
+        by_ref = {b.vehicle_ref: i for i, b in enumerate(self.front_boxes)}
+        return {m.id: by_ref.get(m.id, OUTSIDE) for m in self.messages}
 
 
 @dataclass
@@ -529,13 +537,9 @@ def simulate_tick(state: ScenarioState) -> Observation:
     rear = detect_vehicles(state, cfg.rear_camera, others)
     messages = [Message(*_gps_fix(v, n, ego_lat), ori=v.orientation, spd=v.speed, id=v.id)
                 for n, (d, v) in zip(noise[1:], others) if d <= cfg.comm_range]
-
-    by_ref = {b.vehicle_ref: idx for idx, b in enumerate(front)}
-    truth = {m.id: by_ref.get(m.id, OUTSIDE) for m in messages}
-
     sensors = SensorRecord(*_gps_fix(ego, noise[0], ego_lat), ori=ego.orientation, spd=ego.speed)
     return Observation(t=state.t, front_boxes=front, rear_boxes=rear,
-                       messages=messages, ego_sensors=sensors, truth_pairs=truth)
+                       messages=messages, ego_sensors=sensors)
 
 
 def run_scenario(cfg: WorldConfig, ticks: int | None = None,
@@ -558,9 +562,9 @@ def write_run(path, cfg: WorldConfig, observations: list[Observation]) -> None:
     """Write a run as one JSON-lines file: a header `{"world": asdict(cfg),
     "ticks": n}`, then one record per tick holding the Observation's own
     fields, each float in its shortest round-trip form, so `read_run` gives
-    back equal observations. Each record's `truth_pairs` is the simulator's
-    answer key, which the pipeline never reads. A config that JSON cannot
-    hold (an infinite camera range, say) raises ValueError."""
+    back equal observations. The boxes' `vehicle_ref` values carry the
+    simulator's answer key. A config that JSON cannot hold (an infinite
+    camera range, say) raises ValueError."""
     try:
         header = json.dumps(asdict(_RunHeader(cfg, len(observations))), allow_nan=False)
     except ValueError as exc:
@@ -614,9 +618,6 @@ def from_record(tp, value, key: str = "record"):
     return _decoder(tp)(value, key)
 
 
-_is_decimal_int = re.compile(r"-?[1-9][0-9]*|0").fullmatch
-
-
 @functools.cache
 def _decoder(tp):
     """The `(value, key)` function that `from_record` applies for `tp`."""
@@ -634,9 +635,6 @@ def _decoder(tp):
     if origin is tuple:
         return _shaped((list,), f"an array of {len(subs)}", lambda v, key: tuple(
             sub(x, key) for sub, x in zip(subs, v)), lambda v: len(v) == len(subs))
-    if origin is dict and args[0] is int:   # keys as json.dumps writes an int
-        return _shaped((dict,), "an object of decimal int keys", lambda v, key: {
-            int(k): subs[1](x, key) for k, x in v.items()}, lambda v: all(map(_is_decimal_int, v)))
     hints = typing.get_type_hints(tp)   # a dataclass: fields() refuses any other type
     members = {f.name: _decoder(hints[f.name]) for f in fields(tp)}
     required = [f.name for f in fields(tp) if f.default is f.default_factory is MISSING]
@@ -676,12 +674,8 @@ def read_run(path) -> tuple[WorldConfig, list[Observation]]:
     for where, rec in records:
         try:
             obs = from_record(Observation, rec)
-            boxes = len(obs.front_boxes)
-            if bad := [v for v in obs.truth_pairs.values() if v != OUTSIDE and not 0 <= v < boxes]:
-                raise ValueError(f"truth_pairs {bad[0]} is neither {OUTSIDE} nor one of "
-                                 f"{boxes} front boxes")
-            if sorted(m.id for m in obs.messages) != sorted(obs.truth_pairs):
-                raise ValueError("message ids differ from the truth senders")
+            if len(ids := [m.id for m in obs.messages]) > len(set(ids)):
+                raise ValueError(f"sender id {next(i for i in ids if ids.count(i) > 1)} repeats")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}: malformed record: {exc}") from None
         if out and obs.t <= out[-1].t:

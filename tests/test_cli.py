@@ -125,6 +125,8 @@ def test_gen_requires_seed(tmp_path, capsys):
     ["serve", "--clients", "0"], ["serve", "--clients", "2", "--rounds", "0"],
     ["serve", "--clients", "2", "--min-clients", "-1"],
     ["client", "--port", "9", "--id", "1", "--dataset", "x.jsonl", "--local-epochs", "0"],
+    ["client", "--port", "9", "--dataset", "x.jsonl", "--id", "0"],
+    ["client", "--port", "9", "--dataset", "x.jsonl", "--id", "-5"],   # seed 7 - 5000 < 0
 ])
 def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
     flag, value = argv[-2:]

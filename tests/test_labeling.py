@@ -136,8 +136,7 @@ def _msg(mid, lat=23.98, lng=120.98):
 def _obs_with(msgs, t=10):
     return scenario.Observation(t=t, front_boxes=[], rear_boxes=[], messages=msgs,
                                 ego_sensors=scenario.SensorRecord(lat=23.97, lng=120.98,
-                                                                  ori=0.0, spd=5.0),
-                                truth_pairs={m.id: scenario.OUTSIDE for m in msgs})
+                                                                  ori=0.0, spd=5.0))
 
 
 def test_outside_sender_behind_for_full_window():
@@ -431,7 +430,10 @@ def test_reader_names_line_of_boolean(key, flag, run89, tmp_path):
     (lambda rec: {**rec, "extra": 1}, "unknown key 'extra'"),
     (lambda rec: {**rec, "validity_mask": [1, 2]}, "validity_mask"),
     (lambda rec: {k: v for k, v in rec.items() if k != "sender_id"}, "missing key 'sender_id'"),
-], ids=["bad-source", "tick-not-int", "extra-key", "mask-of-ints", "no-sender-id"])
+    (lambda rec: {**rec, "schema_version": True}, "unsupported dataset schema True"),
+    (lambda rec: {**rec, "schema_version": 1.0}, "unsupported dataset schema 1.0"),
+], ids=["bad-source", "tick-not-int", "extra-key", "mask-of-ints", "no-sender-id",
+        "schema-true", "schema-float"])
 def test_reader_refuses_line_outside_the_example_fields(edit, key, run89, tmp_path):
     # each of these lines loaded silently while the reader read only the number columns
     path, lines = _dataset_lines(run89, tmp_path)
