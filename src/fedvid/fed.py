@@ -155,13 +155,17 @@ class FedServer:
     dropped for the rest of the session when a send to it fails or its update
     is bad in those ways, names another round, has a layout or model config
     other than the global model's, or holds a non-finite value. Each round
-    averages the updates that arrived, provided at least `min_clients` did.
+    averages the updates that arrived, provided at least `min_clients` did,
+    which must be in `1..expected_clients`.
     Every frame sent or received is appended to the transcript for audit.
     """
 
     def __init__(self, global_params: mdl.ModelParams, expected_clients: int, rounds: int, *,
                  min_clients: int = 1, timeout_s: float = PROTOCOL_TIMEOUT_S,
                  host: str = "127.0.0.1", port: int = 0, eval_dataset=None):
+        if not 1 <= min_clients <= expected_clients:
+            raise ValueError(f"min_clients {min_clients} must be between 1 and "
+                             f"expected_clients {expected_clients}")
         self.global_params = global_params
         self.records: list[RoundRecord] = []
         self.weights: dict[int, int] = {}
@@ -251,9 +255,9 @@ class FedServer:
                 updates.append((cid, params))
             except (ProtocolError, OSError, KeyError, TypeError, ValueError):
                 conns.pop(cid).sock.close()
-        need = max(1, self.min_clients)
-        if len(updates) < need:
-            raise ProtocolError(f"round {r}: only {len(updates)} updates arrived, need {need}")
+        if len(updates) < self.min_clients:
+            raise ProtocolError(
+                f"round {r}: only {len(updates)} updates arrived, need {self.min_clients}")
 
         # `updates` is in ascending client id order: a deterministic reduction
         counts = {cid: self.weights[cid] for cid, _ in updates}
@@ -314,6 +318,9 @@ def train_federated_tcp(shards: list, init_params: mdl.ModelParams,
     Returns the final global parameters, the round records, the server's wire
     transcript, and (if eval_dataset was given) the per-round held-out loss.
     A client that fails re-raises its exception here once the server is done.
+    When the server ends the session with a `ProtocolError`, the lowest-id
+    client's own failure (not a `ProtocolError` or `OSError` of the transport)
+    is raised in its place, chained from the server's error.
     """
     if len(shards) != len(seeds):
         raise ValueError("one seed per shard required")
@@ -328,7 +335,14 @@ def train_federated_tcp(shards: list, init_params: mdl.ModelParams,
     ]
     with ThreadPoolExecutor(max_workers=len(clients)) as pool:
         runs = [pool.submit(c.run, host, port) for c in clients]
-        records = server.serve()
+        try:
+            records = server.serve()
+        except ProtocolError as exc:   # a client's own failure may be what ended it
+            for run in runs:   # in client id order
+                err = run.exception()
+                if err is not None and not isinstance(err, (ProtocolError, OSError)):
+                    raise err from exc
+            raise
         for run in runs:
             run.result()
     return server.global_params, records, server.transcript, server.eval_losses

@@ -125,12 +125,15 @@ def _rows(buf: np.ndarray, batch: int, widths) -> list[np.ndarray]:
 class Workspace:
     """Buffers that the forward and backward pass of one batch size write into
     with `out=`, so that a training step or an evaluation allocates no
-    per-layer arrays. Each call overwrites the previous call's cache and gradient.
+    per-layer arrays. Each call overwrites the previous call's.
 
-    The last hidden activation is written straight into `h_cat`, beside the
-    feedback. With `keep_layers=False` the hidden layers alternate between
-    two buffers: enough for an eval-mode forward, which then returns no
-    cache. The dropout masks and the backward buffers are made on first use.
+    A forward returns its workspace as the batch's cache: input `x`, `zs`,
+    `hidden`, the dropout `masks` it applied (None per undropped layer), `h_cat`
+    and output `y`. The backward reads them and writes `grad`. The last hidden
+    activation is written straight into `h_cat`, beside the feedback. With
+    `keep_layers=False` the hidden layers alternate between two buffers: enough
+    for an eval-mode forward, which then returns no cache. The dropout and
+    backward buffers are made on first use.
     """
 
     def __init__(self, params: ModelParams, batch: int, keep_layers: bool = True):
@@ -150,7 +153,7 @@ class Workspace:
         self.hidden = [*hidden, self.h_cat[:, :self.widths[-1]]]
 
     @cached_property
-    def masks(self) -> tuple[np.ndarray, list[np.ndarray]]:
+    def mask_buffers(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """One flat buffer for every hidden layer's dropout mask, layer after
         layer, and its per-layer views."""
         flat = np.empty(self.batch * sum(self.widths))
@@ -198,8 +201,8 @@ def forward_batch(params: ModelParams, x: np.ndarray, fb: np.ndarray,
 
     x: (B, input_dim), fb: (B, FEEDBACK_DIM). Returns (outputs (B, OUTPUT_DIM), cache).
     Inverted dropout is applied to every hidden activation when training; the
-    concatenated feedback is never dropped. Without a workspace the call
-    makes its own; the cache then holds the only references to its buffers.
+    concatenated feedback is never dropped. The cache is the workspace, or
+    without one a workspace the call makes; see `Workspace`.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     fb = np.atleast_2d(np.asarray(fb, dtype=np.float64))
@@ -216,7 +219,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, fb: np.ndarray,
 
     masks = [None] * len(ws.zs)
     if training and params.dropout > 0.0:
-        flat, masks = ws.masks
+        flat, masks = ws.mask_buffers
         dropout_masks(rng, params.dropout, flat)
     h = x
     for layer, (z, out, mask) in enumerate(zip(ws.zs, ws.hidden, masks)):
@@ -231,8 +234,8 @@ def forward_batch(params: ModelParams, x: np.ndarray, fb: np.ndarray,
     y = _sigmoid(ws.z_out)
     if not ws.keep_layers:
         return y, None
-    cache = {"zs": ws.zs, "acts": [x, *ws.hidden], "masks": masks, "h_cat": ws.h_cat, "y": y}
-    return y, cache
+    ws.x, ws.masks, ws.y = x, masks, y
+    return y, ws
 
 
 def loss_bbx(pred, target, mu: float) -> float:
@@ -254,38 +257,36 @@ def _loss_grad_batch(y: np.ndarray, targets: np.ndarray, mu: float):
     return float(per_example.mean()), grad
 
 
-def backward_batch(params: ModelParams, cache, dy: np.ndarray,
-                   ws: Workspace | None = None) -> ModelParams:
+def backward_batch(params: ModelParams, cache: Workspace, dy: np.ndarray) -> ModelParams:
     """Gradients of the (already batch-averaged) loss w.r.t. every weight and bias,
     in one vector laid out like `params`; unpacks as `(grads_w, grads_b)`.
-    With a workspace that vector is its `grad`, overwritten by the next call.
+    `cache` is the workspace that the batch's forward returned, and the vector
+    is its `grad`, overwritten by the next call.
 
     The feedback block is treated as a constant input: no gradient flows into
     the previous timestep.
     """
-    if ws is None:
-        ws = Workspace(params, dy.shape[0])
-    grad = ws.grad
-    grads_w, grads_b = grad
-    dz, one_minus_y, dh_cat, dhs, dzs = ws.back
-    y = cache["y"]
+    grads_w, grads_b = cache.grad
+    dz, one_minus_y, dh_cat, dhs, dzs = cache.back
+    y = cache.y
     np.multiply(dy, y, out=dz)
     dz *= np.subtract(1.0, y, out=one_minus_y)
-    np.matmul(cache["h_cat"].T, dz, out=grads_w[-1])
+    np.matmul(cache.h_cat.T, dz, out=grads_w[-1])
     np.sum(dz, axis=0, out=grads_b[-1])
     dh = np.matmul(dz, params.weights[-1].T, out=dh_cat)[:, :params.shapes[-2][1]]
 
+    acts = [cache.x, *cache.hidden]
     for layer in range(params.hidden_layer_count() - 1, -1, -1):
-        mask = cache["masks"][layer]
+        mask = cache.masks[layer]
         if mask is not None:
             dh *= mask
-        dz = np.greater(cache["zs"][layer], 0.0, out=dzs[layer])
+        dz = np.greater(cache.zs[layer], 0.0, out=dzs[layer])
         np.multiply(dh, dz, out=dz)
-        np.matmul(cache["acts"][layer].T, dz, out=grads_w[layer])
+        np.matmul(acts[layer].T, dz, out=grads_w[layer])
         np.sum(dz, axis=0, out=grads_b[layer])
         if layer > 0:
             dh = np.matmul(dz, params.weights[layer].T, out=dhs[layer - 1])
-    return grad
+    return cache.grad
 
 
 @dataclass(frozen=True)
@@ -323,39 +324,6 @@ class Adam:
         params.flat -= np.divide(s, d, out=s)
 
 
-def train_epoch(params: ModelParams, dataset: TrainingArrays, opt: Adam, rng,
-                workspaces: dict[int, Workspace] | None = None) -> tuple[ModelParams, float]:
-    """One pass of seeded, shuffled mini-batch Adam over a dataset.
-
-    Mutates `params` in place and returns it with the mean batch loss.
-    Aborts on a non-finite loss. With `workspaces`, each batch runs in the
-    workspace kept there for its size.
-    """
-    X, FB, Y = dataset.X, dataset.FB, dataset.Y
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("empty training dataset")
-
-    order = rng.permutation(n)
-    losses = []
-    weights = []
-    bs = opt.cfg.batch_size
-    for start in range(0, n, bs):
-        idx = order[start:start + bs]
-        ws = workspace_for(workspaces, params, idx.size) if workspaces is not None else None
-        y, cache = forward_batch(params, X[idx], FB[idx], training=True, rng=rng, ws=ws)
-        loss, dy = _loss_grad_batch(y, Y[idx], params.mu)
-        if not np.isfinite(loss):
-            raise RuntimeError(
-                f"training diverged: non-finite loss at batch starting {start}"
-            )
-        opt.step(params, backward_batch(params, cache, dy, ws))
-        losses.append(loss)
-        weights.append(len(idx))
-    epoch_loss = float(np.average(losses, weights=weights))
-    return params, epoch_loss
-
-
 class Trainer:
     """Bundles parameters, optimizer state, the shuffling/dropout stream and
     one workspace per batch size (the full batch and the last, partial one).
@@ -372,11 +340,28 @@ class Trainer:
         self.workspaces: dict[int, Workspace] = {}
 
     def run_epochs(self, dataset: TrainingArrays, epochs: int) -> list[float]:
-        losses = []
+        """Epochs of shuffled mini-batch Adam, each batch in the workspace kept for
+        its size; updates `params` in place, returns each epoch's mean batch loss."""
+        X, FB, Y = dataset.X, dataset.FB, dataset.Y
+        params, bs, n = self.params, self.opt.cfg.batch_size, X.shape[0]
+        if n == 0:
+            raise ValueError("empty training dataset")
+        epoch_losses = []
         for _ in range(epochs):
-            _, loss = train_epoch(self.params, dataset, self.opt, self.rng, self.workspaces)
-            losses.append(loss)
-        return losses
+            order, losses, weights = self.rng.permutation(n), [], []
+            for start in range(0, n, bs):
+                idx = order[start:start + bs]
+                ws = workspace_for(self.workspaces, params, idx.size)
+                y, ws = forward_batch(params, X[idx], FB[idx], training=True, rng=self.rng, ws=ws)
+                loss, dy = _loss_grad_batch(y, Y[idx], params.mu)
+                if not np.isfinite(loss):
+                    raise RuntimeError(
+                        f"training diverged: non-finite loss at batch starting {start}")
+                self.opt.step(params, backward_batch(params, ws, dy))
+                losses.append(loss)
+                weights.append(idx.size)
+            epoch_losses.append(float(np.average(losses, weights=weights)))
+        return epoch_losses
 
 
 def mean_loss(params: ModelParams, dataset: TrainingArrays) -> float:

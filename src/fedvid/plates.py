@@ -1,10 +1,10 @@
 """License-plate character pipeline.
 
 Covers the OCR error channel (a character confusion table used generatively),
-estimation of confusion counts from readings, extraction of confusable
-character pairs above an error-rate threshold, construction of the character
-conversion table that folds confusable characters into shared class tokens,
-plate canonicalization, and the stable 64-bit plate hash used as a vehicle id.
+extraction of confusable character pairs above an error-rate threshold,
+construction of the character conversion table that folds confusable
+characters into shared class tokens, plate canonicalization, and the stable
+64-bit plate hash used as a vehicle id.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class ConfusionTable:
     """
 
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def add(self, truth: str, observed: str, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("count increments must be non-negative")
-        row = self.counts.setdefault(truth, {})
-        row[observed] = row.get(observed, 0) + n
 
     def row_total(self, c: str) -> int:
         return sum(self.counts.get(c, {}).values())
@@ -135,23 +129,6 @@ def sample_ocr(plate: str, table: ConfusionTable, rng) -> str:
     """Pass a plate through the OCR channel: each character is independently
     replaced by a draw from its observed-character distribution."""
     return "".join(table.sample(c, rng) for c in plate)
-
-
-def build_confusion_table(readings) -> ConfusionTable:
-    """Accumulate positional character counts from (truth, observed) string pairs.
-
-    Raises ValueError on a length mismatch; no partial counts from the bad
-    reading are kept.
-    """
-    tbl = ConfusionTable()
-    for truth, observed in readings:
-        if len(truth) != len(observed):
-            raise ValueError(
-                f"reading rejected: truth {truth!r} and observed {observed!r} differ in length"
-            )
-        for tc, oc in zip(truth, observed):
-            tbl.add(tc, oc)
-    return tbl
 
 
 def derive_char_pairs(tbl: ConfusionTable, threshold: float) -> list[tuple[str, str]]:

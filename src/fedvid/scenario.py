@@ -674,8 +674,10 @@ def read_run(path) -> tuple[WorldConfig, list[Observation]]:
     for where, rec in records:
         try:
             obs = from_record(Observation, rec)
-            if len(ids := [m.id for m in obs.messages]) > len(set(ids)):
-                raise ValueError(f"sender id {next(i for i in ids if ids.count(i) > 1)} repeats")
+            for what, ids in (("sender id", [m.id for m in obs.messages]),
+                              ("vehicle_ref", [b.vehicle_ref for b in obs.front_boxes])):
+                if len(ids) > len(set(ids)):
+                    raise ValueError(f"{what} {next(i for i in ids if ids.count(i) > 1)} repeats")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}: malformed record: {exc}") from None
         if out and obs.t <= out[-1].t:

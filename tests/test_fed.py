@@ -164,16 +164,35 @@ def test_tcp_single_client_degenerates_to_centralized():
     assert _equal(final, central.params)
 
 
-def test_tcp_session_raises_a_failing_clients_error():
-    # the second client's shard has 10 feature columns where the model takes 11
+def _narrow_shard_error(with_honest: bool) -> ValueError:
+    """The error of a session whose last shard has 10 feature columns where the
+    model takes 11, after an honest shard or alone."""
     data = _toy_dataset(n=40)
     bad = labeling.TrainingArrays(X=data.X[20:, :10], FB=data.FB[20:], Y=data.Y[20:])
     init = mdl.init_model(NARROW, np.random.default_rng(12))
     threads_before = threading.active_count()
-    with pytest.raises(ValueError, match="takes 11 input features, the data has 10"):
-        fed.train_federated_tcp([data, bad], init, mdl.OptConfig(), rounds=2, seeds=[21, 22],
-                                timeout=10.0)
+    with pytest.raises(ValueError, match="takes 11 input features, the data has 10") as exc:
+        fed.train_federated_tcp([data, bad] if with_honest else [bad], init, mdl.OptConfig(),
+                                rounds=2, seeds=[21, 22] if with_honest else [22], timeout=10.0)
     assert threading.active_count() == threads_before
+    return exc.value
+
+
+def test_tcp_session_raises_a_failing_clients_error():
+    assert _narrow_shard_error(with_honest=True).__cause__ is None
+
+
+def test_tcp_session_ended_by_a_failing_client_raises_its_error():
+    # alone, the failing client leaves no update, so the server ends the session
+    assert isinstance(_narrow_shard_error(with_honest=False).__cause__, fed.ProtocolError)
+
+
+@pytest.mark.parametrize("min_clients", [0, 3])
+def test_server_refuses_min_clients_outside_one_to_expected(min_clients):
+    init = mdl.init_model(NARROW, np.random.default_rng(12))
+    with pytest.raises(ValueError, match=f"^min_clients {min_clients} must be between 1 and "
+                                         f"expected_clients 2$"):
+        fed.FedServer(init, expected_clients=2, rounds=1, min_clients=min_clients)
 
 
 def test_round_aggregation_order_invariant():

@@ -111,8 +111,8 @@ def test_inverted_dropout_identity_per_layer_monte_carlo():
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(6))
     x = np.random.default_rng(7).random(11)
     fb = np.random.default_rng(8).random(4)
-    _, cache = mdl.forward_batch(params, x[None, :], fb[None, :], training=False)
-    act = cache["acts"][1][0]
+    _, ws = mdl.forward_batch(params, x[None, :], fb[None, :], training=False)
+    act = ws.hidden[0][0]
     rng = np.random.default_rng(9)
     n = 10_000
     masks = (rng.random((n, act.size)) >= params.dropout) / (1.0 - params.dropout)
@@ -252,7 +252,7 @@ def test_single_step_descends_for_small_lr():
     cfg = mdl.ModelConfig(dropout=0.0)
     params = mdl.init_model(cfg, np.random.default_rng(13))
     before = mdl.mean_loss(params, data)
-    mdl.train_epoch(params, data, mdl.Adam(mdl.OptConfig(lr=1e-5)), np.random.default_rng(14))
+    mdl.Trainer(params, mdl.OptConfig(lr=1e-5), seed=14).run_epochs(data, 1)
     after = mdl.mean_loss(params, data)
     assert after <= before + 1e-12
 
@@ -271,16 +271,17 @@ def test_train_epoch_bit_reproducible():
 def test_train_epoch_rejects_empty_dataset():
     empty = labeling.TrainingArrays(X=np.zeros((0, 11)), FB=np.zeros((0, 4)), Y=np.zeros((0, 5)))
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        mdl.train_epoch(params, empty, mdl.Adam(mdl.OptConfig()), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^empty training dataset$"):
+        mdl.Trainer(params, mdl.OptConfig(), seed=0).run_epochs(empty, 1)
 
 
 def test_train_aborts_on_nonfinite_loss():
     data = _toy_dataset(n=8)
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(1))
     params.weights[0][:] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises((RuntimeError, ValueError)):
-        mdl.train_epoch(params, data, mdl.Adam(mdl.OptConfig()), np.random.default_rng(0))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            RuntimeError, match="non-finite loss at batch starting 0$"):
+        mdl.Trainer(params, mdl.OptConfig(), seed=0).run_epochs(data, 1)
 
 
 # --- workspaces ---------------------------------------------------------------------
@@ -345,15 +346,31 @@ def test_workspace_outputs_and_gradients_are_byte_identical(batch, dropout, trai
             use = ws if kind == "workspace" else None
             y, cache = mdl.forward_batch(params, x, fb, training=training, rng=rng, ws=use)
             dy = mdl._loss_grad_batch(y, target, params.mu)[1]
-            grad = mdl.backward_batch(params, cache, dy, use).flat
+            grad = mdl.backward_batch(params, cache, dy).flat
         runs.append((y.tobytes(), grad.tobytes()))
     assert runs[0] == runs[1] == runs[2]
+
+
+def _reference_epoch(params, dataset, opt, rng):
+    """One epoch as the `Trainer` runs it, through the reference passes: a
+    permutation, then forward, backward and an Adam step per batch."""
+    n, bs = dataset.X.shape[0], opt.cfg.batch_size
+    order, losses, weights = rng.permutation(n), [], []
+    for start in range(0, n, bs):
+        idx = order[start:start + bs]
+        y, cache = _reference_forward(params, dataset.X[idx], dataset.FB[idx], True, rng)
+        loss, dy = mdl._loss_grad_batch(y, dataset.Y[idx], params.mu)
+        grad = _reference_backward(params, cache, dy)
+        opt.step(params, mdl.ModelParams(grad, params.shapes, params.dropout, params.mu))
+        losses.append(loss)
+        weights.append(idx.size)
+    return float(np.average(losses, weights=weights))
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 70), dropout=st.sampled_from(sorted(_WS_PARAMS)),
        seed=st.integers(0, 2**32 - 1))
-def test_trainer_with_workspaces_matches_train_epoch_without(n, dropout, seed):
+def test_run_epochs_matches_a_reference_epoch(n, dropout, seed):
     # n need not be a multiple of the batch size: the last batch is partial
     data = np.random.default_rng(seed)
     dataset = labeling.TrainingArrays(X=data.random((n, 11)), FB=data.random((n, 4)),
@@ -364,8 +381,8 @@ def test_trainer_with_workspaces_matches_train_epoch_without(n, dropout, seed):
 
     params, opt = _WS_PARAMS[dropout].copy(), mdl.Adam(mdl.OptConfig())
     rng = np.random.default_rng(seed)
-    plain = [mdl.train_epoch(params, dataset, opt, rng)[1] for _ in range(2)]
-    assert losses == plain
+    reference = [_reference_epoch(params, dataset, opt, rng) for _ in range(2)]
+    assert losses == reference
     assert trainer.params.flat.tobytes() == params.flat.tobytes()
 
 

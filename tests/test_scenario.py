@@ -516,6 +516,16 @@ def test_read_run_names_line_of_repeated_sender(tmp_path):
     assert msg == f"{path}:{line}: malformed record: sender id {obs.messages[0].id} repeats"
 
 
+def test_read_run_names_line_of_repeated_vehicle_ref(tmp_path):
+    # a second box of one vehicle would move that sender's truth to the copy
+    path, observations = _written_run(tmp_path)
+    line, obs = next((obs.t + 1, obs) for obs in observations if obs.front_boxes)
+    _edit_record(path, line, lambda rec: rec["front_boxes"].append(rec["front_boxes"][0]))
+    msg = _read_error(path)
+    assert msg == (f"{path}:{line}: malformed record: "
+                   f"vehicle_ref {obs.front_boxes[0].vehicle_ref} repeats")
+
+
 @pytest.mark.parametrize("lines,message", [
     (lambda lines: [], "malformed header: missing key 'world'"),
     (lambda lines: lines[1:], "malformed header: missing key 'world'"),
