@@ -95,12 +95,26 @@ class RoundRecord:
 
 # --- TCP transport -----------------------------------------------------------
 
+def _frame_line(frame: dict, blob: str | None = None) -> str:
+    """`frame` as one compact JSON line; with `blob`, a last `params_b64` key
+    holding it is spliced in before the closing brace.
+
+    The blob is always this node's own `params_b64` output. Base64 text holds
+    nothing that `json.dumps` escapes, so the line equals `json.dumps` of the
+    frame with that key added, without scanning the blob again.
+    """
+    line = json.dumps(frame, separators=(",", ":"))
+    return line if blob is None else f'{line[:-1]},"params_b64":"{blob}"}}'
+
+
 class _Conn:
     """One end of a connection that carries one `decode_record` object per line.
 
-    `recv` gives each frame one deadline, `timeout` seconds from its call, and
-    refuses a frame longer than `max_frame` bytes. With a `transcript` list,
-    every frame sent or received is appended to it.
+    `send` builds a params frame by splicing the sender's own base64 blob into
+    the encoded envelope (`_frame_line`); `send_line` sends a line built once,
+    such as a broadcast. `recv` gives each frame one deadline, `timeout`
+    seconds from its call, and refuses a frame longer than `max_frame` bytes.
+    With a `transcript` list, every frame sent or received is appended to it.
     """
 
     def __init__(self, sock: socket.socket, timeout: float,
@@ -115,8 +129,10 @@ class _Conn:
         if self.transcript is not None:
             self.transcript.append(f"{direction} {line}")
 
-    def send(self, obj: dict) -> None:
-        line = json.dumps(obj, separators=(",", ":"))
+    def send(self, frame: dict, blob: str | None = None) -> None:
+        self.send_line(_frame_line(frame, blob))
+
+    def send_line(self, line: str) -> None:
         self.sock.settimeout(self.timeout)
         self.sock.sendall(line.encode("utf-8") + b"\n")
         self._log("send", line)
@@ -156,7 +172,15 @@ class FedServer:
     is bad in those ways, names another round, has a layout or model config
     other than the global model's, or holds a non-finite value. Each round
     averages the updates that arrived, provided at least `min_clients` did,
-    which must be in `1..expected_clients`.
+    which must be in `1..expected_clients`. A hello phase in which no further
+    client connects for `timeout_s` ends the session with a `ProtocolError`
+    that counts the hellos kept and gives each refused hello's reason.
+
+    Each broadcast line is built once, with the global model's base64 spliced
+    in, and the same line goes to every client. With an `eval_dataset`, the
+    held-out loss of round r's model is computed after round r+1's broadcast,
+    while the clients train on that model, and the final model's after the
+    last round; `eval_losses` holds one loss per completed round.
     Every frame sent or received is appended to the transcript for audit.
     """
 
@@ -179,9 +203,9 @@ class FedServer:
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
 
-    def _hello(self, conn: _Conn, conns: dict[int, _Conn]) -> int | None:
+    def _hello(self, conn: _Conn, conns: dict[int, _Conn], refused: list[str]) -> int | None:
         """Read one connection's hello and keep its weight; returns its client
-        id, or None once refused."""
+        id, or None once refused, with the reason appended to `refused`."""
         try:
             hello = conn.recv()
             if hello.get("type") != "hello":
@@ -196,6 +220,7 @@ class FedServer:
             self.weights[cid] = examples
             return cid
         except (ProtocolError, OSError) as exc:
+            refused.append(str(exc))
             try:
                 conn.send({"type": "error", "reason": str(exc)})
             except OSError:
@@ -204,31 +229,44 @@ class FedServer:
             return None
 
     @staticmethod
-    def _send_all(conns: dict[int, _Conn], frame: dict) -> None:
-        """Send `frame` to every client; one the send fails on is dropped."""
+    def _send_all(conns: dict[int, _Conn], frame: dict, blob: str | None = None) -> None:
+        """Send one line, built once, to every client; one the send fails on
+        is dropped."""
+        line = _frame_line(frame, blob)
         for cid in sorted(conns):
             try:
-                conns[cid].send(frame)
+                conns[cid].send_line(line)
             except OSError:
                 conns.pop(cid).sock.close()
+
+    def _evaluate(self, params: mdl.ModelParams) -> None:
+        if self.eval_dataset is not None:
+            self.eval_losses.append(mdl.mean_loss(params, self.eval_dataset))
 
     def serve(self) -> list[RoundRecord]:
         max_frame = len(params_b64(self.global_params)) + ENVELOPE_BYTES
         conns: dict[int, _Conn] = {}
+        refused: list[str] = []
         try:
             self._listener.settimeout(self.timeout_s)
             while len(conns) < self.expected_clients:
-                sock, _ = self._listener.accept()
+                try:
+                    sock, _ = self._listener.accept()
+                except TimeoutError:
+                    raise ProtocolError(
+                        f"{len(conns)} of {self.expected_clients} clients said hello, then none "
+                        f"connected for {self.timeout_s} s; refused hellos: "
+                        f"{'; '.join(refused) or 'none'}") from None
                 conn = _Conn(sock, self.timeout_s, self.transcript, max_frame)
-                cid = self._hello(conn, conns)
+                cid = self._hello(conn, conns, refused)
                 if cid is not None:
                     conns[cid] = conn
 
             for r in range(1, self.rounds + 1):
                 self._run_tcp_round(r, conns)
-                if self.eval_dataset is not None:
-                    self.eval_losses.append(mdl.mean_loss(self.global_params, self.eval_dataset))
             self._send_all(conns, {"type": "shutdown"})
+            if self.rounds:
+                self._evaluate(self.global_params)
             return self.records
         finally:
             for conn in conns.values():
@@ -237,7 +275,9 @@ class FedServer:
 
     def _run_tcp_round(self, r: int, conns: dict[int, _Conn]) -> None:
         g = self.global_params
-        self._send_all(conns, {"type": "round_begin", "round": r, "params_b64": params_b64(g)})
+        self._send_all(conns, {"type": "round_begin", "round": r}, params_b64(g))
+        if r > 1:   # round r-1's model, evaluated while the clients train on it
+            self._evaluate(g)
         updates: list[tuple[int, mdl.ModelParams]] = []
         for cid in sorted(conns):
             conn = conns[cid]
@@ -303,8 +343,7 @@ class FedClient:
                     self.trainer = mdl.Trainer(global_params, self.opt_cfg, self.seed)
                 params = local_train(self.trainer, self.dataset, global_params,
                                      self.local_epochs)
-                conn.send({"type": "update", "round": frame["round"],
-                           "params_b64": params_b64(params)})
+                conn.send({"type": "update", "round": frame["round"]}, params_b64(params))
                 rounds += 1
 
 

@@ -272,7 +272,7 @@ def backward_batch(params: ModelParams, cache: Workspace, dy: np.ndarray) -> Mod
     np.multiply(dy, y, out=dz)
     dz *= np.subtract(1.0, y, out=one_minus_y)
     np.matmul(cache.h_cat.T, dz, out=grads_w[-1])
-    np.sum(dz, axis=0, out=grads_b[-1])
+    np.add.reduce(dz, axis=0, out=grads_b[-1])
     dh = np.matmul(dz, params.weights[-1].T, out=dh_cat)[:, :params.shapes[-2][1]]
 
     acts = [cache.x, *cache.hidden]
@@ -283,7 +283,7 @@ def backward_batch(params: ModelParams, cache: Workspace, dy: np.ndarray) -> Mod
         dz = np.greater(cache.zs[layer], 0.0, out=dzs[layer])
         np.multiply(dh, dz, out=dz)
         np.matmul(acts[layer].T, dz, out=grads_w[layer])
-        np.sum(dz, axis=0, out=grads_b[layer])
+        np.add.reduce(dz, axis=0, out=grads_b[layer])
         if layer > 0:
             dh = np.matmul(dz, params.weights[layer].T, out=dhs[layer - 1])
     return cache.grad

@@ -136,10 +136,10 @@ def test_tcp_session_two_clients_records_and_transcript():
 
 def test_short_federated_session_bytes_pinned():
     # criterion 9's session with a held-out set: the round digests, the final
-    # model bytes and the per-round held-out losses must not move
+    # model bytes, the per-round held-out losses and the wire bytes must not move
     shards = experiment.split_shards(_toy_dataset(n=30, seed=9), 2)
     init = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(21))
-    final, records, _, losses = fed.train_federated_tcp(
+    final, records, transcript, losses = fed.train_federated_tcp(
         shards, init, mdl.OptConfig(), rounds=3, seeds=[51, 52],
         eval_dataset=_toy_dataset(n=20, seed=10), timeout=30.0)
 
@@ -152,6 +152,28 @@ def test_short_federated_session_bytes_pinned():
         "f7b0903a3fdaad46107fcd56b366cfb69c6fe55aefc09619f273a370081da342")
     assert sha(repr(losses).encode()) == (
         "ea65b3521961de584a1d3c3a333e0ffe1c8bb514fa58efcd17d1216a7faa2934")
+    # the two hellos arrive in either order; every later frame is in client id order
+    assert all('"type":"hello"' in line for line in transcript[:2])
+    wire = sorted(transcript[:2]) + transcript[2:]
+    assert sha("\n".join(wire).encode()) == (
+        "1ec1aa3d65b0fb1466ec121ff254cfcca5d7a609881e05ea597ac742a4e1ad49")
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(["round_begin", "update"]), rnd=st.integers(1, 10**6),
+       width=st.integers(1, 6), layers=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_spliced_params_frame_equals_json_dumps(kind, rnd, width, layers, seed):
+    params = mdl.init_model(mdl.ModelConfig(input_dim=3, hidden_width=width,
+                                            hidden_layers=layers), np.random.default_rng(seed))
+    blob = fed.params_b64(params)
+    frame = {"type": kind, "round": rnd}
+    expected = json.dumps({**frame, "params_b64": blob}, separators=(",", ":"))
+    transcript = []
+    a, b = socket.socketpair()
+    with a, b:
+        fed._Conn(a, 1.0, transcript).send(frame, blob)
+        assert fed._Conn(b, 1.0).recv() == {**frame, "params_b64": blob}
+    assert transcript == [f"send {expected}"]
 
 
 def test_tcp_single_client_degenerates_to_centralized():
@@ -357,6 +379,54 @@ def test_tcp_round_below_min_clients_after_drop_errors():
     for t in threads:
         t.join(timeout=10.0)
     assert not any(t.is_alive() for t in threads)
+
+
+def test_failed_round_leaves_the_losses_of_the_rounds_before_it():
+    # client 2 hangs up after its round-1 update, so round 2 falls below
+    # min_clients; the one loss left is the round-1 model's
+    data, held_out = _toy_dataset(n=20), _toy_dataset(n=12, seed=8)
+    init = mdl.init_model(NARROW, np.random.default_rng(25))
+    server = fed.FedServer(init, expected_clients=2, rounds=2, min_clients=2, timeout_s=5.0,
+                           eval_dataset=held_out)
+    host, port = server.address
+
+    def honest():
+        try:
+            fed.FedClient(1, data, mdl.OptConfig(), seed=58).run(host, port, timeout=10.0)
+        except (fed.ProtocolError, OSError):
+            pass   # the server ends the session in round 2
+
+    def quitter():
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            conn = fed._Conn(sock, 5.0)
+            conn.send({"type": "hello", "client_id": 2, "examples": 4})
+            begin = conn.recv()
+            conn.send({"type": "update", "round": 1, "params_b64": begin["params_b64"]})
+            conn.recv()   # round_end, then hang up
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (honest, quitter)]
+    for t in threads:
+        t.start()
+    with pytest.raises(fed.ProtocolError, match="round 2: .* need 2"):
+        server.serve()
+    for t in threads:
+        t.join(timeout=10.0)
+    assert not any(t.is_alive() for t in threads)
+    assert len(server.records) == 1
+    assert server.eval_losses == [mdl.mean_loss(server.global_params, held_out)]
+
+
+def test_hello_phase_timeout_counts_the_hellos_and_names_the_refusals():
+    # the empty shard's hello (examples 0) is refused, so the second client never arrives
+    data = _toy_dataset(n=20)
+    empty = labeling.TrainingArrays(X=data.X[:0], FB=data.FB[:0], Y=data.Y[:0])
+    init = mdl.init_model(NARROW, np.random.default_rng(26))
+    start = time.monotonic()
+    with pytest.raises(fed.ProtocolError, match="1 of 2") as exc:
+        fed.train_federated_tcp([data, empty], init, mdl.OptConfig(), rounds=1, seeds=[59, 60],
+                                timeout=1.0)
+    assert "examples count above 0" in str(exc.value)
+    assert time.monotonic() - start < 10.0
 
 
 def _serve_in_thread(server):

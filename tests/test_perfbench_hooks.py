@@ -19,8 +19,10 @@ from fedvid import experiment, fed, labeling, mapping, model as mdl, scenario
 ROOT = Path(__file__).resolve().parent.parent
 
 FED_SPANS = ("fed.round", "fed.fed_avg", "fed.params_digest", "fed.params_b64",
-             "fed.params_from_b64", "model.params_to_bytes", "model.params_from_bytes",
-             "model.forward_batch.train", "model.backward_batch", "model.Adam.step")
+             "fed.params_from_b64", "fed.local_train", "fed.train_federated_tcp",
+             "model.params_to_bytes", "model.params_from_bytes",
+             "model.forward_batch.train", "model.forward_batch.eval",
+             "model.backward_batch", "model.Adam.step")
 WORLD_SPANS = ("scenario.simulate_tick", "scenario.detect_vehicles", "geo.haversine_m",
                "plates.sample_ocr", "labeling.label_run", "labeling.auto_label_frame",
                "labeling.build_outside_set", "labeling.assemble_dataset", "labeling.to_arrays",
@@ -62,14 +64,18 @@ def _traced(monkeypatch, body):
 
 
 def test_tracer_installs_restores_and_sees_the_fed_path(monkeypatch):
+    # the session itself, with a held-out set as on the benchmark's fed
+    # workload, must reach every span that workload requires of it
     rng = np.random.default_rng(3)
     shards = [labeling.TrainingArrays(X=rng.random((6, 11)), FB=rng.random((6, 4)),
                                       Y=rng.random((6, 5)))
-              for _ in range(2)]
+              for _ in range(3)]
+    held_out = shards.pop()
     init = mdl.init_model(mdl.ModelConfig(hidden_width=8), np.random.default_rng(4))
 
     values = _traced(monkeypatch, lambda: fed.train_federated_tcp(
-        shards, init, mdl.OptConfig(), rounds=1, seeds=[5, 6], timeout=10.0))
+        shards, init, mdl.OptConfig(), rounds=2, seeds=[5, 6], eval_dataset=held_out,
+        timeout=10.0))
     for name in FED_SPANS:
         assert values.get(f"{name}.calls", 0) >= 1, f"{name} recorded no calls"
 
