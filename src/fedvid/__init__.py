@@ -7,11 +7,12 @@ network trained from scratch, greedy confidence-based mapping decisions,
 federated averaging over TCP, and correctness-ratio evaluation.
 """
 
-from . import experiment, fed, features, geo, labeling, mapping, metrics, model, plates, scenario
+from . import (experiment, fed, features, geo, labeling, mapping, metrics, model, plates, records,
+               scenario)
 
 __all__ = [
     "experiment", "fed", "features", "geo", "labeling", "mapping",
-    "metrics", "model", "plates", "scenario",
+    "metrics", "model", "plates", "records", "scenario",
 ]
 
 __version__ = "0.1.0"

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import experiment, fed, labeling, mapping, model as mdl, plates, scenario
+from . import experiment, fed, labeling, mapping, model as mdl, plates, records, scenario
 
 
 class UsageError(Exception):
@@ -41,6 +42,16 @@ def _at_least(low: int):
     return parse
 
 
+def _seconds(text: str) -> float:
+    """argparse type of a timeout: a positive finite number of seconds."""
+    try:
+        if 0 < (x := float(text)) < math.inf:
+            return x
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number of seconds")
+
+
 def _check_global_flags(args) -> None:
     """A global flag that the chosen command never reads is a usage error. A
     recorded run carries its world, so a command given --run reads neither
@@ -59,12 +70,12 @@ def _world_from_args(args, **defaults) -> scenario.WorldConfig:
     overrides = dict(defaults)
     try:
         if args.config:
-            overrides.update(scenario.decode_record(Path(args.config).read_bytes()))
+            overrides.update(records.decode_record(Path(args.config).read_bytes()))
         if args.seed is not None:
             overrides["seed"] = args.seed
         if "seed" not in overrides:
             raise UsageError("a scenario seed is required (--seed or config file)")
-        return scenario.from_record(scenario.WorldConfig, overrides)
+        return records.from_record(scenario.WorldConfig, overrides)
     except (TypeError, ValueError) as exc:   # only a --config file can hold a bad field
         raise ValueError(f"{args.config}: {exc}") from None
 
@@ -229,7 +240,7 @@ def build_parser() -> _Parser:
     p.add_argument("--clients", type=_at_least(1), required=True)
     p.add_argument("--rounds", type=_at_least(1), default=50)
     p.add_argument("--min-clients", type=_at_least(1), default=1)
-    p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)
+    p.add_argument("--timeout", type=_seconds, default=fed.PROTOCOL_TIMEOUT_S)
     p.set_defaults(func=cmd_serve, reads=("seed", "config", "out"))
 
     p = sub.add_parser("client", help="run one federated client")
@@ -238,7 +249,7 @@ def build_parser() -> _Parser:
     p.add_argument("--id", type=_at_least(1), required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--local-epochs", type=_at_least(1), default=1)
-    p.add_argument("--timeout", type=float, default=fed.PROTOCOL_TIMEOUT_S)
+    p.add_argument("--timeout", type=_seconds, default=fed.PROTOCOL_TIMEOUT_S)
     p.set_defaults(func=cmd_client, reads=("seed",))
 
     p = sub.add_parser("eval", help="evaluate a model on a scenario")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as mdl
-from .scenario import decode_record
+from .records import decode_record, from_record
 
 if TYPE_CHECKING:
     from .labeling import TrainingArrays
@@ -51,7 +51,7 @@ def params_b64(params: mdl.ModelParams) -> str:
 
 
 def params_from_b64(text: str) -> mdl.ModelParams:
-    return decode_params(base64.b64decode(text))
+    return decode_params(base64.b64decode(text, validate=True))   # refuse, not skip, non-base64
 
 
 def local_train(trainer: mdl.Trainer, dataset: TrainingArrays, global_params: mdl.ModelParams,
@@ -94,27 +94,86 @@ class RoundRecord:
 
 
 # --- TCP transport -----------------------------------------------------------
+# A frame is one line: the JSON object of its `type`, then its fields in order.
 
-def _frame_line(frame: dict, blob: str | None = None) -> str:
-    """`frame` as one compact JSON line; with `blob`, a last `params_b64` key
-    holding it is spliced in before the closing brace.
+@dataclass(frozen=True)
+class Hello:
+    client_id: int
+    examples: int   # the client's FedAvg weight for the whole session
+
+    def __post_init__(self):
+        if self.examples <= 0:
+            raise ValueError(f"hello examples {self.examples} is not above 0")
+
+
+@dataclass(frozen=True)
+class RoundBegin:
+    round: int
+    params_b64: str
+
+
+@dataclass(frozen=True)
+class Update:
+    round: int
+    params_b64: str
+
+
+@dataclass(frozen=True)
+class RoundEnd:
+    round: int
+    digest: int
+
+
+@dataclass(frozen=True)
+class Error:
+    reason: str
+
+
+@dataclass(frozen=True)
+class Shutdown:
+    pass
+
+
+FRAMES = {"hello": Hello, "round_begin": RoundBegin, "update": Update,
+          "round_end": RoundEnd, "error": Error, "shutdown": Shutdown}
+_TYPE_OF = {cls: kind for kind, cls in FRAMES.items()}
+
+
+def decode_frame(line: str | bytes):
+    """The frame of one line by the record rule: `type` names one of `FRAMES`,
+    and the other keys are exactly its fields; anything else is a ValueError."""
+    rec = decode_record(line)
+    kind = rec.pop("type", None)
+    if not isinstance(kind, str) or kind not in FRAMES:
+        raise ValueError(f"unknown frame type {kind!r}")
+    try:
+        return from_record(FRAMES[kind], rec, kind)
+    except TypeError as exc:
+        raise ValueError(f"{kind}: {exc}") from None
+
+
+def _frame_line(frame) -> str:
+    """`frame` as one compact JSON line. A `params_b64` field is spliced in
+    last, before the closing brace.
 
     The blob is always this node's own `params_b64` output. Base64 text holds
     nothing that `json.dumps` escapes, so the line equals `json.dumps` of the
-    frame with that key added, without scanning the blob again.
+    whole frame, without scanning the blob again.
     """
-    line = json.dumps(frame, separators=(",", ":"))
+    record = {"type": _TYPE_OF[type(frame)], **vars(frame)}
+    blob = record.pop("params_b64", None)
+    line = json.dumps(record, separators=(",", ":"))
     return line if blob is None else f'{line[:-1]},"params_b64":"{blob}"}}'
 
 
 class _Conn:
-    """One end of a connection that carries one `decode_record` object per line.
+    """One end of a connection that carries one frame per line.
 
-    `send` builds a params frame by splicing the sender's own base64 blob into
-    the encoded envelope (`_frame_line`); `send_line` sends a line built once,
-    such as a broadcast. `recv` gives each frame one deadline, `timeout`
-    seconds from its call, and refuses a frame longer than `max_frame` bytes.
-    With a `transcript` list, every frame sent or received is appended to it.
+    `send` writes a frame with `_frame_line`; `send_line` sends a line built
+    once, such as a broadcast. `recv` gives each frame one deadline, `timeout`
+    seconds from its call, refuses a frame longer than `max_frame` bytes, and
+    decodes it with `decode_frame`; every failure is a `ProtocolError`. With a
+    `transcript` list, every frame sent or received is appended to it.
     """
 
     def __init__(self, sock: socket.socket, timeout: float,
@@ -129,15 +188,15 @@ class _Conn:
         if self.transcript is not None:
             self.transcript.append(f"{direction} {line}")
 
-    def send(self, frame: dict, blob: str | None = None) -> None:
-        self.send_line(_frame_line(frame, blob))
+    def send(self, frame) -> None:
+        self.send_line(_frame_line(frame))
 
     def send_line(self, line: str) -> None:
         self.sock.settimeout(self.timeout)
         self.sock.sendall(line.encode("utf-8") + b"\n")
         self._log("send", line)
 
-    def recv(self) -> dict:
+    def recv(self):
         deadline = time.monotonic() + self.timeout
         while (end := self.buf.find(b"\n")) < 0 and len(self.buf) <= self.max_frame:
             left = deadline - time.monotonic()
@@ -154,7 +213,7 @@ class _Conn:
         try:
             text = line.decode("utf-8")
             self._log("recv", text)
-            return decode_record(text)
+            return decode_frame(text)
         except ValueError as exc:
             raise ProtocolError(f"bad frame: {exc}") from None
 
@@ -164,17 +223,17 @@ class FedServer:
 
     Accepts `expected_clients` hello frames, then runs `rounds` rounds of
     broadcast/collect/aggregate. A hello's `examples` is that client's FedAvg
-    weight for the session (`weights`). A bad hello (malformed, incomplete
-    after `timeout_s`, longer than the broadcast plus `ENVELOPE_BYTES`, without
-    an int `client_id` and an int `examples` above 0, or claiming a connected
-    client id) gets an error frame and its connection is closed. A client is
-    dropped for the rest of the session when a send to it fails or its update
-    is bad in those ways, names another round, has a layout or model config
-    other than the global model's, or holds a non-finite value. Each round
-    averages the updates that arrived, provided at least `min_clients` did,
-    which must be in `1..expected_clients`. A hello phase in which no further
-    client connects for `timeout_s` ends the session with a `ProtocolError`
-    that counts the hellos kept and gives each refused hello's reason.
+    weight for the session (`weights`). A peer whose frame `_Conn.recv`
+    refuses, whose hello claims a connected client id, or whose update is not
+    this round's, has another layout or model config than the global model's,
+    or holds a non-finite value gets an error frame with the reason and is
+    closed for the rest of the session; a client that a send fails on is
+    closed without one. Each round averages the updates that arrived,
+    provided at least `min_clients` did, which must be in
+    `1..expected_clients`; `timeout_s` must be positive and finite. A hello
+    phase in which no further client connects for `timeout_s` ends the
+    session with a `ProtocolError` that counts the hellos kept and gives each
+    refused hello's reason.
 
     Each broadcast line is built once, with the global model's base64 spliced
     in, and the same line goes to every client. With an `eval_dataset`, the
@@ -190,6 +249,8 @@ class FedServer:
         if not 1 <= min_clients <= expected_clients:
             raise ValueError(f"min_clients {min_clients} must be between 1 and "
                              f"expected_clients {expected_clients}")
+        if not 0 < timeout_s < math.inf:
+            raise ValueError(f"timeout_s {timeout_s} must be a positive finite number")
         self.global_params = global_params
         self.records: list[RoundRecord] = []
         self.weights: dict[int, int] = {}
@@ -203,36 +264,36 @@ class FedServer:
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
 
-    def _hello(self, conn: _Conn, conns: dict[int, _Conn], refused: list[str]) -> int | None:
-        """Read one connection's hello and keep its weight; returns its client
-        id, or None once refused, with the reason appended to `refused`."""
+    def _hello(self, conn: _Conn, conns: dict[int, _Conn], refused: list[str]) -> None:
+        """Read one connection's hello; add the connection to `conns` and keep
+        its weight, or refuse it, with the reason appended to `refused`."""
         try:
             hello = conn.recv()
-            if hello.get("type") != "hello":
-                raise ProtocolError("expected hello")
-            cid, examples = hello.get("client_id"), hello.get("examples")
-            if type(cid) is not int:
-                raise ProtocolError("hello needs an integer client_id")
-            if type(examples) is not int or examples <= 0:
-                raise ProtocolError("hello needs an integer examples count above 0")
-            if cid in conns:
-                raise ProtocolError(f"client_id {cid} is already connected")
-            self.weights[cid] = examples
-            return cid
+            if not isinstance(hello, Hello):
+                raise ProtocolError(f"expected hello, not {_TYPE_OF[type(hello)]}")
+            if hello.client_id in conns:
+                raise ProtocolError(f"client_id {hello.client_id} is already connected")
         except (ProtocolError, OSError) as exc:
             refused.append(str(exc))
-            try:
-                conn.send({"type": "error", "reason": str(exc)})
-            except OSError:
-                pass
-            conn.sock.close()
-            return None
+            self._refuse(conn, str(exc))
+            return
+        conns[hello.client_id] = conn
+        self.weights[hello.client_id] = hello.examples
 
     @staticmethod
-    def _send_all(conns: dict[int, _Conn], frame: dict, blob: str | None = None) -> None:
+    def _refuse(conn: _Conn, reason: str) -> None:
+        """Send `reason` in an error frame, if the peer still reads, and hang up."""
+        try:
+            conn.send(Error(reason))
+        except OSError:
+            pass
+        conn.sock.close()
+
+    @staticmethod
+    def _send_all(conns: dict[int, _Conn], frame) -> None:
         """Send one line, built once, to every client; one the send fails on
         is dropped."""
-        line = _frame_line(frame, blob)
+        line = _frame_line(frame)
         for cid in sorted(conns):
             try:
                 conns[cid].send_line(line)
@@ -257,14 +318,11 @@ class FedServer:
                         f"{len(conns)} of {self.expected_clients} clients said hello, then none "
                         f"connected for {self.timeout_s} s; refused hellos: "
                         f"{'; '.join(refused) or 'none'}") from None
-                conn = _Conn(sock, self.timeout_s, self.transcript, max_frame)
-                cid = self._hello(conn, conns, refused)
-                if cid is not None:
-                    conns[cid] = conn
+                self._hello(_Conn(sock, self.timeout_s, self.transcript, max_frame), conns, refused)
 
             for r in range(1, self.rounds + 1):
                 self._run_tcp_round(r, conns)
-            self._send_all(conns, {"type": "shutdown"})
+            self._send_all(conns, Shutdown())
             if self.rounds:
                 self._evaluate(self.global_params)
             return self.records
@@ -275,26 +333,23 @@ class FedServer:
 
     def _run_tcp_round(self, r: int, conns: dict[int, _Conn]) -> None:
         g = self.global_params
-        self._send_all(conns, {"type": "round_begin", "round": r}, params_b64(g))
+        self._send_all(conns, RoundBegin(r, params_b64(g)))
         if r > 1:   # round r-1's model, evaluated while the clients train on it
             self._evaluate(g)
         updates: list[tuple[int, mdl.ModelParams]] = []
         for cid in sorted(conns):
-            conn = conns[cid]
             try:
-                frame = conn.recv()
-                rnd = frame.get("round")
-                if frame.get("type") != "update" or type(rnd) is not int or rnd != r:
-                    conn.send({"type": "error", "reason": "expected update"})
-                    raise ProtocolError(f"client {cid}: bad frame in round {r}")
-                params = params_from_b64(frame["params_b64"])
+                frame = conns[cid].recv()
+                if not isinstance(frame, Update) or frame.round != r:
+                    raise ProtocolError(f"client {cid}: expected the update of round {r}")
+                params = params_from_b64(frame.params_b64)
                 if (params.shapes, params.mu, params.dropout) != (g.shapes, g.mu, g.dropout):
                     raise ProtocolError(f"client {cid}: layout or model config in round {r}")
                 if not np.isfinite(params.flat).all():
                     raise ProtocolError(f"client {cid}: non-finite parameters in round {r}")
                 updates.append((cid, params))
-            except (ProtocolError, OSError, KeyError, TypeError, ValueError):
-                conns.pop(cid).sock.close()
+            except (ProtocolError, OSError, ValueError) as exc:
+                self._refuse(conns.pop(cid), str(exc))
         if len(updates) < self.min_clients:
             raise ProtocolError(
                 f"round {r}: only {len(updates)} updates arrived, need {self.min_clients}")
@@ -305,7 +360,7 @@ class FedServer:
         record = RoundRecord(round=r, participants=list(counts), example_counts=counts,
                              digest=params_digest(self.global_params))
         self.records.append(record)
-        self._send_all(conns, {"type": "round_end", "round": r, "digest": record.digest})
+        self._send_all(conns, RoundEnd(r, record.digest))
 
 
 class FedClient:
@@ -323,27 +378,27 @@ class FedClient:
     def run(self, host: str, port: int, timeout: float = PROTOCOL_TIMEOUT_S) -> int:
         """Participate until shutdown; returns the number of rounds trained."""
         rounds = 0
+        hello = Hello(self.client_id, int(self.dataset.X.shape[0]))   # an empty shard fails here
         with socket.create_connection((host, port), timeout=timeout) as sock:
             conn = _Conn(sock, timeout)
-            conn.send({"type": "hello", "client_id": self.client_id,
-                       "examples": int(self.dataset.X.shape[0])})
+            conn.send(hello)
             while True:
-                frame = conn.recv()
-                kind = frame.get("type")
-                if kind == "shutdown":
-                    return rounds
-                if kind == "round_end":
-                    continue
-                if kind == "error":
-                    raise ProtocolError(f"server error: {frame.get('reason')}")
-                if kind != "round_begin":
-                    raise ProtocolError(f"unexpected frame type {kind!r}")
-                global_params = params_from_b64(frame["params_b64"])
+                match conn.recv():
+                    case Shutdown():
+                        return rounds
+                    case RoundEnd():
+                        continue
+                    case Error(reason=reason):
+                        raise ProtocolError(f"server error: {reason}")
+                    case RoundBegin(round=rnd, params_b64=blob):
+                        global_params = params_from_b64(blob)
+                    case frame:
+                        raise ProtocolError(f"unexpected frame type {_TYPE_OF[type(frame)]!r}")
                 if self.trainer is None:
                     self.trainer = mdl.Trainer(global_params, self.opt_cfg, self.seed)
                 params = local_train(self.trainer, self.dataset, global_params,
                                      self.local_epochs)
-                conn.send({"type": "update", "round": frame["round"]}, params_b64(params))
+                conn.send(Update(rnd, params_b64(params)))
                 rounds += 1
 
 

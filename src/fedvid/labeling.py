@@ -19,8 +19,8 @@ import numpy as np
 
 from . import features as feats
 from . import geo, plates
-from .scenario import (OUTSIDE, DetectedBox, Message, Observation, WorldConfig, from_record,
-                       read_jsonl)
+from .records import from_record, read_jsonl
+from .scenario import OUTSIDE, DetectedBox, Message, Observation, WorldConfig
 
 
 class PairSource(str, Enum):

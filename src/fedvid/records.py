@@ -1,0 +1,95 @@
+"""The record rule, the one reader of records taken from outside: run files,
+dataset files, `--config` files and federated wire frames."""
+
+from __future__ import annotations
+
+import functools
+import json
+import math
+import typing
+from dataclasses import MISSING, fields
+from enum import Enum
+
+
+def _finite(text: str) -> float:
+    if not math.isfinite(x := float(text)):   # float() also reads NaN and [-]Infinity
+        raise ValueError(f"non-finite value {text}")
+    return x
+
+
+def decode_record(text: str | bytes) -> dict:
+    """The JSON object that `text` holds: the one rule of record lines, wire
+    frames and config files. Text that is not JSON, nests too deep, holds a
+    non-finite number or is not an object raises ValueError."""
+    try:
+        rec = json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise ValueError("not a JSON object")
+    return rec
+
+
+def read_jsonl(path):
+    """Yield `(f"{path}:{line}", record)` for each non-blank line of a
+    JSON-lines file. A line that `decode_record` refuses raises ValueError
+    naming `path:line`."""
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                rec = decode_record(line)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            yield where, rec
+
+
+def from_record(tp, value, key: str = "record"):
+    """`value`, as `decode_record` gives it, built into the annotated type
+    `tp` by the record rule (README); a value that does not fit raises
+    TypeError naming its field, or `key` at the top."""
+    return _decoder(tp)(value, key)
+
+
+@functools.cache
+def _decoder(tp):
+    """The `(value, key)` function that `from_record` applies for `tp`."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    subs = [_decoder(a) for a in args if a is not type(None)]
+    if type(None) in args:   # X | None
+        return lambda v, key: None if v is None else subs[0](v, key)
+    if isinstance(tp, type) and issubclass(tp, Enum):   # a member by its exact value
+        values = {m.value for m in tp}
+        return _shaped((str,), tp.__name__, lambda v, key: tp(v), values.__contains__)
+    if tp in (int, str, bool, float):   # float() of an int no float can hold raises OverflowError
+        return _shaped((int, float) if tp is float else (tp,), tp.__name__, lambda v, key: tp(v))
+    if origin is list:
+        return _shaped((list,), "list", lambda v, key: [subs[0](x, key) for x in v])
+    if origin is tuple:
+        return _shaped((list,), f"an array of {len(subs)}", lambda v, key: tuple(
+            sub(x, key) for sub, x in zip(subs, v)), lambda v: len(v) == len(subs))
+    hints = typing.get_type_hints(tp)   # a dataclass: fields() refuses any other type
+    members = {f.name: _decoder(hints[f.name]) for f in fields(tp)}
+    required = [f.name for f in fields(tp) if f.default is f.default_factory is MISSING]
+
+    def build(v, key):
+        if missing := [name for name in required if name not in v]:
+            raise TypeError(f"missing key {missing[0]!r}")
+        if unknown := [name for name in v if name not in members]:
+            raise TypeError(f"unknown key {unknown[0]!r}")
+        return tp(**{name: members[name](x, name) for name, x in v.items()})
+    return _shaped((dict,), tp.__name__, build)
+
+
+def _shaped(kinds, name, build, fits=None):
+    """The decoder that builds a value of a type in `kinds` that `fits`."""
+    def decode(v, key):
+        try:
+            if type(v) in kinds and (fits is None or fits(v)):
+                return build(v, key)
+        except OverflowError:
+            pass
+        raise TypeError(f"{key} {v!r} is not {name}")
+    return decode

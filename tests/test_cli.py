@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedvid import cli, experiment, fed, labeling, model as mdl, plates, scenario
+from fedvid import cli, experiment, fed, labeling, model as mdl, plates, records, scenario
 
 
 def test_no_arguments_usage_exit_1(capsys):
@@ -134,6 +134,20 @@ def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"argument {flag}: '{value}' is not an integer of at least 1" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
+@pytest.mark.parametrize("argv", [
+    ["serve", "--clients", "1"], ["client", "--port", "9", "--id", "1", "--dataset", "x.jsonl"],
+], ids=["serve", "client"])
+def test_timeout_that_is_not_a_positive_finite_number_is_a_usage_error(argv, value, tmp_path,
+                                                                       capsys):
+    out = tmp_path / "out"
+    assert cli.cli_main(["--out", str(out), *argv, "--timeout", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument --timeout: '{value}' is not a positive "
+                          "finite number of seconds")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -319,7 +333,7 @@ def test_run_header_round_trips_camera_config(tmp_path):
 
     cfg, observations = scenario.read_run(run_path)
     assert cfg.front_camera.hfov_deg == 60.0
-    assert cfg == scenario.from_record(scenario.WorldConfig, {**world, "seed": 79})
+    assert cfg == records.from_record(scenario.WorldConfig, {**world, "seed": 79})
 
     # label must run the field-of-view test with the 60 degree camera
     cct = plates.default_conversion_table()

@@ -1,9 +1,15 @@
+import ast
+import base64
+import dataclasses
 import hashlib
 import json
+import re
 import select
 import socket
 import threading
 import time
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,13 +172,12 @@ def test_spliced_params_frame_equals_json_dumps(kind, rnd, width, layers, seed):
     params = mdl.init_model(mdl.ModelConfig(input_dim=3, hidden_width=width,
                                             hidden_layers=layers), np.random.default_rng(seed))
     blob = fed.params_b64(params)
-    frame = {"type": kind, "round": rnd}
-    expected = json.dumps({**frame, "params_b64": blob}, separators=(",", ":"))
+    expected = json.dumps({"type": kind, "round": rnd, "params_b64": blob}, separators=(",", ":"))
     transcript = []
     a, b = socket.socketpair()
     with a, b:
-        fed._Conn(a, 1.0, transcript).send(frame, blob)
-        assert fed._Conn(b, 1.0).recv() == {**frame, "params_b64": blob}
+        fed._Conn(a, 1.0, transcript).send(fed.FRAMES[kind](rnd, blob))
+        assert fed._Conn(b, 1.0).recv() == fed.FRAMES[kind](rnd, blob)
     assert transcript == [f"send {expected}"]
 
 
@@ -207,6 +212,13 @@ def test_tcp_session_raises_a_failing_clients_error():
 def test_tcp_session_ended_by_a_failing_client_raises_its_error():
     # alone, the failing client leaves no update, so the server ends the session
     assert isinstance(_narrow_shard_error(with_honest=False).__cause__, fed.ProtocolError)
+
+
+@pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"), float("inf")])
+def test_server_refuses_a_timeout_that_is_not_positive_and_finite(timeout_s):
+    init = mdl.init_model(NARROW, np.random.default_rng(12))
+    with pytest.raises(ValueError, match=f"^timeout_s {timeout_s} must be a positive finite"):
+        fed.FedServer(init, expected_clients=1, rounds=1, timeout_s=timeout_s)
 
 
 @pytest.mark.parametrize("min_clients", [0, 3])
@@ -292,8 +304,7 @@ def test_tcp_unknown_frame_gets_error_and_close():
     with pytest.raises(fed.ProtocolError):
         server.serve()
     t.join(timeout=5.0)
-    assert result["reply"] is not None
-    assert result["reply"]["type"] == "error"
+    assert isinstance(result["reply"], fed.Error)
 
 
 def test_tcp_round_aggregates_survivors_without_retraining():
@@ -337,13 +348,11 @@ def test_tcp_client_that_hangs_up_after_its_update_is_dropped_at_the_next_broadc
 
     with socket.create_connection((host, port), timeout=5.0) as sock:
         conn = fed._Conn(sock, 5.0)
-        conn.send({"type": "hello", "client_id": 2, "examples": 4})
+        conn.send(fed.Hello(2, 4))
         honest = threading.Thread(target=fed.FedClient(1, data, mdl.OptConfig(), seed=57).run,
                                   args=(host, port, 10.0), daemon=True)
         honest.start()
-        begin = conn.recv()
-        conn.send({"type": "update", "round": 1, "examples": 4,
-                   "params_b64": begin["params_b64"]})
+        conn.send(fed.Update(1, conn.recv().params_b64))
     honest.join(timeout=10.0)
     serving.join(timeout=10.0)
     assert not honest.is_alive() and not serving.is_alive()
@@ -363,8 +372,7 @@ def test_tcp_round_below_min_clients_after_drop_errors():
             conn = fed._Conn(sock, 5.0)
             frame = conn.recv()
             if reply:
-                conn.send({"type": "update", "round": 1, "examples": 4,
-                           "params_b64": frame["params_b64"]})
+                conn.send(fed.Update(1, frame.params_b64))
                 try:
                     conn.recv()
                 except (fed.ProtocolError, OSError):
@@ -399,9 +407,8 @@ def test_failed_round_leaves_the_losses_of_the_rounds_before_it():
     def quitter():
         with socket.create_connection((host, port), timeout=5.0) as sock:
             conn = fed._Conn(sock, 5.0)
-            conn.send({"type": "hello", "client_id": 2, "examples": 4})
-            begin = conn.recv()
-            conn.send({"type": "update", "round": 1, "params_b64": begin["params_b64"]})
+            conn.send(fed.Hello(2, 4))
+            conn.send(fed.Update(1, conn.recv().params_b64))
             conn.recv()   # round_end, then hang up
 
     threads = [threading.Thread(target=f, daemon=True) for f in (honest, quitter)]
@@ -417,16 +424,39 @@ def test_failed_round_leaves_the_losses_of_the_rounds_before_it():
 
 
 def test_hello_phase_timeout_counts_the_hellos_and_names_the_refusals():
-    # the empty shard's hello (examples 0) is refused, so the second client never arrives
+    # a hello of examples 0 is refused, so the second client never arrives
+    init = mdl.init_model(NARROW, np.random.default_rng(26))
+    server = fed.FedServer(init, expected_clients=2, rounds=1, timeout_s=1.0)
+    host, port = server.address
+
+    def client():
+        try:
+            fed.FedClient(1, _toy_dataset(n=20), mdl.OptConfig(), seed=59).run(host, port, 10.0)
+        except (fed.ProtocolError, OSError):
+            pass   # the server ends the session in its hello phase
+
+    honest = threading.Thread(target=client, daemon=True)
+    honest.start()
+    start = time.monotonic()
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.sendall(b'{"type":"hello","client_id":2,"examples":0}\n')
+        with pytest.raises(fed.ProtocolError, match="1 of 2") as exc:
+            server.serve()
+    honest.join(timeout=10.0)
+    assert "hello examples 0 is not above 0" in str(exc.value)
+    assert time.monotonic() - start < 10.0
+    assert not honest.is_alive()
+
+
+def test_client_of_an_empty_shard_fails_before_its_hello():
     data = _toy_dataset(n=20)
     empty = labeling.TrainingArrays(X=data.X[:0], FB=data.FB[:0], Y=data.Y[:0])
-    init = mdl.init_model(NARROW, np.random.default_rng(26))
-    start = time.monotonic()
-    with pytest.raises(fed.ProtocolError, match="1 of 2") as exc:
-        fed.train_federated_tcp([data, empty], init, mdl.OptConfig(), rounds=1, seeds=[59, 60],
-                                timeout=1.0)
-    assert "examples count above 0" in str(exc.value)
-    assert time.monotonic() - start < 10.0
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with pytest.raises(ValueError, match="^hello examples 0 is not above 0$"):
+            fed.FedClient(1, empty, mdl.OptConfig(), seed=60).run(*listener.getsockname(), 1.0)
+        listener.settimeout(0.0)
+        with pytest.raises(BlockingIOError):
+            listener.accept()   # it never connected
 
 
 def _serve_in_thread(server):
@@ -458,8 +488,8 @@ def _session_with_peer(update, rounds=1):
             sock.sendall(b'{"type":"hello","client_id":2,"examples":4}\n')
             conn = fed._Conn(sock, 5.0)
             try:
-                while (frame := conn.recv())["type"] != "shutdown":
-                    if frame["type"] == "round_begin":
+                while not isinstance(frame := conn.recv(), fed.Shutdown):
+                    if isinstance(frame, fed.RoundBegin):
                         sock.sendall(update(frame).encode() + b"\n")
             except (fed.ProtocolError, OSError):
                 pass
@@ -475,15 +505,14 @@ def _session_with_peer(update, rounds=1):
 
 
 def _update(frame, **fields):
-    """The update line that answers `frame` with its own parameters, changed
-    by `fields`. It carries the count an older server required, which this
-    one ignores, so that only `fields` can get it dropped."""
-    return json.dumps({"type": "update", "round": frame["round"], "examples": 4,
-                       "params_b64": frame["params_b64"], **fields})
+    """The update line that answers the round_begin `frame` with its own
+    parameters, changed by `fields`; without `fields` it is accepted."""
+    return json.dumps({"type": "update", "round": frame.round, "params_b64": frame.params_b64,
+                       **fields})
 
 
 def _poison_nan(frame):
-    params = fed.params_from_b64(frame["params_b64"])
+    params = fed.params_from_b64(frame.params_b64)
     params.weights[0][0, 3] = np.nan
     return _update(frame, params_b64=fed.params_b64(params))
 
@@ -492,33 +521,41 @@ def _poison_blob_type(frame):
     return _update(frame, params_b64=12345)
 
 
-@pytest.mark.parametrize("poison", [_poison_nan, _poison_blob_type])
+def _poison_blob_alphabet(frame):
+    # a lenient base64 decoder skips the '!' and reads the broadcast itself
+    return _update(frame, params_b64=frame.params_b64[:8] + "!" + frame.params_b64[8:])
+
+
+@pytest.mark.parametrize("poison", [_poison_nan, _poison_blob_type, _poison_blob_alphabet])
 def test_tcp_poisoned_update_is_dropped(poison):
     server, records = _session_with_peer(poison)
     assert [r.participants for r in records] == [[1]]
     assert np.isfinite(server.global_params.flat).all()
 
 
-@pytest.mark.parametrize("value", ["Infinity", "1e999", "true", "1.0", '"1"'])
+@pytest.mark.parametrize("value", ["Infinity", "1e999", "true", "1.0", '"1"', "0", "2"])
 def test_tcp_update_whose_round_is_not_the_int_round_is_dropped(value):
     _, records = _session_with_peer(lambda frame: _update(frame, round="R").replace('"R"', value))
     assert [r.participants for r in records] == [[1]]
 
 
 def test_tcp_update_cannot_claim_a_weight_beyond_its_hello():
-    # the hello's examples are the weight; a count in an update is ignored
+    # the hello's examples are the weight; an update that carries a count is
+    # refused for its unknown key, so no claim reaches a round's weights
     digests = []
     for claim in (4, 10**12):
         _, records = _session_with_peer(lambda frame: _update(frame, examples=claim), rounds=2)
-        assert [r.participants for r in records] == [[1, 2], [1, 2]]
-        assert all(r.example_counts == {1: 20, 2: 4} for r in records)
+        assert [r.participants for r in records] == [[1], [1]]
+        assert all(r.example_counts == {1: 20} for r in records)
         digests.append([r.digest for r in records])
     assert digests[0] == digests[1]
 
 
 def test_tcp_update_of_other_architecture_is_not_installed():
     init = mdl.init_model(NARROW, np.random.default_rng(20))
-    wide = mdl.init_model(mdl.ModelConfig(hidden_width=16), np.random.default_rng(20))
+    # narrower than the global model, so that its frame fits under the server's
+    # frame cap and only the layout check can refuse it
+    other = mdl.init_model(mdl.ModelConfig(input_dim=11, hidden_width=4), np.random.default_rng(20))
     server = fed.FedServer(init, expected_clients=1, rounds=1,
                            min_clients=1, timeout_s=5.0)
     host, port = server.address
@@ -528,8 +565,7 @@ def test_tcp_update_of_other_architecture_is_not_installed():
             sock.sendall(b'{"type":"hello","client_id":1,"examples":4}\n')
             conn = fed._Conn(sock, 5.0)
             conn.recv()  # round_begin
-            conn.send({"type": "update", "round": 1, "examples": 4,
-                       "params_b64": fed.params_b64(wide)})
+            conn.send(fed.Update(1, fed.params_b64(other)))
             try:
                 conn.recv()
             except (fed.ProtocolError, OSError):
@@ -560,7 +596,7 @@ def _bad_hello_then_honest_client(init, hello):
         reply = conn.recv()
         with pytest.raises(fed.ProtocolError, match="closed"):
             conn.recv()
-    assert reply["type"] == "error"
+    assert isinstance(reply, fed.Error)
 
     rounds = fed.FedClient(3, data, mdl.OptConfig(), seed=53).run(host, port, timeout=10.0)
     serving.join(timeout=10.0)
@@ -616,14 +652,13 @@ def test_tcp_duplicate_client_id_is_refused_and_first_keeps_its_slot():
         other.start()
         conn = fed._Conn(first, 5.0)
         begin = conn.recv()
-        conn.send({"type": "update", "round": 1, "examples": 4,
-                   "params_b64": begin["params_b64"]})
+        conn.send(fed.Update(1, begin.params_b64))
         first_frames = [begin, conn.recv(), conn.recv()]
         other.join(timeout=10.0)
     serving.join(timeout=10.0)
     assert not other.is_alive() and not serving.is_alive()
-    assert reply["type"] == "error"
-    assert [f["type"] for f in first_frames] == ["round_begin", "round_end", "shutdown"]
+    assert isinstance(reply, fed.Error)
+    assert [type(f) for f in first_frames] == [fed.RoundBegin, fed.RoundEnd, fed.Shutdown]
     assert [r.participants for r in out["records"]] == [[1, 2]]
 
 
@@ -666,10 +701,9 @@ def test_tcp_slow_or_oversized_frame_drops_its_peer(send, phase):
     with socket.create_connection((host, port), timeout=5.0) as sock:
         conn = fed._Conn(sock, 5.0)
         if phase == "update":
-            conn.send(frame)
+            conn.send(fed.Hello(2, 4))
             honest.start()
-            frame = {"type": "update", "round": 1, "examples": 4,
-                     "params_b64": conn.recv()["params_b64"]}
+            frame = {"type": "update", "round": 1, "params_b64": conn.recv().params_b64}
         start = time.monotonic()
         send(sock, frame)
         try:
@@ -683,7 +717,7 @@ def test_tcp_slow_or_oversized_frame_drops_its_peer(send, phase):
     serving.join(timeout=10.0)
     assert took < 3.0
     assert not serving.is_alive()
-    assert (reply or {}).get("type") == ("error" if phase == "hello" else None)
+    assert isinstance(reply, fed.Error)
     assert [r.participants for r in out["records"]] == [[1]]
 
 
@@ -731,9 +765,10 @@ def test_frame_reader_returns_an_object_or_raises_protocol_error(line, max_frame
             frame = fed._Conn(b, 1.0, max_frame=max_frame).recv()
         except fed.ProtocolError:
             return
-    assert isinstance(frame, dict) and len(line) <= max_frame
-    assert frame == json.loads(line)
-    json.dumps(frame, allow_nan=False)   # every number is finite
+    record = json.loads(line)
+    assert len(line) <= max_frame and type(frame) is fed.FRAMES[record.pop("type")]
+    assert vars(frame) == record
+    json.dumps(record, allow_nan=False)   # every number is finite
 
 
 def test_transcript_carries_no_training_payloads():
@@ -745,7 +780,95 @@ def test_transcript_carries_no_training_payloads():
                  '"latlng"', '"dataset"', '"X"', '"Y"', '"FB"')
     for line in transcript:
         payload = line.split(" ", 1)[1]
-        frame = json.loads(payload)
-        assert set(frame) <= {"type", "client_id", "examples", "round",
-                              "params_b64", "digest", "reason"}
+        assert set(json.loads(payload)) <= _WIRE_KEYS
         assert not any(token in payload for token in forbidden)
+
+
+# --- frames -----------------------------------------------------------------------
+
+_WIRE_KEYS = {"type"} | {f.name for tp in fed.FRAMES.values() for f in dataclasses.fields(tp)}
+_B64 = st.binary(max_size=48).map(lambda b: base64.b64encode(b).decode("ascii"))
+_FRAME_VALUES = {
+    fed.Hello: st.builds(fed.Hello, st.integers(), st.integers(min_value=1)),
+    fed.RoundBegin: st.builds(fed.RoundBegin, st.integers(), _B64),
+    fed.Update: st.builds(fed.Update, st.integers(), _B64),
+    fed.RoundEnd: st.builds(fed.RoundEnd, st.integers(), st.integers()),
+    fed.Error: st.builds(fed.Error, st.text()),
+    fed.Shutdown: st.builds(fed.Shutdown),
+}
+_OF_TYPE = {int: st.integers(), str: st.text(max_size=8) | _B64}
+_FIELD_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8) | _B64,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_wire_keys_are_criterion_9s_allowed_fields():
+    # criterion 9's allowed keys, read from its source, are exactly the frames' keys
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    allowed = [ast.literal_eval(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "allowed_fields" for t in node.targets)]
+    assert allowed == [_WIRE_KEYS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=st.one_of(*_FRAME_VALUES.values()))
+def test_every_frame_round_trips_through_its_line(frame):
+    assert set(_FRAME_VALUES) == set(fed.FRAMES.values())   # every frame type is drawn
+    assert fed.decode_frame(fed._frame_line(frame)) == frame
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"type":"hello","client_id":"one","examples":4}', "hello: client_id 'one' is not int"),
+    ('{"type":"hello","client_id":2,"examples":0}', "hello examples 0 is not above 0"),
+    ('{"type":"update","round":1,"params_b64":"AA==","examples":4}',
+     "update: unknown key 'examples'"),
+    ('{"type":"round_begin","round":1}', "round_begin: missing key 'params_b64'"),
+    ('{"type":"mystery"}', "unknown frame type 'mystery'"),
+    ('{"round":1}', "unknown frame type None"),
+])
+def test_decode_frame_names_what_it_refuses(line, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fed.decode_frame(line)
+
+
+@st.composite
+def _frame_objects(draw):
+    """A JSON object near some frame: usually a `type` and, for a frame's
+    type, its fields with drawn values, each field sometimes left out, and
+    sometimes an extra key."""
+    kind = draw(st.sampled_from(sorted(fed.FRAMES)) | _FIELD_VALUE)
+    obj = {"type": kind} if draw(st.integers(0, 9)) else {}
+    tp = fed.FRAMES.get(kind) if isinstance(kind, str) else None
+    for name, hint in (typing.get_type_hints(tp) if tp else {}).items():
+        if draw(st.integers(0, 9)):
+            obj[name] = draw(_OF_TYPE[hint] | _FIELD_VALUE)
+    if draw(st.integers(0, 4)) == 0:
+        obj[draw(st.text(max_size=10))] = draw(_FIELD_VALUE)
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=_frame_objects().map(json.dumps))
+@example(line='{"type":"hello","client_id":1,"examples":true}')
+@example(line='{"type":"hello","client_id":true,"examples":1}')
+@example(line='{"type":"hello","client_id":1,"examples":4,"extra":null}')
+@example(line='{"type":"update","round":1,"params_b64":"AAAA","examples":4}')
+@example(line='{"type":"round_end","round":1.0,"digest":2}')
+@example(line='{"type":"shutdown","reason":"x"}')
+@example(line='{"type":["hello"],"client_id":1,"examples":4}')
+@example(line='{"client_id":1,"examples":4}')
+@example(line='{"type":"hello","client_id":' + _DEEP + ',"examples":4}')
+@example(line='{"type":"error","reason":' + '{"a":' * 2000 + "1" + "}" * 2001)
+def test_decode_frame_returns_the_objects_fields_or_raises_value_error(line):
+    try:
+        frame = fed.decode_frame(line)
+    except ValueError:
+        return
+    record = json.loads(line)
+    assert type(frame) is fed.FRAMES[record.pop("type")]
+    assert vars(frame) == record

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvid import labeling, plates, scenario
+from fedvid import labeling, plates, records, scenario
 from fedvid.labeling import DatasetMode
 
 
@@ -344,9 +344,9 @@ def test_every_dataset_line_decodes_to_the_example_written(run89, tmp_path):
         path = tmp_path / f"{mode.value}.jsonl"
         labeling.write_dataset_jsonl(path, examples)
         back = []
-        for _, rec in scenario.read_jsonl(path):
+        for _, rec in records.read_jsonl(path):
             assert rec.pop("schema_version") == labeling.DATASET_SCHEMA_VERSION
-            back.append(scenario.from_record(labeling.LabeledExample, rec))
+            back.append(records.from_record(labeling.LabeledExample, rec))
         assert back == examples
         # a str Enum equals its value, so equality alone would pass a plain str
         assert {(type(e.dataset), type(e.source)) for e in back} <= {

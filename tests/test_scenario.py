@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvid import geo, plates, scenario
+from fedvid import geo, plates, records, scenario
 from fedvid.labeling import DatasetMode
 
 
@@ -554,12 +554,12 @@ def test_read_run_names_line_1_of_a_bad_header(lines, message, tmp_path):
 ])
 def test_world_config_checks_field_types(key, value, expected):
     with pytest.raises(TypeError, match=f"^{key} .* is not {expected}$"):
-        scenario.from_record(scenario.WorldConfig, {"seed": 1, key: value})
+        records.from_record(scenario.WorldConfig, {"seed": 1, key: value})
 
 
 def test_world_config_takes_an_int_for_a_float_field():
     assert scenario.WorldConfig(seed=1, duration=10).num_ticks() == 20
-    cfg = scenario.from_record(scenario.WorldConfig, {"seed": 1, "duration": 10})
+    cfg = records.from_record(scenario.WorldConfig, {"seed": 1, "duration": 10})
     assert type(cfg.duration) is float and cfg.duration == 10.0
 
 
@@ -570,13 +570,13 @@ def test_world_config_refuses_a_negative_seed():
 
 
 def test_enum_field_takes_one_of_its_values():
-    assert scenario.from_record(DatasetMode, "ALDA", "dataset") is DatasetMode.ALDA
+    assert records.from_record(DatasetMode, "ALDA", "dataset") is DatasetMode.ALDA
 
 
 @pytest.mark.parametrize("value", ["alda", 1, None], ids=["wrong-case", "int", "null"])
 def test_enum_field_refuses_what_is_not_one_of_its_values(value):
     with pytest.raises(TypeError, match=f"^dataset {re.escape(repr(value))} is not DatasetMode$"):
-        scenario.from_record(DatasetMode, value, "dataset")
+        records.from_record(DatasetMode, value, "dataset")
 
 
 _WORLD_TYPES = typing.get_type_hints(scenario.WorldConfig)
@@ -620,7 +620,7 @@ def test_config_decoder_builds_a_world_or_names_a_key(data):
     elif damage != "none":
         obj[key] = data.draw(_JUNK, label="junk")
     try:
-        cfg = scenario.from_record(scenario.WorldConfig, config)
+        cfg = records.from_record(scenario.WorldConfig, config)
     except (TypeError, ValueError) as exc:
         assert damage != "none", str(exc)
         names = [*_WORLD_TYPES, *_CAMERA_TYPES, *_UNKNOWN_KEYS]
@@ -629,7 +629,7 @@ def test_config_decoder_builds_a_world_or_names_a_key(data):
     # junk may happen to be a valid value, and a field with a default may be left out
     assert damage in ("none", "junk") or damage == "missing" and obj is config and key != "seed"
     text = json.dumps(dataclasses.asdict(cfg))
-    assert scenario.from_record(scenario.WorldConfig, scenario.decode_record(text)) == cfg
+    assert records.from_record(scenario.WorldConfig, records.decode_record(text)) == cfg
 
 
 def test_read_run_names_the_file_cut_at_a_line_boundary(tmp_path):
