@@ -26,10 +26,10 @@ final, records, transcript, losses = fed.train_federated_tcp(
     shards, init, mdl.OptConfig(), rounds=8, seeds=[71, 72],
     local_epochs=2, eval_dataset=arrays)
 
-print("\nround digests (64-bit checksums of the aggregated parameters):")
+print("\nround digests (64-bit checksums of the aggregated parameters) and socket bytes:")
 for r, loss in zip(records, losses):
     print(f"  round {r.round}: clients {r.participants} counts {r.example_counts} "
-          f"digest {r.digest:016x}  loss {loss:.5f}")
+          f"digest {r.digest:016x}  loss {loss:.5f}  bytes in {r.bytes_in} out {r.bytes_out}")
 
 kinds = [json.loads(line.split(' ', 1)[1])["type"] for line in transcript]
 print(f"\nwire transcript: {len(transcript)} frames "
@@ -38,4 +38,5 @@ fields = set()
 for line in transcript:
     fields |= set(json.loads(line.split(" ", 1)[1]))
 print(f"every field seen on the wire: {sorted(fields)}")
+print(f"the server keeps each blob as its length and digest: {transcript[2][:100]}")
 print("no sensor samples, features, or labels were transmitted")

@@ -146,7 +146,8 @@ def cmd_serve(args) -> int:
     with open(out / "transcript.log", "w") as f:
         f.write("\n".join(server.transcript) + "\n")
     for r in records:
-        print(f"round {r.round}: clients {r.participants} digest {r.digest:016x}")
+        print(f"round {r.round}: clients {r.participants} digest {r.digest:016x} "
+              f"bytes in {r.bytes_in} out {r.bytes_out}")
     return 0
 
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as mdl
-from .records import decode_record, from_record
+from .records import brief, decode_record, from_record
 
 if TYPE_CHECKING:
     from .labeling import TrainingArrays
@@ -87,10 +87,15 @@ def fed_avg(updates: list[tuple[mdl.ModelParams, int]]) -> mdl.ModelParams:
 
 @dataclass
 class RoundRecord:
+    """One completed round. `bytes_in` and `bytes_out` count, per client that
+    began the round (a dropped one included), the bytes read from and written
+    to its socket during the round, newlines included."""
     round: int
     participants: list[int]
     example_counts: dict[int, int]
     digest: int
+    bytes_in: dict[int, int]
+    bytes_out: dict[int, int]
 
 
 # --- TCP transport -----------------------------------------------------------
@@ -103,7 +108,7 @@ class Hello:
 
     def __post_init__(self):
         if self.examples <= 0:
-            raise ValueError(f"hello examples {self.examples} is not above 0")
+            raise ValueError(f"hello examples {brief(self.examples)} is not above 0")
 
 
 @dataclass(frozen=True)
@@ -145,25 +150,35 @@ def decode_frame(line: str | bytes):
     rec = decode_record(line)
     kind = rec.pop("type", None)
     if not isinstance(kind, str) or kind not in FRAMES:
-        raise ValueError(f"unknown frame type {kind!r}")
+        raise ValueError(f"unknown frame type {brief(kind)}")
     try:
         return from_record(FRAMES[kind], rec, kind)
     except TypeError as exc:
         raise ValueError(f"{kind}: {exc}") from None
 
 
-def _frame_line(frame) -> str:
-    """`frame` as one compact JSON line. A `params_b64` field is spliced in
-    last, before the closing brace.
+def _tag(data: bytes) -> str:
+    """What a transcript keeps of a blob, or of a line it does not keep
+    whole: its length in bytes and its 64-bit BLAKE2b. The spaces tell it
+    from base64 text, which never holds one."""
+    return f"{len(data)} bytes blake2b {hashlib.blake2b(data, digest_size=8).hexdigest()}"
 
-    The blob is always this node's own `params_b64` output. Base64 text holds
-    nothing that `json.dumps` escapes, so the line equals `json.dumps` of the
-    whole frame, without scanning the blob again.
+
+def _frame_line(frame, log: bool = False) -> str:
+    """`frame` as one compact JSON line. A `params_b64` field is spliced in
+    last, before the closing brace; with `log`, the blob's `_tag` is spliced
+    in its place, which gives the frame's transcript line.
+
+    A blob sent is always this node's own `params_b64` output. Base64 text
+    holds nothing that `json.dumps` escapes, so the line equals `json.dumps`
+    of the whole frame, without scanning the blob again.
     """
     record = {"type": _TYPE_OF[type(frame)], **vars(frame)}
     blob = record.pop("params_b64", None)
     line = json.dumps(record, separators=(",", ":"))
-    return line if blob is None else f'{line[:-1]},"params_b64":"{blob}"}}'
+    if blob is None:
+        return line
+    return f'{line[:-1]},"params_b64":"{_tag(blob.encode()) if log else blob}"}}'
 
 
 class _Conn:
@@ -172,8 +187,14 @@ class _Conn:
     `send` writes a frame with `_frame_line`; `send_line` sends a line built
     once, such as a broadcast. `recv` gives each frame one deadline, `timeout`
     seconds from its call, refuses a frame longer than `max_frame` bytes, and
-    decodes it with `decode_frame`; every failure is a `ProtocolError`. With a
-    `transcript` list, every frame sent or received is appended to it.
+    decodes it with `decode_frame`; every failure is a `ProtocolError`.
+    `received` and `sent` count the bytes read from and written to the socket.
+
+    With a `transcript` list, each frame sent or received is appended to it as
+    one line of at most `ENVELOPE_BYTES` characters: "send " or "recv ", then
+    the frame's `_frame_line` with `log`, which holds the blob's `_tag` in
+    place of the blob. A line that does not decode, or that would be longer,
+    is logged as its own `_tag` instead.
     """
 
     def __init__(self, sock: socket.socket, timeout: float,
@@ -183,18 +204,25 @@ class _Conn:
         self.transcript = transcript
         self.max_frame = max_frame
         self.buf = b""
+        self.received = self.sent = 0
 
     def _log(self, direction: str, line: str) -> None:
-        if self.transcript is not None:
-            self.transcript.append(f"{direction} {line}")
+        entry = f"{direction} {line}"
+        self.transcript.append(entry if len(entry) <= ENVELOPE_BYTES
+                               else f"{direction} {_tag(line.encode())}")
 
     def send(self, frame) -> None:
-        self.send_line(_frame_line(frame))
+        self.send_line(_frame_line(frame),
+                       None if self.transcript is None else _frame_line(frame, log=True))
 
-    def send_line(self, line: str) -> None:
+    def send_line(self, line: str, logged: str | None) -> None:
+        """Send `line`, and log it as `logged`, its frame's transcript line."""
+        data = line.encode("utf-8") + b"\n"
         self.sock.settimeout(self.timeout)
-        self.sock.sendall(line.encode("utf-8") + b"\n")
-        self._log("send", line)
+        self.sock.sendall(data)
+        self.sent += len(data)
+        if self.transcript is not None:
+            self._log("send", logged)
 
     def recv(self):
         deadline = time.monotonic() + self.timeout
@@ -206,16 +234,20 @@ class _Conn:
             chunk = self.sock.recv(65536)
             if not chunk:
                 raise ProtocolError("connection closed mid-frame")
+            self.received += len(chunk)
             self.buf += chunk
         if not 0 <= end <= self.max_frame:
             raise ProtocolError(f"frame longer than {self.max_frame} bytes")
         line, self.buf = self.buf[:end], self.buf[end + 1:]
         try:
-            text = line.decode("utf-8")
-            self._log("recv", text)
-            return decode_frame(text)
+            frame = decode_frame(line.decode("utf-8"))
         except ValueError as exc:
+            if self.transcript is not None:
+                self._log("recv", _tag(line))
             raise ProtocolError(f"bad frame: {exc}") from None
+        if self.transcript is not None:
+            self._log("recv", _frame_line(frame, log=True))
+        return frame
 
 
 class FedServer:
@@ -240,7 +272,12 @@ class FedServer:
     held-out loss of round r's model is computed after round r+1's broadcast,
     while the clients train on that model, and the final model's after the
     last round; `eval_losses` holds one loss per completed round.
-    Every frame sent or received is appended to the transcript for audit.
+
+    The transcript holds one bounded line per frame sent or received, as
+    `_Conn` logs it: each blob is kept as its length and digest, and each
+    round's `RoundRecord` counts the bytes that went over each socket. Kept
+    hellos are logged in client id order once the hello phase ends; a refused
+    hello and its error reply are logged when they happen.
     """
 
     def __init__(self, global_params: mdl.ModelParams, expected_clients: int, rounds: int, *,
@@ -272,10 +309,11 @@ class FedServer:
             if not isinstance(hello, Hello):
                 raise ProtocolError(f"expected hello, not {_TYPE_OF[type(hello)]}")
             if hello.client_id in conns:
-                raise ProtocolError(f"client_id {hello.client_id} is already connected")
+                raise ProtocolError(f"client_id {brief(hello.client_id)} is already connected")
         except (ProtocolError, OSError) as exc:
             refused.append(str(exc))
             self._refuse(conn, str(exc))
+            self.transcript += conn.transcript
             return
         conns[hello.client_id] = conn
         self.weights[hello.client_id] = hello.examples
@@ -293,10 +331,10 @@ class FedServer:
     def _send_all(conns: dict[int, _Conn], frame) -> None:
         """Send one line, built once, to every client; one the send fails on
         is dropped."""
-        line = _frame_line(frame)
+        line, logged = _frame_line(frame), _frame_line(frame, log=True)
         for cid in sorted(conns):
             try:
-                conns[cid].send_line(line)
+                conns[cid].send_line(line, logged)
             except OSError:
                 conns.pop(cid).sock.close()
 
@@ -307,19 +345,8 @@ class FedServer:
     def serve(self) -> list[RoundRecord]:
         max_frame = len(params_b64(self.global_params)) + ENVELOPE_BYTES
         conns: dict[int, _Conn] = {}
-        refused: list[str] = []
         try:
-            self._listener.settimeout(self.timeout_s)
-            while len(conns) < self.expected_clients:
-                try:
-                    sock, _ = self._listener.accept()
-                except TimeoutError:
-                    raise ProtocolError(
-                        f"{len(conns)} of {self.expected_clients} clients said hello, then none "
-                        f"connected for {self.timeout_s} s; refused hellos: "
-                        f"{'; '.join(refused) or 'none'}") from None
-                self._hello(_Conn(sock, self.timeout_s, self.transcript, max_frame), conns, refused)
-
+            self._hello_phase(conns, max_frame)
             for r in range(1, self.rounds + 1):
                 self._run_tcp_round(r, conns)
             self._send_all(conns, Shutdown())
@@ -331,8 +358,32 @@ class FedServer:
                 conn.sock.close()
             self._listener.close()
 
+    def _hello_phase(self, conns: dict[int, _Conn], max_frame: int) -> None:
+        """Accept connections and read their hellos into `conns` until
+        `expected_clients` are kept; each connection logs to a transcript of
+        its own until its hello is refused or the phase ends."""
+        refused: list[str] = []
+        self._listener.settimeout(self.timeout_s)
+        try:
+            while len(conns) < self.expected_clients:
+                try:
+                    sock, _ = self._listener.accept()
+                except TimeoutError:
+                    raise ProtocolError(
+                        f"{len(conns)} of {self.expected_clients} clients said hello, then none "
+                        f"connected for {self.timeout_s} s; refused hellos: "
+                        f"{'; '.join(refused) or 'none'}") from None
+                self._hello(_Conn(sock, self.timeout_s, [], max_frame), conns, refused)
+        finally:   # the kept hellos, in client id order
+            for cid in sorted(conns):
+                self.transcript += conns[cid].transcript
+                conns[cid].transcript = self.transcript
+
     def _run_tcp_round(self, r: int, conns: dict[int, _Conn]) -> None:
         g = self.global_params
+        began = {cid: conns[cid] for cid in sorted(conns)}
+        for conn in began.values():
+            conn.received = conn.sent = 0   # this round's bytes
         self._send_all(conns, RoundBegin(r, params_b64(g)))
         if r > 1:   # round r-1's model, evaluated while the clients train on it
             self._evaluate(g)
@@ -341,15 +392,15 @@ class FedServer:
             try:
                 frame = conns[cid].recv()
                 if not isinstance(frame, Update) or frame.round != r:
-                    raise ProtocolError(f"client {cid}: expected the update of round {r}")
+                    raise ProtocolError(f"expected the update of round {r}")
                 params = params_from_b64(frame.params_b64)
                 if (params.shapes, params.mu, params.dropout) != (g.shapes, g.mu, g.dropout):
-                    raise ProtocolError(f"client {cid}: layout or model config in round {r}")
+                    raise ProtocolError(f"layout or model config in round {r}")
                 if not np.isfinite(params.flat).all():
-                    raise ProtocolError(f"client {cid}: non-finite parameters in round {r}")
+                    raise ProtocolError(f"non-finite parameters in round {r}")
                 updates.append((cid, params))
             except (ProtocolError, OSError, ValueError) as exc:
-                self._refuse(conns.pop(cid), str(exc))
+                self._refuse(conns.pop(cid), f"client {brief(cid)}: {exc}")
         if len(updates) < self.min_clients:
             raise ProtocolError(
                 f"round {r}: only {len(updates)} updates arrived, need {self.min_clients}")
@@ -357,10 +408,12 @@ class FedServer:
         # `updates` is in ascending client id order: a deterministic reduction
         counts = {cid: self.weights[cid] for cid, _ in updates}
         self.global_params = fed_avg([(p, counts[cid]) for cid, p in updates])
-        record = RoundRecord(round=r, participants=list(counts), example_counts=counts,
-                             digest=params_digest(self.global_params))
-        self.records.append(record)
-        self._send_all(conns, RoundEnd(r, record.digest))
+        digest = params_digest(self.global_params)
+        self._send_all(conns, RoundEnd(r, digest))
+        self.records.append(RoundRecord(
+            round=r, participants=list(counts), example_counts=counts, digest=digest,
+            bytes_in={cid: c.received for cid, c in began.items()},
+            bytes_out={cid: c.sent for cid, c in began.items()}))
 
 
 class FedClient:

@@ -6,14 +6,22 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
 import typing
 from dataclasses import MISSING, fields
 from enum import Enum
 
+# a refused value is quoted at most about 130 characters long, whatever its size
+_brief = reprlib.Repr()
+_brief.maxstring = _brief.maxlong = _brief.maxother = 40
+_brief.maxlist = _brief.maxtuple = 3
+_brief.maxdict = _brief.maxlevel = 1
+brief = _brief.repr
+
 
 def _finite(text: str) -> float:
     if not math.isfinite(x := float(text)):   # float() also reads NaN and [-]Infinity
-        raise ValueError(f"non-finite value {text}")
+        raise ValueError(f"non-finite value {brief(text)[1:-1]}")   # a number, unquoted
     return x
 
 
@@ -78,7 +86,7 @@ def _decoder(tp):
         if missing := [name for name in required if name not in v]:
             raise TypeError(f"missing key {missing[0]!r}")
         if unknown := [name for name in v if name not in members]:
-            raise TypeError(f"unknown key {unknown[0]!r}")
+            raise TypeError(f"unknown key {brief(unknown[0])}")
         return tp(**{name: members[name](x, name) for name, x in v.items()})
     return _shaped((dict,), tp.__name__, build)
 
@@ -91,5 +99,5 @@ def _shaped(kinds, name, build, fits=None):
                 return build(v, key)
         except OverflowError:
             pass
-        raise TypeError(f"{key} {v!r} is not {name}")
+        raise TypeError(f"{key} {brief(v)} is not {name}")
     return decode

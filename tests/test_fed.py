@@ -140,29 +140,41 @@ def test_tcp_session_two_clients_records_and_transcript():
     assert kinds.count("shutdown") == 2
 
 
-def test_short_federated_session_bytes_pinned():
-    # criterion 9's session with a held-out set: the round digests, the final
-    # model bytes, the per-round held-out losses and the wire bytes must not move
+def _pin_session():
+    """Criterion 9's session with a held-out set."""
     shards = experiment.split_shards(_toy_dataset(n=30, seed=9), 2)
     init = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(21))
-    final, records, transcript, losses = fed.train_federated_tcp(
-        shards, init, mdl.OptConfig(), rounds=3, seeds=[51, 52],
-        eval_dataset=_toy_dataset(n=20, seed=10), timeout=30.0)
+    return fed.train_federated_tcp(shards, init, mdl.OptConfig(), rounds=3, seeds=[51, 52],
+                                   eval_dataset=_toy_dataset(n=20, seed=10), timeout=30.0)
 
-    def sha(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
 
-    assert sha(repr([r.digest for r in records]).encode()) == (
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_short_federated_session_bytes_pinned():
+    # the round digests, the final model bytes, the per-round held-out losses,
+    # the transcript and the bytes on the wire must not move
+    final, records, transcript, losses = _pin_session()
+    assert _sha(repr([r.digest for r in records]).encode()) == (
         "4c1bcac55bf74397a901745f6a59f8effbb7f93c871b0f9cb662d3101aa44d08")
-    assert sha(mdl.params_to_bytes(final)) == (
+    assert _sha(mdl.params_to_bytes(final)) == (
         "f7b0903a3fdaad46107fcd56b366cfb69c6fe55aefc09619f273a370081da342")
-    assert sha(repr(losses).encode()) == (
+    assert _sha(repr(losses).encode()) == (
         "ea65b3521961de584a1d3c3a333e0ffe1c8bb514fa58efcd17d1216a7faa2934")
-    # the two hellos arrive in either order; every later frame is in client id order
-    assert all('"type":"hello"' in line for line in transcript[:2])
-    wire = sorted(transcript[:2]) + transcript[2:]
-    assert sha("\n".join(wire).encode()) == (
-        "1ec1aa3d65b0fb1466ec121ff254cfcca5d7a609881e05ea597ac742a4e1ad49")
+    # the hellos in client id order, then every blob as its length and digest
+    assert _sha("\n".join(transcript).encode()) == (
+        "b0ad9168616f0bf4b6552e4bd63480aef279767c22c26a6172ac466294ced37a")
+    # every byte on the wire, newlines included: the rounds' socket counts,
+    # then the hello and shutdown frames, which the transcript keeps whole
+    round_bytes = sum(sum(r.bytes_in.values()) + sum(r.bytes_out.values()) for r in records)
+    others = [line.split(" ", 1)[1] for line in transcript if '"round"' not in line]
+    assert round_bytes + sum(len(frame) + 1 for frame in others) == 4_938_428
+
+
+def test_transcript_of_a_session_is_one_text():
+    # the clients race to connect, but the kept hellos are logged in client id order
+    assert len({_sha("\n".join(_pin_session()[2]).encode()) for _ in range(10)}) == 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -177,8 +189,13 @@ def test_spliced_params_frame_equals_json_dumps(kind, rnd, width, layers, seed):
     a, b = socket.socketpair()
     with a, b:
         fed._Conn(a, 1.0, transcript).send(fed.FRAMES[kind](rnd, blob))
-        assert fed._Conn(b, 1.0).recv() == fed.FRAMES[kind](rnd, blob)
-    assert transcript == [f"send {expected}"]
+        wire = b""
+        while not wire.endswith(b"\n"):
+            wire += b.recv(65536)
+    assert wire == expected.encode() + b"\n"
+    # the transcript keeps the blob's length and BLAKE2b in its place
+    digest = hashlib.blake2b(blob.encode(), digest_size=8).hexdigest()
+    assert transcript == [f"send {expected}".replace(blob, f"{len(blob)} bytes blake2b {digest}")]
 
 
 def test_tcp_single_client_degenerates_to_centralized():
@@ -243,17 +260,17 @@ def test_round_aggregation_order_invariant():
                    2: fed.FedClient(2, data_b, mdl.OptConfig(), seed=12)}
         threads = []
         for cid in order:
-            frames = len(server.transcript)
             threads.append(threading.Thread(target=clients[cid].run, args=(host, port, 10.0),
                                             daemon=True))
             threads[-1].start()
             deadline = time.monotonic() + 5.0
-            while len(server.transcript) == frames and time.monotonic() < deadline:
+            while cid not in server.weights and time.monotonic() < deadline:
                 time.sleep(0.01)  # wait for this client's hello
         for t in threads + [serving]:
             t.join(timeout=10.0)
+        assert list(server.weights) == list(order)   # the order the hellos were kept in
         hellos = [json.loads(line.split(" ", 1)[1]) for line in server.transcript]
-        assert [h["client_id"] for h in hellos if h["type"] == "hello"] == list(order)
+        assert [h["client_id"] for h in hellos if h["type"] == "hello"] == [1, 2]
         assert out["records"][0].participants == [1, 2]
         digests.append(out["records"][0].digest)
     assert digests[0] == digests[1]
@@ -357,6 +374,55 @@ def test_tcp_client_that_hangs_up_after_its_update_is_dropped_at_the_next_broadc
     serving.join(timeout=10.0)
     assert not honest.is_alive() and not serving.is_alive()
     assert [r.participants for r in out["records"]] == [[1, 2], [1]]
+
+
+def _counting_peer(host, port, cid, rounds, bad_round=None):
+    """Client `cid` on a bare socket: it answers each round_begin with the
+    broadcast's own parameters, or in `bad_round` with an update of another
+    round. For each round it appends to `rounds` the lines it read and the
+    line it wrote, newlines included."""
+    with socket.create_connection((host, port), timeout=10.0) as sock, \
+            sock.makefile("rb") as lines:
+        sock.sendall(b'{"type":"hello","client_id":%d,"examples":4}\n' % cid)
+        while not isinstance(frame := fed.decode_frame(line := lines.readline()), fed.Shutdown):
+            if isinstance(frame, fed.RoundBegin):
+                update = fed.Update(frame.round + (frame.round == bad_round), frame.params_b64)
+                data = fed._frame_line(update).encode() + b"\n"
+                sock.sendall(data)
+                rounds.append(([line], data))
+            else:   # round_end, or the error frame before the server hangs up
+                rounds[-1][0].append(line)
+                if isinstance(frame, fed.Error):
+                    return
+
+
+def test_round_records_count_the_bytes_each_client_sent_and_got():
+    # client 2 answers round 2 with an update of round 3, so it is dropped there
+    init = mdl.init_model(NARROW, np.random.default_rng(27))
+    server = fed.FedServer(init, expected_clients=2, rounds=3, timeout_s=5.0)
+    host, port = server.address
+    serving, out = _serve_in_thread(server)
+    seen = {1: [], 2: []}
+    peers = [threading.Thread(target=_counting_peer, args=(host, port, cid, seen[cid]),
+                              kwargs={"bad_round": 2 if cid == 2 else None}, daemon=True)
+             for cid in (1, 2)]
+    for t in peers:
+        t.start()
+    for t in peers + [serving]:
+        t.join(timeout=10.0)
+    assert not any(t.is_alive() for t in peers + [serving])
+    records = out["records"]
+    assert [r.participants for r in records] == [[1, 2], [1], [1]]
+    assert [list(r.bytes_in) for r in records] == [[1, 2], [1, 2], [1]]
+    assert [list(r.bytes_out) for r in records] == [[1, 2], [1, 2], [1]]
+    for cid, rounds in seen.items():
+        assert len(rounds) == (3 if cid == 1 else 2)
+        for record, (got, sent) in zip(records, rounds):
+            kinds = [type(fed.decode_frame(line)) for line in got]
+            dropped = cid == 2 and record.round == 2
+            assert kinds == [fed.RoundBegin, fed.Error if dropped else fed.RoundEnd]
+            assert record.bytes_out[cid] == len(got[0]) + len(got[1])
+            assert record.bytes_in[cid] == len(sent)
 
 
 def test_tcp_round_below_min_clients_after_drop_errors():
@@ -603,6 +669,7 @@ def _bad_hello_then_honest_client(init, hello):
     assert not serving.is_alive()
     assert rounds == 1
     assert [r.participants for r in out["records"]] == [[3]]
+    return reply
 
 
 _HELLO_EXAMPLES = {"zero": b"0", "negative": b"-1", "true": b"true", "float": b"1.5",
@@ -627,6 +694,31 @@ def test_tcp_deeply_nested_hello_to_a_default_size_server_is_refused():
     # 200,000 '[' fit in the frame cap of the default model's broadcast
     init = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(21))
     _bad_hello_then_honest_client(init, b"[" * 200_000 + b"\n")
+
+
+def test_tcp_hello_of_a_huge_client_id_is_refused_with_a_short_reason():
+    init = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(21))
+    hello = json.dumps({"type": "hello", "client_id": "7" * 400_000, "examples": 4})
+    reply = _bad_hello_then_honest_client(init, hello.encode() + b"\n")
+    assert reply.reason.startswith("bad frame: hello: client_id '7777")
+    assert len(reply.reason) < 200
+
+
+@pytest.mark.parametrize("line", [
+    '{"type":"hello","client_id":"%s","examples":4}' % ("7" * 400_000),
+    '{"type":"hello","client_id":1,"examples":4,"%s":1}' % ("k" * 400_000),
+    '{"type":"%s"}' % ("t" * 400_000),
+    '{"type":"hello","client_id":1,"examples":-%s}' % ("9" * 4000),
+    '{"type":"hello","client_id":[%s],"examples":4}' % ",".join(['"%s"' % ("s" * 9999)] * 40),
+    '{"type":"hello","client_id":{%s},"examples":4}' % ",".join(
+        f'"{i}{"k" * 9999}":[{"[" * 50}{"]" * 50}]' for i in range(40)),
+    '{"type":"hello","client_id":1%s.0,"examples":4}' % ("0" * 400_000),
+], ids=["long-string", "long-key", "long-type", "huge-int", "long-list", "long-object",
+        "non-finite"])
+def test_decode_frame_quotes_a_refused_value_briefly(line):
+    with pytest.raises(ValueError) as exc:
+        fed.decode_frame(line)
+    assert len(f"bad frame: {exc.value}") < 200
 
 
 def test_tcp_duplicate_client_id_is_refused_and_first_keeps_its_slot():
@@ -719,6 +811,39 @@ def test_tcp_slow_or_oversized_frame_drops_its_peer(send, phase):
     assert not serving.is_alive()
     assert isinstance(reply, fed.Error)
     assert [r.participants for r in out["records"]] == [[1]]
+
+
+def test_transcript_stays_bounded_whatever_peers_send():
+    # before two honest clients say hello, one peer sends a garbage line just
+    # under the frame cap, one a hello of a 400,000-character client_id and one
+    # an error frame of a 400,000-character reason; none of it, and no blob of
+    # the default-width model, is kept whole
+    init = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(28))
+    assert init.flat.size == 38_553
+    server = fed.FedServer(init, expected_clients=2, rounds=3, timeout_s=10.0)
+    host, port = server.address
+    serving, out = _serve_in_thread(server)
+    max_frame = len(fed.params_b64(init)) + fed.ENVELOPE_BYTES
+    for line in (b"x" * (max_frame - 1),
+                 json.dumps({"type": "hello", "client_id": "7" * 400_000, "examples": 4}).encode(),
+                 json.dumps({"type": "error", "reason": "r" * 400_000}).encode()):
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(line + b"\n")
+            reply = fed._Conn(sock, 10.0).recv()
+        assert isinstance(reply, fed.Error) and len(reply.reason) < 200
+    honest = [threading.Thread(target=fed.FedClient(cid, _toy_dataset(n=20, seed=cid),
+                                                    mdl.OptConfig(), seed=60 + cid).run,
+                               args=(host, port, 10.0), daemon=True) for cid in (1, 2)]
+    for t in honest:
+        t.start()
+    for t in honest + [serving]:
+        t.join(timeout=20.0)
+    assert not any(t.is_alive() for t in honest + [serving])
+    assert [r.participants for r in out["records"]] == [[1, 2]] * 3
+    # 3 refusals of 2 lines, 2 hellos, 3 rounds of 6 frames, 2 shutdowns
+    assert len(server.transcript) == 3 * 2 + 2 + 3 * 6 + 2
+    assert max(map(len, server.transcript)) <= fed.ENVELOPE_BYTES
+    assert sum(map(len, server.transcript)) < 16_384
 
 
 def test_client_refuses_a_frame_that_is_not_an_object():
