@@ -239,14 +239,15 @@ class _Conn:
         if not 0 <= end <= self.max_frame:
             raise ProtocolError(f"frame longer than {self.max_frame} bytes")
         line, self.buf = self.buf[:end], self.buf[end + 1:]
-        try:
+        try:   # a blob's lone surrogate escape fails only at `_frame_line`'s `_tag`
             frame = decode_frame(line.decode("utf-8"))
+            logged = None if self.transcript is None else _frame_line(frame, log=True)
         except ValueError as exc:
             if self.transcript is not None:
                 self._log("recv", _tag(line))
             raise ProtocolError(f"bad frame: {exc}") from None
-        if self.transcript is not None:
-            self._log("recv", _frame_line(frame, log=True))
+        if logged is not None:
+            self._log("recv", logged)
         return frame
 
 

@@ -174,7 +174,7 @@ def test_short_federated_session_bytes_pinned():
 
 def test_transcript_of_a_session_is_one_text():
     # the clients race to connect, but the kept hellos are logged in client id order
-    assert len({_sha("\n".join(_pin_session()[2]).encode()) for _ in range(10)}) == 1
+    assert len({_sha("\n".join(_pin_session()[2]).encode()) for _ in range(3)}) == 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -592,10 +592,18 @@ def _poison_blob_alphabet(frame):
     return _update(frame, params_b64=frame.params_b64[:8] + "!" + frame.params_b64[8:])
 
 
-@pytest.mark.parametrize("poison", [_poison_nan, _poison_blob_type, _poison_blob_alphabet])
+def _poison_blob_surrogate(frame):
+    # JSON reads the escape as a lone surrogate, which no UTF-8 encoder takes
+    return _update(frame, params_b64="\ud800")
+
+
+@pytest.mark.parametrize("poison", [_poison_nan, _poison_blob_type, _poison_blob_alphabet,
+                                    _poison_blob_surrogate])
 def test_tcp_poisoned_update_is_dropped(poison):
     server, records = _session_with_peer(poison)
     assert [r.participants for r in records] == [[1]]
+    # the poisoned frame is logged too: two hellos and two updates received
+    assert sum(line.startswith("recv ") for line in server.transcript) == 4
     assert np.isfinite(server.global_params.flat).all()
 
 
@@ -684,8 +692,9 @@ _HELLO_EXAMPLES = {"zero": b"0", "negative": b"-1", "true": b"true", "float": b"
     b"",
     *(b'{"type":"hello","client_id":2,"examples":%s}\n' % v for v in _HELLO_EXAMPLES.values()),
     b'{"type":"hello","client_id":2}\n',
+    b'{"type":"update","round":1,"params_b64":"\\ud800"}\n',
 ], ids=["not-json", "not-object", "no-client-id", "string-client-id", "silent",
-        *(f"examples-{name}" for name in _HELLO_EXAMPLES), "no-examples"])
+        *(f"examples-{name}" for name in _HELLO_EXAMPLES), "no-examples", "surrogate-update"])
 def test_tcp_bad_hello_gets_error_and_server_keeps_accepting(hello):
     _bad_hello_then_honest_client(mdl.init_model(NARROW, np.random.default_rng(21)), hello)
 
