@@ -23,13 +23,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as mdl
-from .records import brief, decode_record, from_record
+from .records import brief, decode_record, from_record, to_record
 
 if TYPE_CHECKING:
     from .labeling import TrainingArrays
 
 PROTOCOL_TIMEOUT_S = 30.0
 ENVELOPE_BYTES = 4096   # what a frame may hold beside the params_b64 payload
+REFUSALS_KEPT = 8       # refused hellos a hello phase names and logs; the rest it counts
 
 
 class ProtocolError(RuntimeError):
@@ -173,7 +174,7 @@ def _frame_line(frame, log: bool = False) -> str:
     holds nothing that `json.dumps` escapes, so the line equals `json.dumps`
     of the whole frame, without scanning the blob again.
     """
-    record = {"type": _TYPE_OF[type(frame)], **vars(frame)}
+    record = {"type": _TYPE_OF[type(frame)], **to_record(frame)}
     blob = record.pop("params_b64", None)
     line = json.dumps(record, separators=(",", ":"))
     if blob is None:
@@ -265,8 +266,9 @@ class FedServer:
     provided at least `min_clients` did, which must be in
     `1..expected_clients`; `timeout_s` must be positive and finite. A hello
     phase in which no further client connects for `timeout_s` ends the
-    session with a `ProtocolError` that counts the hellos kept and gives each
-    refused hello's reason.
+    session with a `ProtocolError` that counts the hellos kept and gives the
+    reason of each of the first `REFUSALS_KEPT` refused hellos, then counts
+    the others.
 
     Each broadcast line is built once, with the global model's base64 spliced
     in, and the same line goes to every client. With an `eval_dataset`, the
@@ -277,8 +279,9 @@ class FedServer:
     The transcript holds one bounded line per frame sent or received, as
     `_Conn` logs it: each blob is kept as its length and digest, and each
     round's `RoundRecord` counts the bytes that went over each socket. Kept
-    hellos are logged in client id order once the hello phase ends; a refused
-    hello and its error reply are logged when they happen.
+    hellos are logged in client id order once the hello phase ends; the
+    first `REFUSALS_KEPT` refused hellos and their error replies are logged
+    when they happen, and later ones not at all.
     """
 
     def __init__(self, global_params: mdl.ModelParams, expected_clients: int, rounds: int, *,
@@ -302,9 +305,9 @@ class FedServer:
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
 
-    def _hello(self, conn: _Conn, conns: dict[int, _Conn], refused: list[str]) -> None:
+    def _hello(self, conn: _Conn, conns: dict[int, _Conn]) -> str | None:
         """Read one connection's hello; add the connection to `conns` and keep
-        its weight, or refuse it, with the reason appended to `refused`."""
+        its weight, or refuse it and return the reason."""
         try:
             hello = conn.recv()
             if not isinstance(hello, Hello):
@@ -312,12 +315,11 @@ class FedServer:
             if hello.client_id in conns:
                 raise ProtocolError(f"client_id {brief(hello.client_id)} is already connected")
         except (ProtocolError, OSError) as exc:
-            refused.append(str(exc))
             self._refuse(conn, str(exc))
-            self.transcript += conn.transcript
-            return
+            return str(exc)
         conns[hello.client_id] = conn
         self.weights[hello.client_id] = hello.examples
+        return None
 
     @staticmethod
     def _refuse(conn: _Conn, reason: str) -> None:
@@ -362,8 +364,11 @@ class FedServer:
     def _hello_phase(self, conns: dict[int, _Conn], max_frame: int) -> None:
         """Accept connections and read their hellos into `conns` until
         `expected_clients` are kept; each connection logs to a transcript of
-        its own until its hello is refused or the phase ends."""
+        its own until its hello is refused or the phase ends. The reasons and
+        transcript lines of the first `REFUSALS_KEPT` refused connections are
+        kept; the rest are only counted."""
         refused: list[str] = []
+        more = 0   # refusals beyond the kept ones
         self._listener.settimeout(self.timeout_s)
         try:
             while len(conns) < self.expected_clients:
@@ -373,8 +378,16 @@ class FedServer:
                     raise ProtocolError(
                         f"{len(conns)} of {self.expected_clients} clients said hello, then none "
                         f"connected for {self.timeout_s} s; refused hellos: "
-                        f"{'; '.join(refused) or 'none'}") from None
-                self._hello(_Conn(sock, self.timeout_s, [], max_frame), conns, refused)
+                        f"{'; '.join(refused) or 'none'}"
+                        f"{f'; and {more} more refused' if more else ''}") from None
+                conn = _Conn(sock, self.timeout_s, [], max_frame)
+                if (reason := self._hello(conn, conns)) is None:
+                    continue
+                if len(refused) < REFUSALS_KEPT:
+                    refused.append(reason)
+                    self.transcript += conn.transcript
+                else:
+                    more += 1
         finally:   # the kept hellos, in client id order
             for cid in sorted(conns):
                 self.transcript += conns[cid].transcript

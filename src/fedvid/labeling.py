@@ -19,7 +19,7 @@ import numpy as np
 
 from . import features as feats
 from . import geo, plates
-from .records import from_record, read_jsonl
+from .records import from_record, read_jsonl, to_record
 from .scenario import OUTSIDE, DetectedBox, Message, Observation, WorldConfig
 
 
@@ -112,7 +112,7 @@ def build_outside_set(histories: dict[int, dict[int, Sample]],
     return frozenset(out)
 
 
-@dataclass
+@dataclass(slots=True)
 class TickLabels:
     front: dict[int, int]   # sender id -> front box index, plate-matched
     rear: dict[int, int]    # sender id -> rear box index, plate-matched
@@ -161,7 +161,7 @@ def label_run(observations: list[Observation], cct: plates.ConversionTable,
                       histories=histories, ego_history=ego_history, feature_cfg=feature_cfg)
 
 
-@dataclass
+@dataclass(slots=True)
 class LabeledExample:
     """A training row, and a line of the dataset file: its keys in field order."""
 
@@ -254,7 +254,7 @@ def write_dataset_jsonl(path, examples: list[LabeledExample]) -> None:
     """One record per example, ordered by (tick, sender id), floats exact."""
     with open(path, "w") as f:
         for e in sorted(examples, key=lambda e: (e.tick, e.sender_id)):
-            f.write(json.dumps({"schema_version": DATASET_SCHEMA_VERSION, **vars(e)}) + "\n")
+            f.write(json.dumps({"schema_version": DATASET_SCHEMA_VERSION, **to_record(e)}) + "\n")
 
 
 def read_dataset_jsonl(path) -> TrainingArrays:

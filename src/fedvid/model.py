@@ -25,6 +25,7 @@ FMDF_MAGIC = b"FMDF"
 FMDF_VERSION = 1
 FEEDBACK_DIM = 4   # the previous tick's box
 OUTPUT_DIM = 5     # four box coordinates and the inside probability
+EVAL_ROWS = 1024   # the most rows that `mean_loss` sends forward at once
 
 
 class ConfigError(ValueError):
@@ -365,10 +366,23 @@ class Trainer:
 
 
 def mean_loss(params: ModelParams, dataset: TrainingArrays) -> float:
-    """Eval-mode mean loss over a dataset (no dropout, no updates), through
-    two alternating hidden buffers."""
-    ws = Workspace(params, dataset.X.shape[0], keep_layers=False)
-    y, _ = forward_batch(params, dataset.X, dataset.FB, training=False, ws=ws)
+    """Eval-mode mean loss over a dataset (no dropout, no updates).
+
+    The n rows go forward in ceil(n / EVAL_ROWS) near-equal chunks (one,
+    empty, when n is 0), each through a workspace made with
+    `keep_layers=False`, and their outputs fill one (n, 5) array; the loss is
+    taken once over that array, so it sums in the same order as one batch.
+    No chunk holds a single row unless n is 1: numpy computes one row's
+    matmul another way than a batch's, and its bits differ. More than 1024
+    rows give chunks of over 512."""
+    n = dataset.X.shape[0]
+    chunks = max(1, -(-n // EVAL_ROWS))
+    y = np.empty((n, OUTPUT_DIM))
+    workspaces: dict[int, Workspace] = {}   # the chunks have at most two sizes
+    for i in range(chunks):
+        rows = slice(i * n // chunks, (i + 1) * n // chunks)
+        ws = workspace_for(workspaces, params, rows.stop - rows.start, keep_layers=False)
+        y[rows], _ = forward_batch(params, dataset.X[rows], dataset.FB[rows], ws=ws)
     loss, _ = _loss_grad_batch(y, dataset.Y, params.mu)
     return loss
 

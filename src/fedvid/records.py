@@ -1,5 +1,6 @@
 """The record rule, the one reader of records taken from outside: run files,
-dataset files, `--config` files and federated wire frames."""
+dataset files, `--config` files and federated wire frames, and the one
+writer of a record's fields."""
 
 from __future__ import annotations
 
@@ -59,6 +60,14 @@ def from_record(tp, value, key: str = "record"):
     `tp` by the record rule (README); a value that does not fit raises
     TypeError naming its field, or `key` at the top."""
     return _decoder(tp)(value, key)
+
+
+def to_record(obj) -> dict:
+    """`{field: value}` of a dataclass instance, in field order: the keys and
+    order that `from_record` reads back. Nested values are left as they are,
+    so `json.dumps(x, default=to_record)` writes a whole tree; it works where
+    `vars` does not, on a slotted instance."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @functools.cache

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import geo, plates
-from .records import from_record, read_jsonl
+from .records import from_record, read_jsonl, to_record
 
 OUTSIDE = -1  # truth-pair value for a sender with no front-camera box
 
@@ -63,6 +63,8 @@ class CameraModel:
             raise ValueError("image_w and image_h must be positive")
         if self.facing not in ("front", "rear"):
             raise ValueError("facing must be 'front' or 'rear'")
+        if not self.max_range > 0.0:   # inf, the lossless range, is allowed
+            raise ValueError("max_range must be positive")
 
     def focal_px(self) -> float:
         return (self.image_w / 2.0) / math.tan(math.radians(self.hfov_deg) / 2.0)
@@ -125,7 +127,7 @@ class WorldConfig:
         return int(round(self.duration / self.tick_interval))
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleState:
     id: int                      # hash of the canonicalized plate
     plate: str
@@ -134,7 +136,7 @@ class VehicleState:
     speed: float                 # m/s
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectedBox:
     vehicle_ref: int             # simulator-internal ground truth, hidden from the pipeline
     bb_norm: tuple[float, float, float, float]
@@ -142,7 +144,7 @@ class DetectedBox:
     plate_read: str | None       # OCR channel output for this box, if any
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     lat: float
     lng: float
@@ -151,7 +153,7 @@ class Message:
     id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SensorRecord:
     lat: float
     lng: float
@@ -159,7 +161,7 @@ class SensorRecord:
     spd: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Observation:
     t: int
     front_boxes: list[DetectedBox]
@@ -571,7 +573,7 @@ def write_run(path, cfg: WorldConfig, observations: list[Observation]) -> None:
     with open(path, "w") as f:
         f.write(header + "\n")
         for obs in observations:
-            f.write(json.dumps(obs, default=vars) + "\n")
+            f.write(json.dumps(obs, default=to_record) + "\n")
 
 
 def read_run(path) -> tuple[WorldConfig, list[Observation]]:

@@ -91,7 +91,9 @@ _CAMERA = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720, "facing": "front",
     ({"front_camera": {**_CAMERA, "hfov_deg": 200.0}}, "hfov_deg must be in (0, 180)"),
     ({"front_camera": {k: v for k, v in _CAMERA.items() if k != "image_w"}},
      "missing key 'image_w'"),
-], ids=["unknown-key", "bad-camera", "camera-missing-key"])
+    ({"front_camera": {**_CAMERA, "max_range": -5.0}}, "max_range must be positive"),
+    ({"rear_camera": {**_CAMERA, "facing": "rear", "max_range": 0}}, "max_range must be positive"),
+], ids=["unknown-key", "bad-camera", "camera-missing-key", "negative-range", "zero-range"])
 def test_gen_config_that_builds_no_world_is_named(world, message, tmp_path, capsys):
     cfg_path = tmp_path / "w.json"
     cfg_path.write_text(json.dumps(world))

@@ -514,6 +514,35 @@ def test_hello_phase_timeout_counts_the_hellos_and_names_the_refusals():
     assert not honest.is_alive()
 
 
+def test_hello_phase_keeps_the_first_refusals_and_counts_the_rest():
+    # 50 garbage connections, then none: the transcript and the error hold
+    # the first REFUSALS_KEPT refusals, and the error counts the other 42
+    init = mdl.init_model(NARROW, np.random.default_rng(27))
+    server = fed.FedServer(init, expected_clients=1, rounds=1, timeout_s=1.0)
+    host, port = server.address
+    failed = {}
+
+    def serve():
+        with pytest.raises(fed.ProtocolError) as exc:
+            server.serve()
+        failed["error"] = str(exc.value)
+
+    serving = threading.Thread(target=serve, daemon=True)
+    serving.start()
+    for i in range(50):
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(b"garbage %d\n" % i)
+            assert isinstance(fed._Conn(sock, 5.0).recv(), fed.Error)
+    serving.join(timeout=10.0)
+    assert not serving.is_alive()
+    assert fed.REFUSALS_KEPT == 8
+    assert len(server.transcript) == 2 * fed.REFUSALS_KEPT
+    assert failed["error"].startswith("0 of 1 clients said hello")
+    assert failed["error"].count("bad frame: not JSON") == fed.REFUSALS_KEPT
+    assert failed["error"].endswith("; and 42 more refused")
+    assert len(failed["error"]) < 1_500
+
+
 def test_client_of_an_empty_shard_fails_before_its_hello():
     data = _toy_dataset(n=20)
     empty = labeling.TrainingArrays(X=data.X[:0], FB=data.FB[:0], Y=data.Y[:0])

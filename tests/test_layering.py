@@ -1,8 +1,12 @@
-"""Which fedvid modules the record rule and the wire protocol may import.
+"""Guards on the shape of the code.
 
-The record rule reads every outside record, so it depends on no other module,
+Which fedvid modules the record rule and the wire protocol may import: the
+record rule reads every outside record, so it depends on no other module,
 and the wire protocol reads its frames through it, not through the simulator.
 An import under `if TYPE_CHECKING:` serves annotations only and is not counted.
+
+The records that a run keeps per tick and per row are slotted, and the
+record files are written through the one field writer, `records.to_record`.
 """
 
 import ast
@@ -40,3 +44,30 @@ def _fedvid_imports(name: str) -> set[str]:
 @pytest.mark.parametrize("name, imports", [("records", set()), ("fed", {"model", "records"})])
 def test_module_imports_only_its_layer(name, imports):
     assert _fedvid_imports(name) == imports
+
+
+def test_per_tick_and_per_row_records_are_slotted():
+    # a slotted instance holds no __dict__: 72 B for a Message, not 168 B
+    from fedvid import labeling, plates, scenario
+
+    cfg = scenario.WorldConfig(seed=3, num_vehicles=20, duration=5.0)
+    state, observations = scenario.run_scenario(cfg)
+    run = labeling.label_run(observations, plates.default_conversion_table(), cfg)
+    obs = next(o for o in observations if o.front_boxes and o.messages)
+    instances = [state.ego, obs, obs.front_boxes[0], obs.messages[0], obs.ego_sensors,
+                 run.labels[0], labeling.assemble_dataset(run, labeling.DatasetMode.ALDA)[0]]
+    assert [type(x).__name__ for x in instances] == [
+        "VehicleState", "Observation", "DetectedBox", "Message", "SensorRecord",
+        "TickLabels", "LabeledExample"]
+    assert [x for x in instances if hasattr(x, "__dict__")] == []
+
+
+@pytest.mark.parametrize("name, writer", [("scenario", "write_run"),
+                                          ("labeling", "write_dataset_jsonl"),
+                                          ("fed", "_frame_line")])
+def test_record_writers_go_through_the_field_writer(name, writer):
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == writer)
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert "to_record" in names and "vars" not in names

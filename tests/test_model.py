@@ -403,6 +403,47 @@ def test_mean_loss_peak_memory_stays_below_eight_row_buffers():
     assert peak < 8 * n * 64 * 8, f"peak {peak / (n * 64 * 8):.1f} row buffers"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 2047, 2049, 5000])
+def test_chunked_mean_loss_equals_one_batch_bit_for_bit(n, monkeypatch):
+    # a one-row chunk's outputs differ in their last bits, which the mean can
+    # hide, so the chunks' outputs are compared as well as the loss
+    rng = np.random.default_rng(n)
+    data = labeling.TrainingArrays(X=rng.random((n, 11)), FB=rng.random((n, 4)),
+                                   Y=rng.random((n, 5)))
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(33))
+    ws = mdl.Workspace(params, n, keep_layers=False)
+    y, _ = mdl.forward_batch(params, data.X, data.FB, ws=ws)
+    reference, _ = mdl._loss_grad_batch(y, data.Y, params.mu)
+
+    chunks, forward = [], mdl.forward_batch
+
+    def recording_forward(*args, **kwargs):
+        out, cache = forward(*args, **kwargs)
+        chunks.append(out.copy())
+        return out, cache
+
+    monkeypatch.setattr(mdl, "forward_batch", recording_forward)
+    assert mdl.mean_loss(params, data) == reference
+    assert len(chunks) == -(-n // mdl.EVAL_ROWS)
+    assert n == 1 or min(len(c) for c in chunks) > 1
+    assert np.concatenate(chunks).tobytes() == y.tobytes()
+
+
+def test_mean_loss_memory_does_not_grow_with_the_rows():
+    # one batch of 20,000 rows would take 20,000 x 1,608 B = 32 MB of workspace
+    import tracemalloc
+
+    data = _toy_dataset(n=20_000, seed=34)
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(35))
+    tracemalloc.start()
+    try:
+        mdl.mean_loss(params, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_dropout_drawn_once_per_training_batch(monkeypatch):
     calls = []
     draw = mdl.dropout_masks

@@ -641,7 +641,7 @@ def test_read_run_names_the_file_cut_at_a_line_boundary(tmp_path):
 def _scalars(x, at=()):
     """`(place, value)` of every leaf of a config, observation or container."""
     if dataclasses.is_dataclass(x):
-        x = vars(x)
+        x = records.to_record(x)
     if isinstance(x, dict):
         return [leaf for k, v in x.items() for leaf in _scalars(v, (*at, k))]
     if isinstance(x, (list, tuple)):
