@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as mdl
-from .records import brief, decode_record, from_record, to_record
+from .records import brief, decode_record, from_record
 
 if TYPE_CHECKING:
     from .labeling import TrainingArrays
@@ -174,7 +174,7 @@ def _frame_line(frame, log: bool = False) -> str:
     holds nothing that `json.dumps` escapes, so the line equals `json.dumps`
     of the whole frame, without scanning the blob again.
     """
-    record = {"type": _TYPE_OF[type(frame)], **to_record(frame)}
+    record = {"type": _TYPE_OF[type(frame)], **vars(frame)}
     blob = record.pop("params_b64", None)
     line = json.dumps(record, separators=(",", ":"))
     if blob is None:

@@ -372,9 +372,12 @@ def mean_loss(params: ModelParams, dataset: TrainingArrays) -> float:
     empty, when n is 0), each through a workspace made with
     `keep_layers=False`, and their outputs fill one (n, 5) array; the loss is
     taken once over that array, so it sums in the same order as one batch.
-    No chunk holds a single row unless n is 1: numpy computes one row's
-    matmul another way than a batch's, and its bits differ. More than 1024
-    rows give chunks of over 512."""
+    The result has one batch's bits only if the BLAS computes each row of a
+    matmul the same way whatever the row count. numpy 2.4 with OpenBLAS
+    0.3.31 (scipy-openblas, Haswell kernels) does for 2 to 5,000 rows, as
+    measured; another build need not. It does not for one row, so no chunk
+    holds a single row unless n is 1: more than 1024 rows give chunks of
+    over 512."""
     n = dataset.X.shape[0]
     chunks = max(1, -(-n // EVAL_ROWS))
     y = np.empty((n, OUTPUT_DIM))

@@ -5,8 +5,7 @@ record rule reads every outside record, so it depends on no other module,
 and the wire protocol reads its frames through it, not through the simulator.
 An import under `if TYPE_CHECKING:` serves annotations only and is not counted.
 
-The records that a run keeps per tick and per row are slotted, and the
-record files are written through the one field writer, `records.to_record`.
+The records that a run keeps per tick and per row are slotted.
 """
 
 import ast
@@ -61,13 +60,3 @@ def test_per_tick_and_per_row_records_are_slotted():
         "TickLabels", "LabeledExample"]
     assert [x for x in instances if hasattr(x, "__dict__")] == []
 
-
-@pytest.mark.parametrize("name, writer", [("scenario", "write_run"),
-                                          ("labeling", "write_dataset_jsonl"),
-                                          ("fed", "_frame_line")])
-def test_record_writers_go_through_the_field_writer(name, writer):
-    tree = ast.parse((SRC / f"{name}.py").read_text())
-    body = next(node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == writer)
-    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-    assert "to_record" in names and "vars" not in names

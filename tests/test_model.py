@@ -405,8 +405,10 @@ def test_mean_loss_peak_memory_stays_below_eight_row_buffers():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 2047, 2049, 5000])
 def test_chunked_mean_loss_equals_one_batch_bit_for_bit(n, monkeypatch):
-    # a one-row chunk's outputs differ in their last bits, which the mean can
-    # hide, so the chunks' outputs are compared as well as the loss
+    # one batch's bits, as measured with numpy 2.4 and OpenBLAS 0.3.31
+    # (scipy-openblas, Haswell kernels); another BLAS may compute a chunk's
+    # rows otherwise. A one-row chunk's outputs differ in their last bits,
+    # which the mean can hide, so the chunks' outputs are compared as well
     rng = np.random.default_rng(n)
     data = labeling.TrainingArrays(X=rng.random((n, 11)), FB=rng.random((n, 4)),
                                    Y=rng.random((n, 5)))
