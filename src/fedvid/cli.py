@@ -2,9 +2,8 @@
 
 Subcommands: gen (simulate a scenario to a run.jsonl file), label (build the
 conversion table and a dataset from a recorded run), train (fit the model on
-a dataset file), serve/client (federated server and participant), eval
-(correctness ratios of a model on a scenario), and demo-tables (print and
-self-check the worked conversion/score/confidence/mapping examples).
+a dataset file), serve/client (federated server and participant), and eval
+(correctness ratios of a model on a scenario).
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -16,9 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import experiment, fed, labeling, mapping, model as mdl, plates, records, scenario
+from . import experiment, fed, labeling, model as mdl, plates, records, scenario
 
 
 class UsageError(Exception):
@@ -179,36 +176,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_demo_tables(args) -> int:
-    threshold = plates.CONFUSABLE_THRESHOLD
-    pairs = plates.derive_char_pairs(plates.builtin_confusion_table(), threshold)
-    cct = plates.build_conversion_table(pairs)
-    print(f"confusable pairs (threshold {threshold}):", ", ".join(f"({a},{b})" for a, b in pairs))
-    print("conversion table:")
-    for key, value in sorted(cct.entries.items()):
-        print(f"  {key} -> {value}")
-
-    canon = plates.canonicalize_plate("5CRD321", cct)
-    misread = plates.canonicalize_plate("SCRO32I", cct)
-    print(f"canonicalize 5CRD321 -> {canon}")
-    print(f"canonicalize SCRO32I -> {misread}")
-    if str(canon) != "#3CR#132#2" or plates.plate_id(canon) != plates.plate_id(misread):
-        raise RuntimeError("canonicalization self-check failed")
-
-    scores = np.array([[0.3, 0.7, 0.1], [0.1, 0.83, 0.8], [0.62, 0.35, 0.4]])
-    st = mapping.ScoreTable(scores=scores, row_ids=[1, 2, 3], col_ids=[1, 2, 3], omega=0.5)
-    ct = mapping.build_confidence_table(st)
-    print("score table rows:", *(np.round(r, 2).tolist() for r in scores))
-    print("confidence table rows:", *(np.round(r, 2).tolist() for r in ct.conf))
-
-    pairs = mapping._greedy_pairs(st.scores, ct.conf, mapping.SCORE_EPS)
-    rendered = "{" + ",".join(f"(e{i + 1},v{j + 1})" for i, j in pairs) + "}"
-    print("mapping decision:", rendered)
-    if rendered != "{(e1,v2),(e2,v3),(e3,v1)}":
-        raise RuntimeError("mapping decision self-check failed")
-    return 0
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fedvid", description=__doc__)
     parser.add_argument("--seed", type=_at_least(0), default=None, help=(
@@ -258,8 +225,6 @@ def build_parser() -> _Parser:
     p.add_argument("--run", default=None, help="run.jsonl written by gen (else --seed)")
     p.set_defaults(func=cmd_eval, reads=("seed", "config", "out"))
 
-    p = sub.add_parser("demo-tables", help="print and check the worked examples")
-    p.set_defaults(func=cmd_demo_tables, reads=())
     return parser
 
 

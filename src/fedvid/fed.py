@@ -11,6 +11,7 @@ model file.
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import math
@@ -52,19 +53,21 @@ def params_b64(params: mdl.ModelParams) -> str:
 
 
 def params_from_b64(text: str) -> mdl.ModelParams:
-    return decode_params(base64.b64decode(text, validate=True))   # refuse, not skip, non-base64
+    # strict: refuse, not skip, non-base64; a str is read in place, with no ASCII copy
+    return decode_params(binascii.a2b_base64(text, strict_mode=True))
 
 
 def local_train(trainer: mdl.Trainer, dataset: TrainingArrays, global_params: mdl.ModelParams,
                 epochs: int) -> mdl.ModelParams:
     """Install the broadcast parameters in `trainer` and run local epochs on
-    `dataset`; returns the updated parameters.
+    `dataset`; returns the updated parameters. The trainer takes ownership of
+    `global_params`: it trains them in place, with no copy.
 
     The optimizer moments and the shuffle/dropout stream persist across
     rounds; only the parameters are replaced by each broadcast. With a single
     client this makes federated training bitwise equal to centralized runs.
     """
-    trainer.params = global_params.copy()
+    trainer.params = global_params
     trainer.run_epochs(dataset, epochs)
     return trainer.params
 
@@ -158,10 +161,11 @@ def decode_frame(line: str | bytes):
         raise ValueError(f"{kind}: {exc}") from None
 
 
-def _tag(data: bytes) -> str:
+def _tag(data: str | bytes) -> str:
     """What a transcript keeps of a blob, or of a line it does not keep
-    whole: its length in bytes and its 64-bit BLAKE2b. The spaces tell it
-    from base64 text, which never holds one."""
+    whole: its length in bytes and its 64-bit BLAKE2b, of its UTF-8 if it is
+    text. The spaces tell it from base64 text, which never holds one."""
+    data = data.encode() if isinstance(data, str) else data
     return f"{len(data)} bytes blake2b {hashlib.blake2b(data, digest_size=8).hexdigest()}"
 
 
@@ -179,17 +183,24 @@ def _frame_line(frame, log: bool = False) -> str:
     line = json.dumps(record, separators=(",", ":"))
     if blob is None:
         return line
-    return f'{line[:-1]},"params_b64":"{_tag(blob.encode()) if log else blob}"}}'
+    return f'{line[:-1]},"params_b64":"{_tag(blob) if log else blob}"}}'
+
+
+def _wire(frame) -> bytes:
+    """`frame` as it goes on the socket: its `_frame_line` and a newline, in UTF-8."""
+    return f"{_frame_line(frame)}\n".encode()
 
 
 class _Conn:
     """One end of a connection that carries one frame per line.
 
-    `send` writes a frame with `_frame_line`; `send_line` sends a line built
-    once, such as a broadcast. `recv` gives each frame one deadline, `timeout`
-    seconds from its call, refuses a frame longer than `max_frame` bytes, and
-    decodes it with `decode_frame`; every failure is a `ProtocolError`.
-    `received` and `sent` count the bytes read from and written to the socket.
+    `send` writes a frame's `_wire` bytes; `send_line` sends bytes encoded
+    once, such as a broadcast's. `recv` gives each frame one deadline,
+    `timeout` seconds from its call, and decodes it with `decode_frame`; every
+    failure is a `ProtocolError`. It searches each buffered byte for the
+    newline once and cuts each line out once, and refuses a frame longer than
+    `max_frame` bytes having buffered at most one chunk more. `received` and
+    `sent` count the bytes read from and written to the socket.
 
     With a `transcript` list, each frame sent or received is appended to it as
     one line of at most `ENVELOPE_BYTES` characters: "send " or "recv ", then
@@ -204,21 +215,22 @@ class _Conn:
         self.timeout = timeout
         self.transcript = transcript
         self.max_frame = max_frame
-        self.buf = b""
+        self.buf = bytearray()
+        self._scanned = 0   # bytes of `buf` known to hold no newline
         self.received = self.sent = 0
 
     def _log(self, direction: str, line: str) -> None:
         entry = f"{direction} {line}"
         self.transcript.append(entry if len(entry) <= ENVELOPE_BYTES
-                               else f"{direction} {_tag(line.encode())}")
+                               else f"{direction} {_tag(line)}")
 
     def send(self, frame) -> None:
-        self.send_line(_frame_line(frame),
+        self.send_line(_wire(frame),
                        None if self.transcript is None else _frame_line(frame, log=True))
 
-    def send_line(self, line: str, logged: str | None) -> None:
-        """Send `line`, and log it as `logged`, its frame's transcript line."""
-        data = line.encode("utf-8") + b"\n"
+    def send_line(self, data: bytes, logged: str | None) -> None:
+        """Send `data`, one frame's `_wire` bytes, and log it as `logged`, its
+        frame's transcript line."""
         self.sock.settimeout(self.timeout)
         self.sock.sendall(data)
         self.sent += len(data)
@@ -227,7 +239,8 @@ class _Conn:
 
     def recv(self):
         deadline = time.monotonic() + self.timeout
-        while (end := self.buf.find(b"\n")) < 0 and len(self.buf) <= self.max_frame:
+        while (end := self.buf.find(b"\n", self._scanned)) < 0 and len(self.buf) <= self.max_frame:
+            self._scanned = len(self.buf)
             left = deadline - time.monotonic()
             if left <= 0:
                 raise ProtocolError(f"frame incomplete after {self.timeout} s")
@@ -239,9 +252,12 @@ class _Conn:
             self.buf += chunk
         if not 0 <= end <= self.max_frame:
             raise ProtocolError(f"frame longer than {self.max_frame} bytes")
-        line, self.buf = self.buf[:end], self.buf[end + 1:]
+        line = self.buf[:end]
+        del self.buf[:end + 1]
+        self._scanned = 0
         try:   # a blob's lone surrogate escape fails only at `_frame_line`'s `_tag`
-            frame = decode_frame(line.decode("utf-8"))
+            line = line.decode("utf-8")   # the raw bytes die before the JSON decode
+            frame = decode_frame(line)
             logged = None if self.transcript is None else _frame_line(frame, log=True)
         except ValueError as exc:
             if self.transcript is not None:
@@ -332,12 +348,12 @@ class FedServer:
 
     @staticmethod
     def _send_all(conns: dict[int, _Conn], frame) -> None:
-        """Send one line, built once, to every client; one the send fails on
-        is dropped."""
-        line, logged = _frame_line(frame), _frame_line(frame, log=True)
+        """Send one line, built and encoded once, to every client; one the
+        send fails on is dropped."""
+        data, logged = _wire(frame), _frame_line(frame, log=True)
         for cid in sorted(conns):
             try:
-                conns[cid].send_line(line, logged)
+                conns[cid].send_line(data, logged)
             except OSError:
                 conns.pop(cid).sock.close()
 
@@ -393,6 +409,20 @@ class FedServer:
                 self.transcript += conns[cid].transcript
                 conns[cid].transcript = self.transcript
 
+    def _update(self, conn: _Conn, r: int) -> mdl.ModelParams:
+        """Round `r`'s update from `conn`, decoded and checked against the
+        global model. Its frame, and the blob in it, die on return."""
+        g = self.global_params
+        frame = conn.recv()
+        if not isinstance(frame, Update) or frame.round != r:
+            raise ProtocolError(f"expected the update of round {r}")
+        params = params_from_b64(frame.params_b64)
+        if (params.shapes, params.mu, params.dropout) != (g.shapes, g.mu, g.dropout):
+            raise ProtocolError(f"layout or model config in round {r}")
+        if not np.isfinite(params.flat).all():
+            raise ProtocolError(f"non-finite parameters in round {r}")
+        return params
+
     def _run_tcp_round(self, r: int, conns: dict[int, _Conn]) -> None:
         g = self.global_params
         began = {cid: conns[cid] for cid in sorted(conns)}
@@ -404,15 +434,7 @@ class FedServer:
         updates: list[tuple[int, mdl.ModelParams]] = []
         for cid in sorted(conns):
             try:
-                frame = conns[cid].recv()
-                if not isinstance(frame, Update) or frame.round != r:
-                    raise ProtocolError(f"expected the update of round {r}")
-                params = params_from_b64(frame.params_b64)
-                if (params.shapes, params.mu, params.dropout) != (g.shapes, g.mu, g.dropout):
-                    raise ProtocolError(f"layout or model config in round {r}")
-                if not np.isfinite(params.flat).all():
-                    raise ProtocolError(f"non-finite parameters in round {r}")
-                updates.append((cid, params))
+                updates.append((cid, self._update(conns[cid], r)))
             except (ProtocolError, OSError, ValueError) as exc:
                 self._refuse(conns.pop(cid), f"client {brief(cid)}: {exc}")
         if len(updates) < self.min_clients:
@@ -459,6 +481,7 @@ class FedClient:
                         raise ProtocolError(f"server error: {reason}")
                     case RoundBegin(round=rnd, params_b64=blob):
                         global_params = params_from_b64(blob)
+                        del blob   # the broadcast's text dies before training
                     case frame:
                         raise ProtocolError(f"unexpected frame type {_TYPE_OF[type(frame)]!r}")
                 if self.trainer is None:

@@ -134,10 +134,14 @@ class Workspace:
     activation is written straight into `h_cat`, beside the feedback. With
     `keep_layers=False` the hidden layers alternate between two buffers: enough
     for an eval-mode forward, which then returns no cache. The dropout and
-    backward buffers are made on first use.
+    backward buffers are made on first use, and so is `grad` unless one is
+    given, which lets workspaces of several batch sizes share one.
     """
 
-    def __init__(self, params: ModelParams, batch: int, keep_layers: bool = True):
+    def __init__(self, params: ModelParams, batch: int, keep_layers: bool = True,
+                 grad: ModelParams | None = None):
+        if grad is not None:
+            self.grad = grad
         self.batch, self.keep_layers = batch, keep_layers
         self.size, self.shapes = params.flat.size, params.shapes
         self.dropout, self.mu = params.dropout, params.mu
@@ -175,11 +179,11 @@ class Workspace:
 
 
 def workspace_for(workspaces: dict[int, Workspace], params: ModelParams, batch: int,
-                  keep_layers: bool = True) -> Workspace:
-    """`workspaces[batch]`, made and kept there on first use."""
+                  keep_layers: bool = True, grad: ModelParams | None = None) -> Workspace:
+    """`workspaces[batch]`, made and kept there on first use, with `grad`."""
     ws = workspaces.get(batch)
     if ws is None:
-        ws = workspaces[batch] = Workspace(params, batch, keep_layers)
+        ws = workspaces[batch] = Workspace(params, batch, keep_layers, grad)
     return ws
 
 
@@ -300,7 +304,9 @@ class OptConfig:
 
 
 class Adam:
-    """Adam optimizer with state held across steps (and across federated rounds)."""
+    """Adam optimizer with state held across steps (and across federated rounds):
+    the two moments and one scratch vector. A step after the first allocates
+    nothing: once both moments are updated, the gradient is the second scratch."""
 
     def __init__(self, cfg: OptConfig):
         self.cfg = cfg
@@ -308,26 +314,28 @@ class Adam:
         self.m = self.v = None
 
     def step(self, params: ModelParams, grad: ModelParams) -> None:
-        if self.m is None:   # moments, and two scratch vectors so that a step allocates nothing
-            self.m, self.v, self._s, self._d = (np.zeros_like(params.flat) for _ in range(4))
+        """Update `params` in place; `grad` holds scratch values afterwards."""
+        if self.m is None:
+            self.m, self.v, self._s = (np.zeros_like(params.flat) for _ in range(3))
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        g, m, v, s, d = grad.flat, self.m, self.v, self._s, self._d
-        m *= c.beta1
-        m += np.multiply(g, 1.0 - c.beta1, out=s)
+        g, m, v, s = grad.flat, self.m, self.v, self._s
         v *= c.beta2
         v += np.multiply(np.multiply(g, 1.0 - c.beta2, out=s), g, out=s)
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        m *= c.beta1
+        m += np.multiply(g, 1.0 - c.beta1, out=s)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with g as scratch
         np.multiply(np.divide(m, bc1, out=s), c.lr, out=s)
-        np.add(np.sqrt(np.divide(v, bc2, out=d), out=d), c.eps, out=d)
-        params.flat -= np.divide(s, d, out=s)
+        np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), c.eps, out=g)
+        params.flat -= np.divide(s, g, out=s)
 
 
 class Trainer:
     """Bundles parameters, optimizer state, the shuffling/dropout stream and
     one workspace per batch size (the full batch and the last, partial one).
+    The workspaces share one gradient vector, which `Adam.step` consumes.
 
     Reused verbatim by centralized training and by a federated client, which
     is what makes single-client federated averaging reproduce centralized
@@ -339,6 +347,7 @@ class Trainer:
         self.opt = Adam(opt_cfg)
         self.rng = np.random.default_rng(seed)
         self.workspaces: dict[int, Workspace] = {}
+        self.grad = replace(params, flat=np.empty_like(params.flat))
 
     def run_epochs(self, dataset: TrainingArrays, epochs: int) -> list[float]:
         """Epochs of shuffled mini-batch Adam, each batch in the workspace kept for
@@ -352,7 +361,7 @@ class Trainer:
             order, losses, weights = self.rng.permutation(n), [], []
             for start in range(0, n, bs):
                 idx = order[start:start + bs]
-                ws = workspace_for(self.workspaces, params, idx.size)
+                ws = workspace_for(self.workspaces, params, idx.size, grad=self.grad)
                 y, ws = forward_batch(params, X[idx], FB[idx], training=True, rng=self.rng, ws=ws)
                 loss, dy = _loss_grad_batch(y, Y[idx], params.mu)
                 if not np.isfinite(loss):
@@ -395,22 +404,19 @@ def mean_loss(params: ModelParams, dataset: TrainingArrays) -> float:
 def params_to_bytes(params: ModelParams) -> bytes:
     """Serialize: magic, version, layer count, per-layer weight blocks, biases,
     then mu and dropout. All integers u32, floats little-endian float64."""
-    out = bytearray()
-    out += FMDF_MAGIC
-    out += struct.pack("<II", FMDF_VERSION, len(params.shapes))
+    parts = [FMDF_MAGIC, struct.pack("<II", FMDF_VERSION, len(params.shapes))]
     for block in _layout(params.flat, params.shapes):
-        out += struct.pack(f"<{block.ndim}I", *block.shape)
-        out += block.astype("<f8", copy=False).tobytes()
-    out += struct.pack("<dd", params.mu, params.dropout)
-    return bytes(out)
+        parts += struct.pack(f"<{block.ndim}I", *block.shape), block.astype("<f8", copy=False)
+    parts.append(struct.pack("<dd", params.mu, params.dropout))
+    return b"".join(parts)
 
 
 class _Reader:
     def __init__(self, buf: bytes):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.off = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:   # a view of the blob, not a copy
         if self.off + n > len(self.buf):
             raise DecodeError(f"truncated blob: needed {n} bytes for {what} at offset {self.off}")
         chunk = self.buf[self.off:self.off + n]
@@ -426,7 +432,7 @@ class _Reader:
 
 def params_from_bytes(buf: bytes) -> ModelParams:
     r = _Reader(buf)
-    magic = r.take(4, "magic")
+    magic = bytes(r.take(4, "magic"))
     if magic != FMDF_MAGIC:
         raise DecodeError(f"bad magic {magic!r} at offset 0")
     version = r.u32("version")

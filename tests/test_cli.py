@@ -20,14 +20,6 @@ def test_unknown_subcommand_exit_1(capsys):
     assert cli.cli_main(["transmogrify"]) == 1
 
 
-def test_demo_tables_prints_worked_mapping(capsys):
-    assert cli.cli_main(["demo-tables"]) == 0
-    out = capsys.readouterr().out
-    assert "{(e1,v2),(e2,v3),(e3,v1)}" in out
-    assert "#3CR#132#2" in out
-    assert "0 -> #1" in out
-
-
 def test_eval_missing_model_exit_2(capsys):
     rc = cli.cli_main(["--seed", "5", "--out", "/tmp/x", "eval", "--model", "/nope/missing.fmdf"])
     assert rc == 2
@@ -54,7 +46,6 @@ _CLIENT = ["client", "--port", "9", "--id", "1", "--dataset", "d.jsonl"]
     ("--seed", _EVAL_RUN), ("--config", _EVAL_RUN),
     ("--config", ["train", "--dataset", "d.jsonl"]),
     ("--config", _CLIENT), ("--out", _CLIENT),
-    ("--seed", ["demo-tables"]), ("--config", ["demo-tables"]), ("--out", ["demo-tables"]),
 ])
 def test_global_flag_the_command_never_reads_is_a_usage_error(flag, argv, tmp_path,
                                                               monkeypatch, capsys):
@@ -93,7 +84,11 @@ _CAMERA = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720, "facing": "front",
      "missing key 'image_w'"),
     ({"front_camera": {**_CAMERA, "max_range": -5.0}}, "max_range must be positive"),
     ({"rear_camera": {**_CAMERA, "facing": "rear", "max_range": 0}}, "max_range must be positive"),
-], ids=["unknown-key", "bad-camera", "camera-missing-key", "negative-range", "zero-range"])
+    # a world of no tick: gen would write an empty run and exit 0
+    ({"duration": -5}, "duration -5.0 gives -10 ticks of 0.5 s; at least 1 is needed"),
+    ({"duration": 0.1}, "duration 0.1 gives 0 ticks of 0.5 s; at least 1 is needed"),
+], ids=["unknown-key", "bad-camera", "camera-missing-key", "negative-range", "zero-range",
+        "negative-duration", "sub-tick-duration"])
 def test_gen_config_that_builds_no_world_is_named(world, message, tmp_path, capsys):
     cfg_path = tmp_path / "w.json"
     cfg_path.write_text(json.dumps(world))

@@ -386,6 +386,42 @@ def test_run_epochs_matches_a_reference_epoch(n, dropout, seed):
     assert trainer.params.flat.tobytes() == params.flat.tobytes()
 
 
+def test_adam_holds_three_vectors_and_a_step_allocates_nothing_after_the_first():
+    # the gradient's own vector is the second scratch, so a step consumes it;
+    # the bits are those of the textbook expression, moment by moment
+    import tracemalloc
+
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(34))
+    cfg, data = mdl.OptConfig(), np.random.default_rng(35)
+    opt, expected = mdl.Adam(cfg), params.flat.copy()
+    m = v = np.zeros_like(expected)
+    for t in (1, 2):
+        g = data.standard_normal(expected.size)
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        expected -= (m / (1.0 - cfg.beta1 ** t) * cfg.lr
+                     / (np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.eps))
+        grad = mdl.ModelParams(g, params.shapes, params.dropout, params.mu)
+        tracemalloc.start()
+        try:
+            opt.step(params, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params.flat.tobytes() == expected.tobytes()
+    assert peak < params.flat.nbytes // 100, f"the second step allocated {peak} B"
+    vectors = [a for a in vars(opt).values() if isinstance(a, np.ndarray)]
+    assert len(vectors) == 3 and all(a.size == params.flat.size for a in vectors)
+
+
+def test_trainer_workspaces_share_one_gradient_vector():
+    trainer = mdl.Trainer(mdl.init_model(mdl.ModelConfig(), np.random.default_rng(36)),
+                          mdl.OptConfig(batch_size=32), seed=37)
+    trainer.run_epochs(_toy_dataset(n=40), 1)   # a full batch of 32, then a tail of 8
+    full, tail = trainer.workspaces.values()
+    assert full.batch != tail.batch and full.grad is tail.grad
+
+
 def test_mean_loss_peak_memory_stays_below_eight_row_buffers():
     # an evaluation keeps two alternating hidden buffers, not one per layer
     import tracemalloc

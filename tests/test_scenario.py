@@ -37,6 +37,9 @@ def test_config_invariants_enforced():
         _world(num_vehicles=1)
     with pytest.raises(ValueError):
         _world(tick_interval=0.0)
+    with pytest.raises(ValueError, match="at least 1 is needed"):
+        _world(duration=0.25)   # rounds to 0 ticks of 0.5 s
+    assert _world(duration=0.3).num_ticks() == 1
     with pytest.raises(ValueError):
         _world(comm_range=-1.0)
     with pytest.raises(ValueError):
@@ -598,7 +601,9 @@ def _good(name, tp):
         return st.fixed_dictionaries({k: _good(k, t) for k, t in _CAMERA_TYPES.items()})
     if tp is str:
         return st.sampled_from(_WORDS[name])
-    # every float field takes (0, 1]; every int field but the seed takes 2 and above
+    if name == "duration":   # at least one tick of any interval drawn here
+        return st.floats(1.0, 10.0)
+    # every other float field takes (0, 1]; every int field but the seed takes 2 and above
     return {int: st.integers(2, 2000) | st.just(10**400), float: st.floats(0.01, 1.0)}[tp]
 
 
