@@ -10,7 +10,6 @@ model file.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import hashlib
 import json
@@ -49,7 +48,7 @@ def params_digest(params: mdl.ModelParams) -> int:
 
 
 def params_b64(params: mdl.ModelParams) -> str:
-    return base64.b64encode(encode_params(params)).decode("ascii")
+    return binascii.b2a_base64(encode_params(params), newline=False).decode("ascii")
 
 
 def params_from_b64(text: str) -> mdl.ModelParams:
