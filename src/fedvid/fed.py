@@ -52,7 +52,7 @@ def params_b64(params: mdl.ModelParams) -> str:
 
 
 def params_from_b64(text: str) -> mdl.ModelParams:
-    # strict: refuse, not skip, non-base64; a str is read in place, with no ASCII copy
+    # strict (3.11+): refuse, not skip, non-base64; a str is read in place, with no ASCII copy
     return decode_params(binascii.a2b_base64(text, strict_mode=True))
 
 
@@ -408,20 +408,6 @@ class FedServer:
                 self.transcript += conns[cid].transcript
                 conns[cid].transcript = self.transcript
 
-    def _update(self, conn: _Conn, r: int) -> mdl.ModelParams:
-        """Round `r`'s update from `conn`, decoded and checked against the
-        global model. Its frame, and the blob in it, die on return."""
-        g = self.global_params
-        frame = conn.recv()
-        if not isinstance(frame, Update) or frame.round != r:
-            raise ProtocolError(f"expected the update of round {r}")
-        params = params_from_b64(frame.params_b64)
-        if (params.shapes, params.mu, params.dropout) != (g.shapes, g.mu, g.dropout):
-            raise ProtocolError(f"layout or model config in round {r}")
-        if not np.isfinite(params.flat).all():
-            raise ProtocolError(f"non-finite parameters in round {r}")
-        return params
-
     def _run_tcp_round(self, r: int, conns: dict[int, _Conn]) -> None:
         g = self.global_params
         began = {cid: conns[cid] for cid in sorted(conns)}
@@ -433,7 +419,16 @@ class FedServer:
         updates: list[tuple[int, mdl.ModelParams]] = []
         for cid in sorted(conns):
             try:
-                updates.append((cid, self._update(conns[cid], r)))
+                frame = conns[cid].recv()
+                if not isinstance(frame, Update) or frame.round != r:
+                    raise ProtocolError(f"expected the update of round {r}")
+                params = params_from_b64(frame.params_b64)
+                del frame   # the update's text dies once it is decoded
+                if (params.shapes, params.mu, params.dropout) != (g.shapes, g.mu, g.dropout):
+                    raise ProtocolError(f"layout or model config in round {r}")
+                if not np.isfinite(params.flat).all():
+                    raise ProtocolError(f"non-finite parameters in round {r}")
+                updates.append((cid, params))
             except (ProtocolError, OSError, ValueError) as exc:
                 self._refuse(conns.pop(cid), f"client {brief(cid)}: {exc}")
         if len(updates) < self.min_clients:

@@ -106,6 +106,9 @@ class WorldConfig:
             raise ValueError("num_vehicles must be at least 2")
         if self.tick_interval <= 0:
             raise ValueError("tick_interval must be positive")
+        if not math.isfinite(self.duration / self.tick_interval):   # `num_ticks` would overflow
+            raise ValueError(f"duration {self.duration} over tick_interval {self.tick_interval} "
+                             "overflows the tick count")
         if self.duration / self.tick_interval <= 0.5:   # `num_ticks` rounds it to 0 or less
             raise ValueError(f"duration {self.duration} gives {self.num_ticks()} ticks of "
                              f"{self.tick_interval} s; at least 1 is needed")

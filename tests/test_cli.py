@@ -87,8 +87,14 @@ _CAMERA = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720, "facing": "front",
     # a world of no tick: gen would write an empty run and exit 0
     ({"duration": -5}, "duration -5.0 gives -10 ticks of 0.5 s; at least 1 is needed"),
     ({"duration": 0.1}, "duration 0.1 gives 0 ticks of 0.5 s; at least 1 is needed"),
+    # finite fields whose tick count is not: `num_ticks` would raise OverflowError
+    ({"duration": -1e308, "tick_interval": 1e-9},
+     "duration -1e+308 over tick_interval 1e-09 overflows the tick count"),
+    ({"duration": 1e308, "tick_interval": 1e-9},
+     "duration 1e+308 over tick_interval 1e-09 overflows the tick count"),
 ], ids=["unknown-key", "bad-camera", "camera-missing-key", "negative-range", "zero-range",
-        "negative-duration", "sub-tick-duration"])
+        "negative-duration", "sub-tick-duration", "negative-overflow-duration",
+        "overflow-duration"])
 def test_gen_config_that_builds_no_world_is_named(world, message, tmp_path, capsys):
     cfg_path = tmp_path / "w.json"
     cfg_path.write_text(json.dumps(world))
