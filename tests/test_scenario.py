@@ -132,6 +132,11 @@ PINNED_WORLDS = {
     "lossless": (
         scenario.lossless_config(seed=6, num_vehicles=40, duration=20.0),
         "0a0b8154c69947e17d8711cf8b41e73458efaeaac259fb1901ebab9501013806"),
+    # the benchmark's dense world: about 20 messages per tick
+    "dense-light-haze": (
+        scenario.WorldConfig(seed=8, num_vehicles=100, comm_range=100.0, duration=20.0,
+                             weather="light_haze"),
+        "bbe5fd338d42b30d30823e2197d07013d4e8603ab46e2cc9d97d5b570757373d"),
 }
 
 
