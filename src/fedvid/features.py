@@ -8,6 +8,7 @@ and the signed left/right orientation offset gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import geo
@@ -80,9 +81,10 @@ def build_feature_vector(history, ego_records, cfg: FeatureConfig) -> list[float
 
     used = min(cfg.window, len(history))
     row = [0.0] * (2 * (cfg.window - used))
+    s_lat = cfg.comm_range_m / geo.METERS_PER_DEG_LAT   # geo.meters_to_deg(range, range, e[0])
     for h, e in zip(history[-used:], ego_records[-used:]):
-        scale = geo.meters_to_deg(cfg.comm_range_m, cfg.comm_range_m, e[0])
-        row.extend(latlng_delta_norm((h[0], h[1]), (e[0], e[1]), scale))
+        s_lng = cfg.comm_range_m / (geo.METERS_PER_DEG_LAT * math.cos(math.radians(e[0])))
+        row.extend(latlng_delta_norm((h[0], h[1]), (e[0], e[1]), (s_lat, s_lng)))
 
     newest = history[-1]
     ego_now = ego_records[-1]

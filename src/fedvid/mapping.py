@@ -84,12 +84,8 @@ def build_score_table(bbx, row_ids: list[int], boxes, omega: float) -> ScoreTabl
 
 def build_confidence_table(st: ScoreTable) -> ConfidenceTable:
     """Row-normalize scores; a row summing to zero stays all-zero."""
-    conf = np.zeros_like(st.scores)
-    for i in range(st.scores.shape[0]):
-        s = st.scores[i].sum()
-        if s > 0.0:
-            conf[i] = st.scores[i] / s
-    return ConfidenceTable(conf=conf)
+    sums = st.scores.sum(axis=1, keepdims=True)
+    return ConfidenceTable(np.divide(st.scores, sums, out=np.zeros_like(st.scores), where=sums > 0))
 
 
 def _greedy_pairs(scores: np.ndarray, conf: np.ndarray, eps: float) -> list[tuple[int, int]]:

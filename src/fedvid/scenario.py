@@ -23,6 +23,7 @@ OUTSIDE = -1  # truth-pair value for a sender with no front-camera box
 
 BASE_LAT = 23.9738
 BASE_LNG = 120.9820
+_ANCHOR = geo.Frame(BASE_LAT, BASE_LNG)   # placements, motion and the grid wrap measure from it
 
 VEHICLE_LENGTH_M = 4.5
 VEHICLE_WIDTH_M = 1.8
@@ -35,6 +36,7 @@ GRID_EXTENT_M = 600.0
 GRID_SPACING_M = 120.0
 SPEED_RESAMPLE_TICKS = 10
 SPEED_MAX_MS = 20.0
+MAX_TICKS = 100_000   # 13.9 h at 0.5 s; a run keeps every tick, about 3 KB each at 40 vehicles
 
 PLATE_MIN_BOX_HEIGHT_PX = 20.0   # smaller boxes cannot expose a readable plate
 PLATE_MAX_OCCLUSION_FRAC = 0.05  # nearer-box cover beyond this hides the plate
@@ -112,6 +114,9 @@ class WorldConfig:
         if self.duration / self.tick_interval <= 0.5:   # `num_ticks` rounds it to 0 or less
             raise ValueError(f"duration {self.duration} gives {self.num_ticks()} ticks of "
                              f"{self.tick_interval} s; at least 1 is needed")
+        if self.num_ticks() > MAX_TICKS:
+            raise ValueError(f"duration {self.duration} gives {self.num_ticks()} ticks of "
+                             f"{self.tick_interval} s; at most {MAX_TICKS} are allowed")
         if self.comm_range <= 0:
             raise ValueError("comm_range must be positive")
         if self.road_layout not in ("straight", "grid"):
@@ -217,11 +222,6 @@ class ScenarioState:
     def ego(self) -> VehicleState:
         return self.vehicles[0]
 
-    def distance_to_ego(self, v: VehicleState) -> float:
-        e = self.ego
-        return geo.haversine_m(e.true_position[0], e.true_position[1],
-                               v.true_position[0], v.true_position[1])
-
 
 def _random_plate(rng) -> str:
     idx = rng.integers(0, len(plates.ALPHABET), size=7)
@@ -258,12 +258,8 @@ def _build_vehicle(plate: str, cct: plates.ConversionTable, pl: Placement) -> Ve
 
 
 def _anchor_to_latlng(north_m: float, east_m: float) -> tuple[float, float]:
-    dlat, dlng = geo.meters_to_deg(north_m, east_m, BASE_LAT)
+    dlat, dlng = _ANCHOR.meters_to_deg(north_m, east_m)
     return BASE_LAT + dlat, BASE_LNG + dlng
-
-
-def _latlng_to_anchor(lat: float, lng: float) -> tuple[float, float]:
-    return geo.deg_to_meters(lat - BASE_LAT, lng - BASE_LNG, BASE_LAT)
 
 
 def build_scenario(cfg: WorldConfig, placements: list[Placement],
@@ -369,13 +365,14 @@ def _advance_vehicles(state: ScenarioState) -> None:
         and state.t > 1
         and (state.t - 1) % SPEED_RESAMPLE_TICKS == 0
     )
+    m_per_deg_lng = _ANCHOR.m_per_deg_lng
     for v in state.vehicles:
         if resample:
             v.speed = float(state.motion_rng.uniform(0.0, SPEED_MAX_MS))
-        north = v.speed * dt * math.cos(math.radians(v.orientation))
-        east = v.speed * dt * math.sin(math.radians(v.orientation))
-        dlat, dlng = geo.meters_to_deg(north, east, BASE_LAT)
-        v.true_position = (v.true_position[0] + dlat, v.true_position[1] + dlng)
+        ori, step = math.radians(v.orientation), v.speed * dt
+        lat, lng = v.true_position   # moved by _ANCHOR.meters_to_deg of the step, inline
+        v.true_position = (lat + step * math.cos(ori) / geo.METERS_PER_DEG_LAT,
+                           lng + step * math.sin(ori) / m_per_deg_lng)
 
     if cfg.road_layout == "straight":
         _wrap_straight(state)
@@ -385,107 +382,82 @@ def _advance_vehicles(state: ScenarioState) -> None:
 
 def _wrap_straight(state: ScenarioState) -> None:
     """Keep traffic density steady: fold vehicles into a band around the ego."""
-    ego = state.ego
+    ego_lat = state.ego.true_position[0]
     span = STRAIGHT_HALF_SPAN_M
     for v in state.vehicles[1:]:
-        dn = (v.true_position[0] - ego.true_position[0]) * geo.METERS_PER_DEG_LAT
+        dn = (v.true_position[0] - ego_lat) * geo.METERS_PER_DEG_LAT
         if abs(dn) > span:
             folded = ((dn + span) % (2 * span)) - span
-            new_lat = ego.true_position[0] + folded / geo.METERS_PER_DEG_LAT
+            new_lat = ego_lat + folded / geo.METERS_PER_DEG_LAT
             v.true_position = (new_lat, v.true_position[1])
 
 
 def _wrap_grid(state: ScenarioState) -> None:
     for v in state.vehicles:
-        north, east = _latlng_to_anchor(*v.true_position)
+        north, east = _ANCHOR.deg_to_meters(*v.true_position)
         wrapped = (north % GRID_EXTENT_M, east % GRID_EXTENT_M)
         if wrapped != (north, east):
             v.true_position = _anchor_to_latlng(*wrapped)
 
 
-def _gps_fix(v: VehicleState, noise: list[float], ego_lat: float) -> tuple[float, float]:
-    """The position `v` reports: its true one moved by a (north, east) draw in meters."""
-    dlat, dlng = geo.meters_to_deg(noise[0], noise[1], ego_lat)
-    return v.true_position[0] + dlat, v.true_position[1] + dlng
-
-
 # --- detection ---------------------------------------------------------------
 
-def _camera_yaw(ego_ori: float, cam: CameraModel) -> float:
-    return ego_ori % 360.0 if cam.facing == "front" else (ego_ori + 180.0) % 360.0
-
-
-def _project_box(state: ScenarioState, v: VehicleState, cam: CameraModel,
-                 cam_yaw: float) -> tuple[float, float, float, float] | None:
-    """Project the vehicle's 3D box footprint to a normalized image box."""
-    ego = state.ego
-    north, east = geo.deg_to_meters(
-        v.true_position[0] - ego.true_position[0],
-        v.true_position[1] - ego.true_position[1],
-        ego.true_position[0],
-    )
-    yaw = math.radians(cam_yaw)
-    fwd = (math.sin(yaw), math.cos(yaw))      # (east, north)
-    right = (math.cos(yaw), -math.sin(yaw))
-    cx = east * fwd[0] + north * fwd[1]       # camera-frame forward
-    cy = east * right[0] + north * right[1]   # camera-frame right
-
-    length, width = VEHICLE_LENGTH_M, VEHICLE_WIDTH_M
-    rel = math.radians(v.orientation) - yaw
-    ux, uy = math.sin(rel), math.cos(rel)     # vehicle heading in camera frame (right, fwd)
-    corners = []
-    for sl, sw in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        fx = cx + sl * (length / 2.0) * uy - sw * (width / 2.0) * ux
-        fy = cy + sl * (length / 2.0) * ux + sw * (width / 2.0) * uy
-        corners.append((fx, fy))
-
-    f = cam.focal_px()
-    half_w, half_h = cam.image_w / 2.0, cam.image_h / 2.0
-    us, vs = [], []
-    for fx, fy in corners:
-        fx = max(fx, 0.5)  # clamp points at/behind the image plane
-        for z in (0.0 - CAMERA_HEIGHT_M, VEHICLE_HEIGHT_M - CAMERA_HEIGHT_M):
-            us.append(f * fy / fx + half_w)
-            vs.append(f * (-z) / fx + half_h)
-    x_tl = max(0.0, min(us))
-    y_tl = max(0.0, min(vs))
-    x_br = min(float(cam.image_w), max(us))
-    y_br = min(float(cam.image_h), max(vs))
-    if x_br - x_tl < 1.0 or y_br - y_tl < 1.0:
-        return None
-    return (x_tl / cam.image_w, y_tl / cam.image_h, x_br / cam.image_w, y_br / cam.image_h)
-
-
 def _cover_fraction(nearer, farther) -> float:
-    ix = max(0.0, min(nearer[2], farther[2]) - max(nearer[0], farther[0]))
-    iy = max(0.0, min(nearer[3], farther[3]) - max(nearer[1], farther[1]))
-    area = (farther[2] - farther[0]) * (farther[3] - farther[1])
+    """The share of `farther` that `nearer` covers; `b if b < a else a` is min(a, b)."""
+    (n0, n1, n2, n3), (f0, f1, f2, f3) = nearer, farther
+    area = (f2 - f0) * (f3 - f1)
     if area <= 0.0:
         return 1.0
-    return (ix * iy) / area
+    ix = (f2 if f2 < n2 else n2) - (f0 if f0 > n0 else n0)
+    iy = (f3 if f3 < n3 else n3) - (f1 if f1 > n1 else n1)
+    return ((ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)) / area
 
 
-def detect_vehicles(state: ScenarioState, cam: CameraModel,
-                    others: list[tuple[float, VehicleState]]) -> list[DetectedBox]:
-    """Pinhole detection for one camera over the tick's (distance to ego,
-    vehicle) pairs: frustum and range culling, occlusion merging, random
-    misses, the plate-visibility rule, and the OCR read of each readable plate."""
+def detect_vehicles(state: ScenarioState, cam: CameraModel, near: list) -> list[DetectedBox]:
+    """Pinhole detection for one camera over the tick's vehicles in camera
+    reach, each as (distance, vehicle, bearing, north_m, east_m) from the ego:
+    range and frustum culling, projection of each vehicle's 3D box to a
+    normalized image box, occlusion merging, random misses, the
+    plate-visibility rule, and the OCR read of each readable plate."""
     cfg = state.cfg
-    ego = state.ego
-    cam_yaw = _camera_yaw(ego.orientation, cam)
+    ego_ori = state.ego.orientation
+    cam_yaw = ego_ori % 360.0 if cam.facing == "front" else (ego_ori + 180.0) % 360.0
     degradation = WEATHER_DEGRADATION[cfg.weather]
+    yaw = math.radians(cam_yaw)
+    sin_yaw, cos_yaw = math.sin(yaw), math.cos(yaw)
+    half_l, half_w, half_fov = VEHICLE_LENGTH_M / 2.0, VEHICLE_WIDTH_M / 2.0, cam.hfov_deg / 2.0
+    f, half_iw, half_ih = cam.focal_px(), cam.image_w / 2.0, cam.image_h / 2.0
+    # f * (-z) of the box's top and bottom: the nearest corner bounds the box's rows
+    f_top = f * -(VEHICLE_HEIGHT_M - CAMERA_HEIGHT_M)
+    f_bottom = f * -(0.0 - CAMERA_HEIGHT_M)
 
     candidates = []  # (distance, vehicle, raw box)
-    for d, v in others:
-        if d < 0.5 or d > cam.max_range:
+    for d, v, brg, north, east in near:
+        if d > cam.max_range or abs(geo.angle_diff_deg(brg, cam_yaw)) > half_fov:
             continue
-        brg = geo.initial_bearing(ego.true_position[0], ego.true_position[1],
-                                  v.true_position[0], v.true_position[1])
-        if abs(geo.angle_diff_deg(brg, cam_yaw)) > cam.hfov_deg / 2.0:
+        cx = east * sin_yaw + north * cos_yaw     # camera-frame forward
+        cy = east * cos_yaw + north * -sin_yaw    # camera-frame right
+        rel = math.radians(v.orientation) - yaw
+        ux, uy = math.sin(rel), math.cos(rel)     # vehicle heading in camera frame (right, fwd)
+        # corner (sl, sw) of (+-1, +-1) is at cx + sl * half_l * uy - sw * half_w * ux
+        # forward, cy + sl * half_l * ux + sw * half_w * uy right; sign flips are exact
+        lu, lx, wu, wy = half_l * uy, half_l * ux, half_w * ux, half_w * uy
+        fa, fb, ya, yb = cx + lu, cx - lu, cy + lx, cy - lx
+        fx1, fx2, fx3, fx4 = fa - wu, fa + wu, fb - wu, fb + wu
+        near_fx = min(fx1, fx2, fx3, fx4)
+        if near_fx < 0.5:   # clamp points at/behind the image plane
+            fx1, fx2, fx3, fx4 = (0.5 if fx < 0.5 else fx for fx in (fx1, fx2, fx3, fx4))
+            near_fx = 0.5
+        us = (f * (ya + wy) / fx1 + half_iw, f * (ya - wy) / fx2 + half_iw,
+              f * (yb + wy) / fx3 + half_iw, f * (yb - wy) / fx4 + half_iw)
+        x_tl = max(0.0, min(us))
+        y_tl = max(0.0, f_top / near_fx + half_ih)
+        x_br = min(float(cam.image_w), max(us))
+        y_br = min(float(cam.image_h), f_bottom / near_fx + half_ih)
+        if x_br - x_tl < 1.0 or y_br - y_tl < 1.0:
             continue
-        box = _project_box(state, v, cam, cam_yaw)
-        if box is not None:
-            candidates.append((d, v, box))
+        box = (x_tl / cam.image_w, y_tl / cam.image_h, x_br / cam.image_w, y_br / cam.image_h)
+        candidates.append((d, v, box))
     candidates.sort(key=lambda c: c[0])
 
     miss = 1.0 - (1.0 - cfg.miss_rate) * (1.0 - WEATHER_MISS_WEIGHT * degradation)
@@ -528,7 +500,9 @@ def read_plate(state: ScenarioState, vehicle: VehicleState, distance_m: float,
 
 
 def simulate_tick(state: ScenarioState) -> Observation:
-    """Advance the world one tick and emit the observation for it."""
+    """Advance the world one tick and emit the observation for it. The ego
+    frame, each vehicle's distance and, in camera reach, its bearing and
+    offset are worked out once and serve both cameras and the messages."""
     cfg = state.cfg
     state.t += 1
     _advance_vehicles(state)
@@ -536,14 +510,23 @@ def simulate_tick(state: ScenarioState) -> Observation:
     noise = state.gps_rng.normal(0.0, cfg.gps_noise_sigma,
                                  size=(len(state.vehicles), 2)).tolist()
     ego = state.ego
-    ego_lat = ego.true_position[0]
+    e_lat, e_lng = ego.true_position
+    frame = geo.Frame(e_lat, e_lng)
+    reach = max(cfg.front_camera.max_range, cfg.rear_camera.max_range)
 
-    others = [(state.distance_to_ego(v), v) for v in state.vehicles[1:]]
-    front = detect_vehicles(state, cfg.front_camera, others)
-    rear = detect_vehicles(state, cfg.rear_camera, others)
-    messages = [Message(*_gps_fix(v, n, ego_lat), ori=v.orientation, spd=v.speed, id=v.id)
-                for n, (d, v) in zip(noise[1:], others) if d <= cfg.comm_range]
-    sensors = SensorRecord(*_gps_fix(ego, noise[0], ego_lat), ori=ego.orientation, spd=ego.speed)
+    near, messages = [], []   # a message moves the true position by its draw in meters
+    for v, (dn, de) in zip(state.vehicles[1:], noise[1:]):
+        lat, lng = v.true_position
+        d = geo.haversine_m(e_lat, e_lng, lat, lng)
+        if 0.5 <= d <= reach:   # no camera sees a vehicle closer than 0.5 m
+            near.append((d, v, frame.initial_bearing(lat, lng), *frame.deg_to_meters(lat, lng)))
+        if d <= cfg.comm_range:
+            dlat, dlng = frame.meters_to_deg(dn, de)
+            messages.append(Message(lat + dlat, lng + dlng, v.orientation, v.speed, v.id))
+    front = detect_vehicles(state, cfg.front_camera, near)
+    rear = detect_vehicles(state, cfg.rear_camera, near)
+    dlat, dlng = frame.meters_to_deg(*noise[0])
+    sensors = SensorRecord(e_lat + dlat, e_lng + dlng, ego.orientation, ego.speed)
     return Observation(t=state.t, front_boxes=front, rear_boxes=rear,
                        messages=messages, ego_sensors=sensors)
 

@@ -92,9 +92,12 @@ _CAMERA = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720, "facing": "front",
      "duration -1e+308 over tick_interval 1e-09 overflows the tick count"),
     ({"duration": 1e308, "tick_interval": 1e-9},
      "duration 1e+308 over tick_interval 1e-09 overflows the tick count"),
+    # a finite tick count that a run could not hold in memory
+    ({"duration": 1e12}, "duration 1000000000000.0 gives 2000000000000 ticks of 0.5 s; "
+                         "at most 100000 are allowed"),
 ], ids=["unknown-key", "bad-camera", "camera-missing-key", "negative-range", "zero-range",
         "negative-duration", "sub-tick-duration", "negative-overflow-duration",
-        "overflow-duration"])
+        "overflow-duration", "too-many-ticks"])
 def test_gen_config_that_builds_no_world_is_named(world, message, tmp_path, capsys):
     cfg_path = tmp_path / "w.json"
     cfg_path.write_text(json.dumps(world))

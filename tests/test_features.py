@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedvid import features, geo, model as mdl
 
@@ -126,3 +128,31 @@ def test_gamma_sign_matches_side():
     ego = [(23.97, 120.98, 0.0, 5.0)]
     row = features.build_feature_vector(sender, ego, features.FeatureConfig())
     assert row[-1] > 0
+
+
+def _window_with_meters_to_deg(history, ego_records, cfg):
+    """The window slots as geo.meters_to_deg gives each slot's scale, the
+    conversion that build_feature_vector restates with its dlat hoisted."""
+    used = min(cfg.window, len(history))
+    row = [0.0] * (2 * (cfg.window - used))
+    for h, e in zip(history[-used:], ego_records[-used:]):
+        scale = geo.meters_to_deg(cfg.comm_range_m, cfg.comm_range_m, e[0])
+        row.extend(features.latlng_delta_norm((h[0], h[1]), (e[0], e[1]), scale))
+    return row
+
+
+_lat = st.floats(-80.0, 80.0, allow_nan=False)
+_near = st.floats(-0.002, 0.002, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_lat, st.floats(-180.0, 180.0, allow_nan=False), _near, _near),
+                min_size=1, max_size=6),
+       st.integers(1, 5), st.floats(1.0, 500.0, allow_nan=False))
+def test_window_has_the_bits_of_meters_to_deg(slots, window, comm_range):
+    cfg = features.FeatureConfig(window=window, comm_range_m=comm_range)
+    ego = [(lat, lng, 0.0, 5.0) for lat, lng, _, _ in slots]
+    sender = [(lat + dlat, lng + dlng, 90.0, 7.0) for lat, lng, dlat, dlng in slots]
+    row = features.build_feature_vector(sender, ego, cfg)
+    expected = _window_with_meters_to_deg(sender, ego, cfg)
+    assert [x.hex() for x in row[:2 * window]] == [x.hex() for x in expected]

@@ -108,6 +108,29 @@ def test_confidence_row_scaling_invariance():
     assert np.allclose(a[2], b[2])
 
 
+def _row_loop_confidence(scores):
+    """The row-by-row normalization that build_confidence_table replaced."""
+    conf = np.zeros_like(scores)
+    for i in range(scores.shape[0]):
+        s = scores[i].sum()
+        if s > 0.0:
+            conf[i] = scores[i] / s
+    return conf
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_confidence_has_the_bits_of_the_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    tables = [PAPER_SCORES]
+    for shape in [(1, 1), (3, 7), (9, 16), (40, 150), (5, 0), (0, 4)]:
+        scores = rng.random(shape) * 10.0 ** rng.integers(-8, 3)
+        scores[rng.random(shape[0]) < 0.3] = 0.0   # all-zero rows
+        tables.append(scores)
+    for scores in tables:
+        got = mapping.build_confidence_table(_table(scores)).conf
+        assert got.tobytes() == _row_loop_confidence(scores).tobytes()
+
+
 # --- greedy decision ----------------------------------------------------------
 
 def test_worked_mapping_decision():

@@ -19,6 +19,10 @@ def _world(**kw):
     return scenario.WorldConfig(**defaults)
 
 
+def _distance_to_ego(state, v):
+    return geo.haversine_m(*state.ego.true_position, *v.true_position)
+
+
 def _obs_equal(a, b):
     return (
         a.t == b.t
@@ -46,6 +50,17 @@ def test_config_invariants_enforced():
         _world(weather="plasma_storm")
     with pytest.raises(ValueError):
         _world(miss_rate=1.5)
+
+
+def test_tick_count_has_an_upper_bound():
+    # run_scenario keeps every tick, so a long enough duration would exhaust memory
+    at_bound = records.from_record(scenario.WorldConfig,
+                                   {"seed": 3, "duration": scenario.MAX_TICKS * 0.5})
+    assert at_bound.num_ticks() == scenario.MAX_TICKS
+    with pytest.raises(ValueError, match=f"at most {scenario.MAX_TICKS} are allowed"):
+        _world(duration=(scenario.MAX_TICKS + 1) * 0.5)
+    with pytest.raises(ValueError, match="gives 2000000000000 ticks"):
+        _world(duration=1e12)
 
 
 def test_weather_ladder_shape():
@@ -85,7 +100,7 @@ def test_different_seeds_differ():
 def test_minimal_world_no_overlap():
     state = scenario.generate_scenario(_world(num_vehicles=2))
     assert len(state.vehicles) == 2
-    d = state.distance_to_ego(state.vehicles[1])
+    d = _distance_to_ego(state, state.vehicles[1])
     assert d >= scenario.MIN_PLACEMENT_GAP_M - 1e-6 or d > 0
 
 
@@ -173,10 +188,10 @@ def test_one_ego_distance_per_vehicle_per_tick(monkeypatch):
 
 # --- messages and noise -----------------------------------------------------------
 
-def _two_vehicle_state(north_m, east_m=0.0, cfg=None, ori=0.0):
+def _two_vehicle_state(north_m, east_m=0.0, cfg=None, ori=0.0, ego_ori=0.0, ego_speed=0.0):
     cfg = cfg or scenario.lossless_config(seed=3, num_vehicles=2, duration=5.0)
     placements = [
-        scenario.Placement(north_m=0.0, east_m=0.0, orientation=0.0, speed=0.0),
+        scenario.Placement(north_m=0.0, east_m=0.0, orientation=ego_ori, speed=ego_speed),
         scenario.Placement(north_m=north_m, east_m=east_m, orientation=ori, speed=0.0),
     ]
     return scenario.build_scenario(cfg, placements)
@@ -207,6 +222,20 @@ def test_gps_noise_perturbs():
     north, east = geo.deg_to_meters(
         m.lat - v.true_position[0], m.lng - v.true_position[1], v.true_position[0])
     assert math.hypot(north, east) < 25.0  # a few sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, scenario.SPEED_MAX_MS), st.floats(0.0, 360.0, exclude_max=True),
+       st.sampled_from([0.5, 0.1, 1.0]))
+def test_motion_step_has_the_bits_of_meters_to_deg(speed, ori, dt):
+    # the step restates geo.meters_to_deg at BASE_LAT with its divisor hoisted
+    cfg = scenario.lossless_config(seed=3, num_vehicles=2, duration=5.0, tick_interval=dt)
+    state = _two_vehicle_state(north_m=30.0, cfg=cfg, ego_ori=ori, ego_speed=speed)
+    lat, lng = state.ego.true_position
+    scenario._advance_vehicles(state)
+    dlat, dlng = geo.meters_to_deg(speed * dt * math.cos(math.radians(ori)),
+                                   speed * dt * math.sin(math.radians(ori)), scenario.BASE_LAT)
+    assert [x.hex() for x in state.ego.true_position] == [(lat + dlat).hex(), (lng + dlng).hex()]
 
 
 def test_stationary_world_truth_fixed_point():
@@ -282,7 +311,7 @@ def test_messages_within_comm_range_invariant():
     for _ in range(20):
         obs = scenario.simulate_tick(state)
         for m in obs.messages:
-            assert state.distance_to_ego(vehicles[m.id]) <= state.cfg.comm_range + 1e-9
+            assert _distance_to_ego(state, vehicles[m.id]) <= state.cfg.comm_range + 1e-9
 
 
 def test_truth_pairs_injective():
@@ -304,7 +333,7 @@ def test_lossless_world_every_in_frustum_sender_paired():
         ego = state.ego
         for m in obs.messages:
             v = next(x for x in state.vehicles if x.id == m.id)
-            d = state.distance_to_ego(v)
+            d = _distance_to_ego(state, v)
             if d < 1.0:
                 continue  # kinematic pass-through, detection degenerate
             brg = geo.initial_bearing(ego.true_position[0], ego.true_position[1],
@@ -335,7 +364,7 @@ def test_occluded_box_gets_no_plate_read():
 def test_read_plate_full_degradation_none():
     state = _two_vehicle_state(north_m=10.0)
     scenario.simulate_tick(state)
-    d = state.distance_to_ego(state.vehicles[1])
+    d = _distance_to_ego(state, state.vehicles[1])
     assert scenario.read_plate(state, state.vehicles[1], d, state.cfg.front_camera, 1.0) is None
 
 
@@ -348,7 +377,7 @@ def test_read_plate_certain_when_distance_term_is_one():
     clear = scenario.WEATHER_DEGRADATION[state.cfg.weather]
     assert scenario.p_ocr(5.0, cam, clear) == 1.0
     sender = state.vehicles[1]
-    d = state.distance_to_ego(sender)
+    d = _distance_to_ego(state, sender)
     for _ in range(50):
         assert scenario.read_plate(state, sender, d, cam, clear) == sender.plate
 
