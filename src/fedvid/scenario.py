@@ -403,14 +403,12 @@ def _wrap_grid(state: ScenarioState) -> None:
 # --- detection ---------------------------------------------------------------
 
 def _cover_fraction(nearer, farther) -> float:
-    """The share of `farther` that `nearer` covers; `b if b < a else a` is min(a, b)."""
-    (n0, n1, n2, n3), (f0, f1, f2, f3) = nearer, farther
-    area = (f2 - f0) * (f3 - f1)
+    ix = max(0.0, min(nearer[2], farther[2]) - max(nearer[0], farther[0]))
+    iy = max(0.0, min(nearer[3], farther[3]) - max(nearer[1], farther[1]))
+    area = (farther[2] - farther[0]) * (farther[3] - farther[1])
     if area <= 0.0:
         return 1.0
-    ix = (f2 if f2 < n2 else n2) - (f0 if f0 > n0 else n0)
-    iy = (f3 if f3 < n3 else n3) - (f1 if f1 > n1 else n1)
-    return ((ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)) / area
+    return (ix * iy) / area
 
 
 def detect_vehicles(state: ScenarioState, cam: CameraModel, near: list) -> list[DetectedBox]:
@@ -514,7 +512,7 @@ def simulate_tick(state: ScenarioState) -> Observation:
     frame = geo.Frame(e_lat, e_lng)
     reach = max(cfg.front_camera.max_range, cfg.rear_camera.max_range)
 
-    near, messages = [], []   # a message moves the true position by its draw in meters
+    near, messages = [], []   # a sender reports its true position moved by its GPS draw
     for v, (dn, de) in zip(state.vehicles[1:], noise[1:]):
         lat, lng = v.true_position
         d = geo.haversine_m(e_lat, e_lng, lat, lng)
