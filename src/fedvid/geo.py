@@ -7,6 +7,7 @@ import math
 
 EARTH_RADIUS_M = 6371000.0
 METERS_PER_DEG_LAT = 111320.0
+_EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M   # 2.0 * EARTH_RADIUS_M * x is (2.0 * EARTH_RADIUS_M) * x
 
 
 def haversine_m(lat1: float, lng1: float, lat2: float, lng2: float) -> float:
@@ -16,7 +17,8 @@ def haversine_m(lat1: float, lng1: float, lat2: float, lng2: float) -> float:
     dp = math.radians(lat2 - lat1)
     dl = math.radians(lng2 - lng1)
     a = math.sin(dp / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+    s = math.sqrt(a)
+    return _EARTH_DIAMETER_M * math.asin(s if s < 1.0 else 1.0)   # min(1.0, s) without the call
 
 
 def initial_bearing(lat1: float, lng1: float, lat2: float, lng2: float) -> float:

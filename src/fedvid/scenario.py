@@ -403,12 +403,14 @@ def _wrap_grid(state: ScenarioState) -> None:
 # --- detection ---------------------------------------------------------------
 
 def _cover_fraction(nearer, farther) -> float:
-    ix = max(0.0, min(nearer[2], farther[2]) - max(nearer[0], farther[0]))
-    iy = max(0.0, min(nearer[3], farther[3]) - max(nearer[1], farther[1]))
-    area = (farther[2] - farther[0]) * (farther[3] - farther[1])
+    """The share of `farther` that `nearer` covers; `b if b < a else a` is min(a, b)."""
+    (n0, n1, n2, n3), (f0, f1, f2, f3) = nearer, farther
+    area = (f2 - f0) * (f3 - f1)
     if area <= 0.0:
         return 1.0
-    return (ix * iy) / area
+    ix = (f2 if f2 < n2 else n2) - (f0 if f0 > n0 else n0)
+    iy = (f3 if f3 < n3 else n3) - (f1 if f1 > n1 else n1)
+    return ((ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)) / area
 
 
 def detect_vehicles(state: ScenarioState, cam: CameraModel, near: list) -> list[DetectedBox]:
@@ -469,11 +471,10 @@ def detect_vehicles(state: ScenarioState, cam: CameraModel, near: list) -> list[
             continue
         height_px = (box[3] - box[1]) * cam.image_h
         # plates are hidden by nearer vehicles whether or not those got a box
-        occluded = any(
+        readable = height_px >= PLATE_MIN_BOX_HEIGHT_PX and not any(
             _cover_fraction(nb, box) > PLATE_MAX_OCCLUSION_FRAC
             for nd, _, nb in candidates if nd < d
         )
-        readable = height_px >= PLATE_MIN_BOX_HEIGHT_PX and not occluded
         read = read_plate(state, v, d, cam, degradation) if readable else None
         out.append(DetectedBox(vehicle_ref=v.id, bb_norm=box, plate_readable=readable,
                                plate_read=read))

@@ -90,3 +90,20 @@ def test_frame_gives_the_bits_of_the_module_functions(pts, north, east):
 def test_frame_bearing_to_its_own_point_is_zero(lat, lng):
     assert geo.Frame(lat, lng).initial_bearing(lat, lng) == geo.initial_bearing(lat, lng, lat, lng)
     assert geo.Frame(lat, lng).initial_bearing(lat, lng) == 0.0
+
+
+def _haversine_with_min(lat1, lng1, lat2, lng2):
+    """haversine_m as it was written before its clamp lost the `min` call."""
+    p1, p2 = math.radians(lat1), math.radians(lat2)
+    dp, dl = math.radians(lat2 - lat1), math.radians(lng2 - lng1)
+    a = math.sin(dp / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2.0) ** 2
+    return 2.0 * geo.EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_point_pairs(),
+                 # near-antipodes, where the clamp to 1.0 acts
+                 st.tuples(_lat, _lng, _offset, _offset).map(
+                     lambda p: (p[0], p[1], -p[0] + p[2], p[1] - 180.0 + p[3]))))
+def test_haversine_has_the_bits_of_its_min_form(pts):
+    assert _bits([geo.haversine_m(*pts)]) == _bits([_haversine_with_min(*pts)])

@@ -277,6 +277,26 @@ def test_three_spread_vehicles_three_boxes():
     assert len(obs.front_boxes) == 3
 
 
+def _cover_fraction_with_min_max(nearer, farther):
+    """scenario._cover_fraction as it was written with min and max calls."""
+    ix = max(0.0, min(nearer[2], farther[2]) - max(nearer[0], farther[0]))
+    iy = max(0.0, min(nearer[3], farther[3]) - max(nearer[1], farther[1]))
+    area = (farther[2] - farther[0]) * (farther[3] - farther[1])
+    if area <= 0.0:
+        return 1.0
+    return (ix * iy) / area
+
+
+_coord = st.one_of(st.floats(-0.2, 1.2, allow_nan=False), st.sampled_from([0.0, -0.0, 0.5, 1.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(_coord, _coord, _coord, _coord), st.tuples(_coord, _coord, _coord, _coord))
+def test_cover_fraction_has_the_bits_of_its_min_max_form(nearer, farther):
+    assert (scenario._cover_fraction(nearer, farther).hex()
+            == _cover_fraction_with_min_max(nearer, farther).hex())
+
+
 def test_occlusion_merge_drops_far_box():
     # same lane, the far vehicle fully covered by the near one
     cfg = scenario.lossless_config(seed=5, num_vehicles=3, duration=5.0, merge_threshold=0.7)
