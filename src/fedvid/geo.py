@@ -7,7 +7,7 @@ import math
 
 EARTH_RADIUS_M = 6371000.0
 METERS_PER_DEG_LAT = 111320.0
-_EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M   # 2.0 * EARTH_RADIUS_M * x is (2.0 * EARTH_RADIUS_M) * x
+_EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M   # 2.0 * R * x is (2.0 * R) * x: same bits
 
 
 def haversine_m(lat1: float, lng1: float, lat2: float, lng2: float) -> float:

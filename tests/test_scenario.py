@@ -6,7 +6,7 @@ import re
 import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedvid import geo, plates, records, scenario
@@ -313,6 +313,63 @@ def test_occlusion_merge_drops_far_box():
     cfg2 = scenario.lossless_config(seed=5, num_vehicles=3, duration=5.0, merge_threshold=1.0)
     state2 = scenario.build_scenario(cfg2, placements)
     assert len(scenario.simulate_tick(state2).front_boxes) == 2
+
+
+def _reference_box(ego, v, cam):
+    """The image box of `v`, or None, as detection computed it one vehicle
+    at a time: geo's own distance, bearing and offset, eight projected
+    points per box, and `min`/`max` over all of them."""
+    (e_lat, e_lng), (lat, lng) = ego.true_position, v.true_position
+    d = geo.haversine_m(e_lat, e_lng, lat, lng)
+    cam_yaw = ego.orientation % 360.0 if cam.facing == "front" else (ego.orientation + 180.0) % 360.0
+    if d < 0.5 or d > cam.max_range:
+        return None
+    if abs(geo.angle_diff_deg(geo.initial_bearing(e_lat, e_lng, lat, lng), cam_yaw)) > cam.hfov_deg / 2.0:
+        return None
+    north, east = geo.deg_to_meters(lat - e_lat, lng - e_lng, e_lat)
+    yaw = math.radians(cam_yaw)
+    fwd, right = (math.sin(yaw), math.cos(yaw)), (math.cos(yaw), -math.sin(yaw))
+    cx, cy = east * fwd[0] + north * fwd[1], east * right[0] + north * right[1]
+    rel = math.radians(v.orientation) - yaw
+    ux, uy = math.sin(rel), math.cos(rel)
+    f = cam.focal_px()
+    us, vs = [], []
+    for sl, sw in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        fx = cx + sl * (scenario.VEHICLE_LENGTH_M / 2.0) * uy - sw * (scenario.VEHICLE_WIDTH_M / 2.0) * ux
+        fy = cy + sl * (scenario.VEHICLE_LENGTH_M / 2.0) * ux + sw * (scenario.VEHICLE_WIDTH_M / 2.0) * uy
+        fx = max(fx, 0.5)
+        for z in (0.0 - scenario.CAMERA_HEIGHT_M, scenario.VEHICLE_HEIGHT_M - scenario.CAMERA_HEIGHT_M):
+            us.append(f * fy / fx + cam.image_w / 2.0)
+            vs.append(f * (-z) / fx + cam.image_h / 2.0)
+    x_tl, y_tl = max(0.0, min(us)), max(0.0, min(vs))
+    x_br, y_br = min(float(cam.image_w), max(us)), min(float(cam.image_h), max(vs))
+    if x_br - x_tl < 1.0 or y_br - y_tl < 1.0:
+        return None
+    return (x_tl / cam.image_w, y_tl / cam.image_h, x_br / cam.image_w, y_br / cam.image_h)
+
+
+_offset_m = st.one_of(st.floats(-6.0, 6.0), st.floats(-90.0, 90.0))
+
+
+@settings(max_examples=300, deadline=None)
+@example(1.3, 0.0, 90.0, 0.0, 60.0, 40.0)   # a crosswise car whose near side is 0.4 m ahead
+@example(1.0, 0.2, 80.0, 0.0, 60.0, 40.0)   # and one whose near corners are behind the image plane
+@given(_offset_m, _offset_m, st.floats(0.0, 360.0, exclude_max=True),
+       st.floats(0.0, 360.0, exclude_max=True), st.floats(20.0, 90.0), st.floats(20.0, 90.0))
+def test_detection_has_the_bits_of_the_per_vehicle_projection(north, east, ori, ego_ori,
+                                                              front_range, rear_range):
+    # the ego frame, the unrolled corners and the nearest-corner rows give
+    # the boxes of the one-vehicle-at-a-time projection, bit for bit
+    cfg = scenario.lossless_config(
+        seed=3, num_vehicles=2, duration=5.0,
+        front_camera=dataclasses.replace(scenario.default_front_camera(), max_range=front_range),
+        rear_camera=dataclasses.replace(scenario.default_rear_camera(), max_range=rear_range))
+    state = _two_vehicle_state(north_m=north, east_m=east, cfg=cfg, ori=ori, ego_ori=ego_ori)
+    obs = scenario.simulate_tick(state)
+    for cam, boxes in ((cfg.front_camera, obs.front_boxes), (cfg.rear_camera, obs.rear_boxes)):
+        expected = _reference_box(state.ego, state.vehicles[1], cam)
+        got = [[x.hex() for x in b.bb_norm] for b in boxes]
+        assert got == ([] if expected is None else [[x.hex() for x in expected]])
 
 
 def test_box_coordinates_normalized_and_ordered():
