@@ -27,15 +27,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(low: int):
-    """argparse type of an integer flag of at least `low`."""
+def _at_least(low: int, high: float = math.inf):
+    """argparse type of an integer flag of at least `low` and at most `high`."""
     def parse(text: str) -> int:
         try:
-            if (n := int(text)) >= low:
+            if low <= (n := int(text)) <= high:
                 return n
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least {low}")
+        at_most = f" and at most {high}" if high < math.inf else ""
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least {low}{at_most}")
     return parse
 
 
@@ -189,7 +190,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen", help="simulate a scenario into run.jsonl")
-    p.add_argument("--ticks", type=_at_least(1), default=None)
+    p.add_argument("--ticks", type=_at_least(1, scenario.MAX_TICKS), default=None)
     p.set_defaults(func=cmd_gen, reads=("seed", "config", "out"))
 
     p = sub.add_parser("label", help="auto-label a recorded run into a dataset")

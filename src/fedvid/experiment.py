@@ -18,6 +18,8 @@ import numpy as np
 from . import fed, labeling, mapping, metrics, model as mdl, plates, scenario
 from .labeling import DatasetMode
 
+PREDICT_ROWS = 256   # sender rows that close a block of ticks in `predict_run`
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -68,27 +70,49 @@ def simulate_and_label(world: scenario.WorldConfig, seed: int,
     return state, run
 
 
+def _tick_blocks(observations):
+    """Consecutive ticks and their sorted sender ids, in blocks closed by the
+    tick that brings them to PREDICT_ROWS senders; each with its sender count."""
+    block, rows = [], 0
+    for obs in observations:
+        block.append((obs, ids := sorted(m.id for m in obs.messages)))
+        if (rows := rows + len(ids)) >= PREDICT_ROWS:
+            yield block, rows
+            block, rows = [], 0
+    if block:
+        yield block, rows
+
+
 def predict_run(params: mdl.ModelParams, run: labeling.LabeledRun,
                 mcfg: mapping.MappingConfig) -> list[metrics.TickPrediction]:
     """Model-only pairing over a labeled run, with the decided box of each tick
-    fed back as the next tick's feedback input; zeros for an unmapped sender."""
+    fed back as the next tick's feedback input; zeros for an unmapped sender.
+    The feedback enters only at the output layer, so the hidden stack runs once
+    per block of ticks, and once alone for a one-row tick (the row rule of
+    `fedvid.model`); only the output layer and the mapping go tick by tick."""
     preds: list[metrics.TickPrediction] = []
     prev_feedback: dict[int, tuple[float, ...]] = {}
-    workspaces: dict[int, mdl.Workspace] = {}
-    for obs in run.observations:
-        ids = sorted(m.id for m in obs.messages)
-        pairs, entries = [], {}
-        if ids:
-            X = np.array([labeling.feature_for(run, i, obs.t)[0] for i in ids])
-            FB = np.array([prev_feedback.get(i, (0.0,) * 4) for i in ids], dtype=float)
-            ws = mdl.workspace_for(workspaces, params, len(ids), keep_layers=False)
-            y, _ = mdl.forward_batch(params, X, FB, training=False, ws=ws)
-            boxes = [b.bb_norm for b in obs.front_boxes]
-            pairs = mapping.decide_mapping(ids, y, boxes, mcfg).pairs
-            mapped = dict(pairs)
-            entries = {m: (float(y[i, 4]), mapped.get(m)) for i, m in enumerate(ids)}
-        prev_feedback = {m: obs.front_boxes[j].bb_norm for m, j in pairs}
-        preds.append(metrics.TickPrediction(t=obs.t, entries=entries))
+    zeros = (0.0,) * mdl.FEEDBACK_DIM
+    one_row = mdl.Workspace(params, 1, keep_layers=False)
+    for block, rows in _tick_blocks(run.observations):
+        if rows:
+            X = [labeling.feature_for(run, i, obs.t)[0] for obs, ids in block for i in ids]
+            ws = mdl.hidden_stack(params, X, mdl.Workspace(params, rows, keep_layers=False))
+        start = 0
+        for obs, ids in block:
+            pairs, entries = [], {}
+            if ids:
+                h_cat = ws.h_cat[start:start + len(ids)]
+                if len(ids) == 1 < rows:
+                    h_cat = mdl.hidden_stack(params, ws.x[start:start + 1], one_row).h_cat
+                start += len(ids)
+                y = mdl.output_layer(params, h_cat, [prev_feedback.get(i, zeros) for i in ids])
+                boxes = [b.bb_norm for b in obs.front_boxes]
+                pairs = mapping.decide_mapping(ids, y, boxes, mcfg).pairs
+                mapped = dict(pairs)
+                entries = {m: (inside, mapped.get(m)) for m, inside in zip(ids, y[:, 4].tolist())}
+            prev_feedback = {m: obs.front_boxes[j].bb_norm for m, j in pairs}
+            preds.append(metrics.TickPrediction(t=obs.t, entries=entries))
     return preds
 
 

@@ -72,11 +72,11 @@ def score_bbx(e, v, omega: float) -> float:
     return (1.0 - omega) * iou(e, v) + omega * (DIAGONAL_LEN - center_dist(e, v)) / DIAGONAL_LEN
 
 
-def build_score_table(bbx, row_ids: list[int], boxes, omega: float) -> ScoreTable:
+def build_score_table(bbx: np.ndarray, row_ids: list[int], boxes, omega: float) -> ScoreTable:
     """Dense score table of the estimated boxes `bbx` (one row per id in
-    `row_ids`) against the detected boxes."""
+    `row_ids`) against the detected boxes, on Python floats: numpy scalars are slower."""
     scores = np.zeros((len(bbx), len(boxes)))
-    for i, e in enumerate(bbx):
+    for i, e in enumerate(bbx.tolist()):
         for j, v in enumerate(boxes):
             scores[i, j] = score_bbx(e, v, omega)
     return ScoreTable(scores, row_ids, list(range(len(boxes))), omega)

@@ -6,6 +6,11 @@ five (four box coordinates plus an inside-image probability). Gradients are
 hand-derived; training uses mini-batch Adam. The parameter set round-trips
 through a little-endian binary format (magic "FMDF") that is also the wire
 encoding for federated exchange.
+
+The row rule: numpy 2.4 with OpenBLAS 0.3.31 (scipy-openblas, Haswell kernels)
+gives a row of a matmul the same bits at any row count from 2 to 5,000, as
+measured, but other bits alone; another build need not. `mean_loss` and
+`experiment.predict_run` regroup rows by it, and never leave one row alone.
 """
 
 from __future__ import annotations
@@ -200,30 +205,20 @@ def dropout_masks(rng, dropout: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_batch(params: ModelParams, x: np.ndarray, fb: np.ndarray,
-                  training: bool = False, rng=None, ws: Workspace | None = None):
-    """Batched forward pass.
-
-    x: (B, input_dim), fb: (B, FEEDBACK_DIM). Returns (outputs (B, OUTPUT_DIM), cache).
-    Inverted dropout is applied to every hidden activation when training; the
-    concatenated feedback is never dropped. The cache is the workspace, or
-    without one a workspace the call makes; see `Workspace`.
-    """
+def hidden_stack(params: ModelParams, x: np.ndarray, ws: Workspace | None = None,
+                 rng=None) -> Workspace:
+    """The feedback-free ReLU hidden layers over the rows `x`, with inverted
+    dropout when given `rng`: checks `x`, writes the last activation into
+    `ws.h_cat` before the feedback columns and returns `ws` (made if None)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    fb = np.atleast_2d(np.asarray(fb, dtype=np.float64))
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(fb)):
+    if not np.all(np.isfinite(x)):
         raise ValueError("non-finite model input")
-    if fb.shape[0] != x.shape[0]:
-        raise ValueError(f"{x.shape[0]} input rows but {fb.shape[0]} feedback rows")
     if x.shape[1] != (width := params.shapes[0][0]):
         raise ValueError(f"the model takes {width} input features, the data has {x.shape[1]}")
-    if training and rng is None:
-        raise ValueError("training forward requires an rng for dropout")
     if ws is None:
         ws = Workspace(params, x.shape[0])
-
     masks = [None] * len(ws.zs)
-    if training and params.dropout > 0.0:
+    if rng is not None and params.dropout > 0.0:
         flat, masks = ws.mask_buffers
         dropout_masks(rng, params.dropout, flat)
     h = x
@@ -233,13 +228,39 @@ def forward_batch(params: ModelParams, x: np.ndarray, fb: np.ndarray,
         h = np.maximum(z, 0.0, out=out)
         if mask is not None:
             h *= mask
-    ws.h_cat[:, h.shape[1]:] = fb
-    np.matmul(ws.h_cat, params.weights[-1], out=ws.z_out)
-    ws.z_out += params.biases[-1]
-    y = _sigmoid(ws.z_out)
+    ws.x, ws.masks = x, masks
+    return ws
+
+
+def output_layer(params: ModelParams, h_cat: np.ndarray, fb, out: np.ndarray | None = None):
+    """sigmoid(h_cat @ W + b) of rows `h_cat` that start with the last hidden
+    activation, once `fb` fills the rest; the affine part goes into `out`."""
+    h_cat[:, params.shapes[-2][1]:] = fb
+    z = np.matmul(h_cat, params.weights[-1], out=out)
+    z += params.biases[-1]
+    return _sigmoid(z)
+
+
+def forward_batch(params: ModelParams, x: np.ndarray, fb: np.ndarray,
+                  training: bool = False, rng=None, ws: Workspace | None = None):
+    """Batched forward pass: `hidden_stack`, then `output_layer` with the feedback.
+    x: (B, input_dim), fb: (B, FEEDBACK_DIM). Returns (outputs (B, OUTPUT_DIM), cache).
+    Inverted dropout is applied to every hidden activation when training; the
+    concatenated feedback is never dropped. The cache is the workspace, or
+    without one a workspace the call makes; see `Workspace`.
+    """
+    fb = np.atleast_2d(np.asarray(fb, dtype=np.float64))
+    if not np.all(np.isfinite(fb)):
+        raise ValueError("non-finite model input")
+    if training and rng is None:
+        raise ValueError("training forward requires an rng for dropout")
+    ws = hidden_stack(params, x, ws, rng if training else None)
+    if fb.shape[0] != ws.x.shape[0]:
+        raise ValueError(f"{ws.x.shape[0]} input rows but {fb.shape[0]} feedback rows")
+    y = output_layer(params, ws.h_cat, fb, ws.z_out)
     if not ws.keep_layers:
         return y, None
-    ws.x, ws.masks, ws.y = x, masks, y
+    ws.y = y
     return y, ws
 
 
@@ -380,11 +401,8 @@ def mean_loss(params: ModelParams, dataset: TrainingArrays) -> float:
     The n rows go forward in ceil(n / EVAL_ROWS) near-equal chunks (one,
     empty, when n is 0), each through a workspace made with
     `keep_layers=False`, and their outputs fill one (n, 5) array; the loss is
-    taken once over that array, so it sums in the same order as one batch.
-    The result has one batch's bits only if the BLAS computes each row of a
-    matmul the same way whatever the row count. numpy 2.4 with OpenBLAS
-    0.3.31 (scipy-openblas, Haswell kernels) does for 2 to 5,000 rows, as
-    measured; another build need not. It does not for one row, so no chunk
+    taken once over that array, so it sums in the same order as one batch
+    and, by the row rule (module docstring), has one batch's bits. No chunk
     holds a single row unless n is 1: more than 1024 rows give chunks of
     over 512."""
     n = dataset.X.shape[0]

@@ -532,9 +532,11 @@ def simulate_tick(state: ScenarioState) -> Observation:
 
 def run_scenario(cfg: WorldConfig, ticks: int | None = None,
                  cct: plates.ConversionTable | None = None) -> tuple[ScenarioState, list[Observation]]:
-    """Generate a world and simulate it for `ticks` steps (default from duration)."""
-    state = generate_scenario(cfg, cct)
+    """Generate a world and simulate `ticks` steps (default from duration), MAX_TICKS at most."""
     n = ticks if ticks is not None else cfg.num_ticks()
+    if n > MAX_TICKS:
+        raise ValueError(f"{n} ticks asked for; at most {MAX_TICKS} are allowed")
+    state = generate_scenario(cfg, cct)
     return state, [simulate_tick(state) for _ in range(n)]
 
 

@@ -138,6 +138,7 @@ def test_gen_requires_seed(tmp_path, capsys):
     ["client", "--port", "9", "--id", "1", "--dataset", "x.jsonl", "--local-epochs", "0"],
     ["client", "--port", "9", "--dataset", "x.jsonl", "--id", "0"],
     ["client", "--port", "9", "--dataset", "x.jsonl", "--id", "-5"],   # seed 7 - 5000 < 0
+    ["gen", "--ticks", str(scenario.MAX_TICKS + 1)],   # refused before anything is simulated
 ])
 def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
     flag, value = argv[-2:]
@@ -145,6 +146,11 @@ def test_count_flags_below_one_are_usage_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"argument {flag}: '{value}' is not an integer of at least 1" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_gen_ticks_at_the_bound_parses():
+    args = cli.build_parser().parse_args(["gen", "--ticks", str(scenario.MAX_TICKS)])
+    assert args.ticks == scenario.MAX_TICKS
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])

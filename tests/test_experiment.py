@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import re
 from dataclasses import replace
 
@@ -63,14 +64,15 @@ def test_predict_run_pinned(threshold, run307):
 
 
 def test_predict_run_feeds_back_the_mapped_box(run307, monkeypatch):
+    # the feedback enters at the output layer, which runs once per tick with messages
     calls = []
-    forward = mdl.forward_batch
+    output_layer = mdl.output_layer
 
-    def recording_forward(params, X, FB, training=False, ws=None):
-        calls.append(FB.copy())
-        return forward(params, X, FB, training=training, ws=ws)
+    def recording_output_layer(params, h_cat, fb, out=None):
+        calls.append(np.array(fb))
+        return output_layer(params, h_cat, fb, out)
 
-    monkeypatch.setattr(mdl, "forward_batch", recording_forward)
+    monkeypatch.setattr(mdl, "output_layer", recording_output_layer)
     params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(0))
     preds = experiment.predict_run(params, run307, mapping.MappingConfig())
     ticks = [(obs, p) for obs, p in zip(run307.observations, preds) if obs.messages]
@@ -86,6 +88,75 @@ def test_predict_run_feeds_back_the_mapped_box(run307, monkeypatch):
         prev = {m: obs.front_boxes[box].bb_norm
                 for m, (_, box) in pred.entries.items() if box is not None}
     assert fed_back > 0
+
+
+def _per_tick_predict_run(params, run, mcfg):
+    """`predict_run` as it was before the hidden stack ran per block of
+    ticks: one whole forward pass per tick."""
+    preds, prev_feedback, workspaces = [], {}, {}
+    for obs in run.observations:
+        ids = sorted(m.id for m in obs.messages)
+        pairs, entries = [], {}
+        if ids:
+            X = np.array([labeling.feature_for(run, i, obs.t)[0] for i in ids])
+            FB = np.array([prev_feedback.get(i, (0.0,) * 4) for i in ids], dtype=float)
+            ws = mdl.workspace_for(workspaces, params, len(ids), keep_layers=False)
+            y, _ = mdl.forward_batch(params, X, FB, training=False, ws=ws)
+            pairs = mapping.decide_mapping(ids, y, [b.bb_norm for b in obs.front_boxes],
+                                           mcfg).pairs
+            mapped = dict(pairs)
+            entries = {m: (float(y[i, 4]), mapped.get(m)) for i, m in enumerate(ids)}
+        prev_feedback = {m: obs.front_boxes[j].bb_norm for m, j in pairs}
+        preds.append((obs.t, entries))
+    return preds
+
+
+def _without_messages(run, drop):
+    return replace(run, observations=[replace(obs, messages=[]) if drop(i) else obs
+                                      for i, obs in enumerate(run.observations)])
+
+
+def test_predict_run_has_the_bits_of_the_per_tick_forward(run307):
+    # the benchmark's dense shape: about 25 senders a tick, several blocks a run
+    dense = scenario.WorldConfig(seed=0, num_vehicles=100, comm_range=100.0, duration=30.0,
+                                 weather="light_haze")
+    _, dense_run = experiment.simulate_and_label(dense, 311, plates.default_conversion_table())
+    # every third tick empty, and a last block of empty ticks only
+    gappy = _without_messages(run307, lambda i: i % 3 == 0)
+    cut = len(next(experiment._tick_blocks(gappy.observations))[0])
+    gappy = _without_messages(gappy, lambda i: i >= cut)
+
+    def block_rows(run):
+        return [rows for _, rows in experiment._tick_blocks(run.observations)]
+
+    assert any(len(obs.messages) == 1 for obs in run307.observations)
+    assert len(block_rows(run307)) > 1 and len(block_rows(dense_run)) > 3
+    assert cut < len(gappy.observations) and block_rows(gappy)[-1] == 0
+
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(0))
+    for run in (run307, dense_run, gappy):
+        for threshold in (0.5, 0.65):
+            mcfg = mapping.MappingConfig(threshold_inside=threshold)
+            preds = experiment.predict_run(params, run, mcfg)
+            assert len(preds) == len(run.observations)
+            for p, (t, entries) in zip(preds, _per_tick_predict_run(params, run, mcfg)):
+                assert p.t == t and p.entries.keys() == entries.keys()
+                for m, (inside, box) in entries.items():
+                    assert float.hex(p.entries[m][0]) == float.hex(inside)
+                    assert p.entries[m][1] == box
+
+
+def test_predict_run_refuses_a_non_finite_feature_row(run307, monkeypatch):
+    feature_for = labeling.feature_for
+
+    def nan_at_tick_9(run, sender, t):
+        row, filled = feature_for(run, sender, t)
+        return [math.nan if t == 9 else x for x in row], filled
+
+    monkeypatch.setattr(labeling, "feature_for", nan_at_tick_9)
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^non-finite model input$"):
+        experiment.predict_run(params, run307, mapping.MappingConfig())
 
 
 def test_evaluate_model_deterministic():

@@ -439,6 +439,22 @@ def test_mean_loss_peak_memory_stays_below_eight_row_buffers():
     assert peak < 8 * n * 64 * 8, f"peak {peak / (n * 64 * 8):.1f} row buffers"
 
 
+def test_a_row_has_the_same_bits_in_every_batch_from_two_rows_up():
+    # the row rule of the module docstring, which mean_loss and
+    # experiment.predict_run rely on; one row alone is allowed other bits
+    rng = np.random.default_rng(12)
+    X, FB = rng.uniform(-2.0, 2.0, (300, 11)), rng.random((300, 4))
+    params = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(13))
+    whole, _ = mdl.forward_batch(params, X, FB)
+    for n in range(2, 301):
+        for rows in (slice(0, n), slice(300 - n, 300)):
+            y, _ = mdl.forward_batch(params, X[rows], FB[rows])
+            assert y.tobytes() == whole[rows].tobytes(), (
+                f"rows {rows.start}:{rows.stop} have other bits in a batch of {n} than "
+                "in one of 300: this BLAS breaks the row rule (fedvid.model's docstring), "
+                "so mean_loss and predict_run no longer give one batch's bits")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 2047, 2049, 5000])
 def test_chunked_mean_loss_equals_one_batch_bit_for_bit(n, monkeypatch):
     # one batch's bits, as measured with numpy 2.4 and OpenBLAS 0.3.31

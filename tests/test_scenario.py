@@ -61,6 +61,8 @@ def test_tick_count_has_an_upper_bound():
         _world(duration=(scenario.MAX_TICKS + 1) * 0.5)
     with pytest.raises(ValueError, match="gives 2000000000000 ticks"):
         _world(duration=1e12)
+    with pytest.raises(ValueError, match=f"^{10**12} ticks asked for; at most {scenario.MAX_TICKS}"):
+        scenario.run_scenario(at_bound, ticks=10**12)
 
 
 def test_weather_ladder_shape():
