@@ -103,15 +103,14 @@ def cmd_gen(args) -> int:
 
 def cmd_label(args) -> int:
     cfg, observations = scenario.read_run(args.run)
-    out = _out_dir(args)
-
-    confusion = plates.builtin_confusion_table()
     cct = plates.default_conversion_table()
-    (out / "confusion.json").write_text(confusion.to_json())
-    (out / "cct.json").write_text(cct.to_json())
-
     run = labeling.label_run(observations, cct, cfg)
     examples = labeling.assemble_dataset(run, labeling.DatasetMode(args.mode))
+    if not examples:   # `train` refuses an empty dataset file; write none
+        raise ValueError(f"{args.run}: no {args.mode} examples to write")
+    out = _out_dir(args)
+    (out / "confusion.json").write_text(plates.builtin_confusion_table().to_json())
+    (out / "cct.json").write_text(cct.to_json())
     labeling.write_dataset_jsonl(out / "dataset.jsonl", examples)
     print(f"wrote {len(examples)} {args.mode} examples to {out / 'dataset.jsonl'}")
     return 0

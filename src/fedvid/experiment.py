@@ -12,19 +12,21 @@ import csv
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from . import fed, labeling, mapping, metrics, model as mdl, plates, scenario
 from .labeling import DatasetMode
+from .records import Rule, check
 
 PREDICT_ROWS = 256   # sender rows that close a block of ticks in `predict_run`
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    train_seeds: tuple[int, ...] = (101, 102, 103, 104)
-    eval_seed: int = 201
+    train_seeds: tuple[Annotated[int, Rule("at least", 0)], ...] = (101, 102, 103, 104)
+    eval_seed: Annotated[int, Rule("at least", 0)] = 201
     world: scenario.WorldConfig = field(default_factory=lambda: scenario.WorldConfig(
         seed=0, num_vehicles=40, duration=300.0, weather="light_haze"))
     dataset_modes: tuple[DatasetMode, ...] = (DatasetMode.AL, DatasetMode.ALDA, DatasetMode.MANUAL)
@@ -35,13 +37,10 @@ class ExperimentConfig:
     model_cfg: mdl.ModelConfig = field(default_factory=mdl.ModelConfig)
     opt_cfg: mdl.OptConfig = field(default_factory=mdl.OptConfig)
     mapping_cfg: mapping.MappingConfig = field(default_factory=mapping.MappingConfig)
-    train_seed: int = 7
+    train_seed: Annotated[int, Rule("at least", 0)] = 7
 
     def __post_init__(self):
-        for name, seeds in (("train_seeds", self.train_seeds), ("eval_seed", [self.eval_seed]),
-                            ("train_seed", [self.train_seed])):
-            if any(seed < 0 for seed in seeds):
-                raise ValueError(f"{name} must be non-negative")
+        check(self)
         if self.eval_seed in self.train_seeds:
             raise ValueError(
                 f"eval seed {self.eval_seed} overlaps the training seeds {self.train_seeds}"

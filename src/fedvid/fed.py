@@ -18,12 +18,12 @@ import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated
 
 import numpy as np
 
 from . import model as mdl
-from .records import brief, decode_record, from_record
+from .records import Rule, brief, check, decode_record, from_record
 
 if TYPE_CHECKING:
     from .labeling import TrainingArrays
@@ -107,11 +107,8 @@ class RoundRecord:
 @dataclass(frozen=True)
 class Hello:
     client_id: int
-    examples: int   # the client's FedAvg weight for the whole session
-
-    def __post_init__(self):
-        if self.examples <= 0:
-            raise ValueError(f"hello examples {brief(self.examples)} is not above 0")
+    examples: Annotated[int, Rule("above", 0)]   # the client's FedAvg weight for the session
+    __post_init__ = check
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def decode_frame(line: str | bytes):
         raise ValueError(f"unknown frame type {brief(kind)}")
     try:
         return from_record(FRAMES[kind], rec, kind)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{kind}: {exc}") from None
 
 

@@ -42,9 +42,7 @@ K_SECONDS = 2.0   # span of the outside-set history and of the feature window
 
 def fov_contains(ego_ori: float, hfov_deg: float, brg: float) -> bool:
     """True iff the bearing falls inside the horizontal field of view centered
-    on the ego heading (boundary inclusive)."""
-    if not 0.0 < hfov_deg < 180.0:
-        raise ValueError("hfov_deg must be in (0, 180)")
+    on the ego heading (boundary inclusive); `CameraModel` admits hfov_deg in (0, 180)."""
     return abs(geo.angle_diff_deg(brg, ego_ori)) <= hfov_deg / 2.0
 
 

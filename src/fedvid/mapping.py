@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
+
+from .records import Rule, check
 
 DIAGONAL_LEN = math.sqrt(2.0)  # image diagonal in normalized coordinates
 SCORE_EPS = 1e-9               # floating-point reading of "score != 0"
@@ -35,8 +38,9 @@ class ConfidenceTable:
 
 @dataclass(frozen=True)
 class MappingConfig:
-    omega: float = 0.5
+    omega: Annotated[float, Rule("at least", 0.0), Rule("at most", 1.0)] = 0.5
     threshold_inside: float = 0.5
+    __post_init__ = check
 
 
 @dataclass
@@ -66,9 +70,8 @@ def center_dist(a, b) -> float:
 
 
 def score_bbx(e, v, omega: float) -> float:
-    """Blend of overlap and proximity: (1-w)*IoU + w*(diag - centerdist)/diag."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must be in [0, 1]")
+    """Blend of overlap and proximity: (1-w)*IoU + w*(diag - centerdist)/diag,
+    for the w in [0, 1] that `MappingConfig` admits."""
     return (1.0 - omega) * iou(e, v) + omega * (DIAGONAL_LEN - center_dist(e, v)) / DIAGONAL_LEN
 
 

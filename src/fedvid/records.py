@@ -1,12 +1,13 @@
 """The record rule, the one reader of records taken from outside: run files,
-dataset files, `--config` files and federated wire frames, and the one
-writer of a record's fields."""
+dataset files, `--config` files and federated wire frames; the one writer
+of a record's fields; and `check`, the one reader of config value rules."""
 
 from __future__ import annotations
 
 import functools
 import json
 import math
+import operator
 import reprlib
 import typing
 from dataclasses import MISSING, fields
@@ -18,6 +19,35 @@ _brief.maxstring = _brief.maxlong = _brief.maxother = 40
 _brief.maxlist = _brief.maxtuple = 3
 _brief.maxdict = _brief.maxlevel = 1
 brief = _brief.repr
+
+
+# a value rule, data in its field's annotation: `Annotated[int, Rule("at least", 0)]`;
+# NaN stands in no relation, so a number rule refuses it
+Rule = typing.NamedTuple("Rule", [("relation", str), ("limit", object)])   # "one of": a tuple
+RELATIONS = {"above": operator.gt, "at least": operator.ge, "below": operator.lt,
+             "at most": operator.le, "one of": lambda v, choices: v in choices}
+
+
+def check(obj) -> None:
+    """Apply `field_rules`: the first value refused raises ValueError `<field>
+    <value> is not <rule>`. A checked config takes it as its `__post_init__`,
+    so built and decoded objects meet the same rules."""
+    for name, each, (relation, limit) in field_rules(type(obj)):
+        value = getattr(obj, name)
+        for v in value if each else (value,):
+            if not RELATIONS[relation](v, limit):
+                raise ValueError(f"{name} {brief(v)} is not {relation} {brief(limit)}")
+
+
+@functools.cache
+def field_rules(cls) -> tuple[tuple[str, bool, Rule], ...]:
+    """`(field, each, rule)` of every `Rule` in the field annotations of `cls`;
+    with `each`, it is on the entries of a `tuple[X, ...]` field."""
+    table = []
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        hint = typing.get_args(hint)[0] if (each := typing.get_origin(hint) is tuple) else hint
+        table += [(name, each, m) for m in getattr(hint, "__metadata__", ()) if type(m) is Rule]
+    return tuple(table)
 
 
 def _finite(text: str) -> float:
@@ -58,7 +88,8 @@ def read_jsonl(path):
 def from_record(tp, value, key: str = "record"):
     """`value`, as `decode_record` gives it, built into the annotated type
     `tp` by the record rule (README); a value that does not fit raises
-    TypeError naming its field, or `key` at the top."""
+    TypeError naming its field, or `key` at the top, and one that its
+    field's rule refuses raises `check`'s ValueError."""
     return _decoder(tp)(value, key)
 
 
@@ -80,7 +111,7 @@ def _field_names(cls) -> tuple[str, ...]:
 def _decoder(tp):
     """The `(value, key)` function that `from_record` applies for `tp`."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    subs = [_decoder(a) for a in args if a is not type(None)]
+    subs = [_decoder(a) for a in args if a not in (type(None), ...)]
     if type(None) in args:   # X | None
         return lambda v, key: None if v is None else subs[0](v, key)
     if isinstance(tp, type) and issubclass(tp, Enum):   # a member by its exact value
@@ -88,8 +119,8 @@ def _decoder(tp):
         return _shaped((str,), tp.__name__, lambda v, key: tp(v), values.__contains__)
     if tp in (int, str, bool, float):   # float() of an int no float can hold raises OverflowError
         return _shaped((int, float) if tp is float else (tp,), tp.__name__, lambda v, key: tp(v))
-    if origin is list:
-        return _shaped((list,), "list", lambda v, key: [subs[0](x, key) for x in v])
+    if origin is list or args[1:] == (...,):   # list[X], or tuple[X, ...]
+        return _shaped((list,), "list", lambda v, key: origin([subs[0](x, key) for x in v]))
     if origin is tuple:
         return _shaped((list,), f"an array of {len(subs)}", lambda v, key: tuple(
             sub(x, key) for sub, x in zip(subs, v)), lambda v: len(v) == len(subs))

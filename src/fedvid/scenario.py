@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
 from . import geo, plates
-from .records import from_record, read_jsonl, to_record
+from .records import Rule, check, from_record, read_jsonl, to_record
 
 OUTSIDE = -1  # truth-pair value for a sender with no front-camera box
 
@@ -52,21 +53,12 @@ WEATHER_DEGRADATION = {name: round(i * 0.05, 2) for i, name in enumerate([
 
 @dataclass(frozen=True)
 class CameraModel:
-    hfov_deg: float
-    image_w: int
-    image_h: int
-    facing: str          # "front" | "rear"
-    max_range: float     # meters
-
-    def __post_init__(self):
-        if not 0.0 < self.hfov_deg < 180.0:
-            raise ValueError("hfov_deg must be in (0, 180)")
-        if self.image_w <= 0 or self.image_h <= 0:
-            raise ValueError("image_w and image_h must be positive")
-        if self.facing not in ("front", "rear"):
-            raise ValueError("facing must be 'front' or 'rear'")
-        if not self.max_range > 0.0:   # inf, the lossless range, is allowed
-            raise ValueError("max_range must be positive")
+    hfov_deg: Annotated[float, Rule("above", 0.0), Rule("below", 180.0)]
+    image_w: Annotated[int, Rule("above", 0)]
+    image_h: Annotated[int, Rule("above", 0)]
+    facing: Annotated[str, Rule("one of", ("front", "rear"))]
+    max_range: Annotated[float, Rule("above", 0.0)]   # meters; inf, the lossless range, is allowed
+    __post_init__ = check
 
     def focal_px(self) -> float:
         return (self.image_w / 2.0) / math.tan(math.radians(self.hfov_deg) / 2.0)
@@ -86,28 +78,23 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class WorldConfig:
-    seed: int
-    num_vehicles: int = 100
-    tick_interval: float = 0.5
-    duration: float = 60.0
-    comm_range: float = 50.0
-    road_layout: str = "straight"       # "straight" | "grid"
-    weather: str = "clear"
-    gps_noise_sigma: float = 2.0        # meters
-    miss_rate: float = 0.10
-    merge_threshold: float = 0.7
-    speed_profile: str = "varied"       # "varied" | "constant"
+    seed: Annotated[int, Rule("at least", 0)]
+    num_vehicles: Annotated[int, Rule("at least", 2)] = 100
+    tick_interval: Annotated[float, Rule("above", 0.0)] = 0.5
+    duration: float = 60.0   # its rules are on the tick count, in `__post_init__`
+    comm_range: Annotated[float, Rule("above", 0.0)] = 50.0
+    road_layout: Annotated[str, Rule("one of", ("straight", "grid"))] = "straight"
+    weather: Annotated[str, Rule("one of", tuple(WEATHER_DEGRADATION))] = "clear"
+    gps_noise_sigma: Annotated[float, Rule("at least", 0.0)] = 2.0   # meters
+    miss_rate: Annotated[float, Rule("at least", 0.0), Rule("at most", 1.0)] = 0.10
+    merge_threshold: Annotated[float, Rule("at least", 0.0), Rule("at most", 1.0)] = 0.7
+    speed_profile: Annotated[str, Rule("one of", ("varied", "constant"))] = "varied"
     front_camera: CameraModel = field(default_factory=default_front_camera)
     rear_camera: CameraModel = field(default_factory=default_rear_camera)
-    ocr_channel: str = "builtin"        # "builtin" | "identity"
+    ocr_channel: Annotated[str, Rule("one of", ("builtin", "identity"))] = "builtin"
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.num_vehicles < 2:
-            raise ValueError("num_vehicles must be at least 2")
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
+        check(self)   # a positive tick_interval first: the tick count divides by it
         if not math.isfinite(self.duration / self.tick_interval):   # `num_ticks` would overflow
             raise ValueError(f"duration {self.duration} over tick_interval {self.tick_interval} "
                              "overflows the tick count")
@@ -117,22 +104,6 @@ class WorldConfig:
         if self.num_ticks() > MAX_TICKS:
             raise ValueError(f"duration {self.duration} gives {self.num_ticks()} ticks of "
                              f"{self.tick_interval} s; at most {MAX_TICKS} are allowed")
-        if self.comm_range <= 0:
-            raise ValueError("comm_range must be positive")
-        if self.road_layout not in ("straight", "grid"):
-            raise ValueError(f"unknown road_layout {self.road_layout!r}")
-        if self.weather not in WEATHER_DEGRADATION:
-            raise ValueError(f"unknown weather {self.weather!r}")
-        if self.gps_noise_sigma < 0:
-            raise ValueError("gps_noise_sigma must be non-negative")
-        if not 0.0 <= self.miss_rate <= 1.0:
-            raise ValueError("miss_rate must be in [0, 1]")
-        if not 0.0 <= self.merge_threshold <= 1.0:
-            raise ValueError("merge_threshold must be in [0, 1]")
-        if self.speed_profile not in ("varied", "constant"):
-            raise ValueError(f"unknown speed_profile {self.speed_profile!r}")
-        if self.ocr_channel not in ("builtin", "identity"):
-            raise ValueError(f"unknown ocr_channel {self.ocr_channel!r}")
 
     def num_ticks(self) -> int:
         return int(round(self.duration / self.tick_interval))

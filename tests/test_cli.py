@@ -79,11 +79,12 @@ _CAMERA = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720, "facing": "front",
 
 @pytest.mark.parametrize("world,message", [
     ({"nmu_vehicles": 5}, "unknown key 'nmu_vehicles'"),
-    ({"front_camera": {**_CAMERA, "hfov_deg": 200.0}}, "hfov_deg must be in (0, 180)"),
+    ({"front_camera": {**_CAMERA, "hfov_deg": 200.0}}, "hfov_deg 200.0 is not below 180.0"),
     ({"front_camera": {k: v for k, v in _CAMERA.items() if k != "image_w"}},
      "missing key 'image_w'"),
-    ({"front_camera": {**_CAMERA, "max_range": -5.0}}, "max_range must be positive"),
-    ({"rear_camera": {**_CAMERA, "facing": "rear", "max_range": 0}}, "max_range must be positive"),
+    ({"front_camera": {**_CAMERA, "max_range": -5.0}}, "max_range -5.0 is not above 0.0"),
+    ({"rear_camera": {**_CAMERA, "facing": "rear", "max_range": 0}},
+     "max_range 0.0 is not above 0.0"),
     # a world of no tick: gen would write an empty run and exit 0
     ({"duration": -5}, "duration -5.0 gives -10 ticks of 0.5 s; at least 1 is needed"),
     ({"duration": 0.1}, "duration 0.1 gives 0 ticks of 0.5 s; at least 1 is needed"),
@@ -184,7 +185,7 @@ def test_gen_config_of_negative_seed_is_named(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"seed": -1}))
     out = tmp_path / "run"
     assert cli.cli_main(["--config", str(cfg_path), "--out", str(out), "gen"]) == 2
-    assert capsys.readouterr().err == f"error: {cfg_path}: seed must be non-negative\n"
+    assert capsys.readouterr().err == f"error: {cfg_path}: seed -1 is not at least 0\n"
     assert not out.exists()
 
 
@@ -204,6 +205,23 @@ def test_run_flag_names_a_path_that_is_no_run_file(tmp_path, capsys):
                     ["eval", "--model", str(model_path), "--run", str(tmp_path)]):
         assert cli.cli_main(["--out", str(tmp_path / "out"), *command]) == 2
         assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["AL", "ALDA", "MANUAL"])
+def test_label_of_a_run_with_no_example_names_the_run_and_writes_nothing(mode, tmp_path,
+                                                                         capsys):
+    # two vehicles for 2 s give no sender row: train would refuse the empty file
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(json.dumps({"num_vehicles": 2, "duration": 2}))
+    run_dir = tmp_path / "run"
+    assert cli.cli_main(["--seed", "3", "--config", str(cfg_path),
+                         "--out", str(run_dir), "gen"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "labels"
+    assert cli.cli_main(["--out", str(out), "label", "--run", str(run_dir / "run.jsonl"),
+                         "--mode", mode]) == 2
+    assert capsys.readouterr().err == f"error: {run_dir / 'run.jsonl'}: no {mode} examples to write\n"
+    assert not out.exists()
 
 
 def test_full_cli_pipeline(tmp_path, capsys):

@@ -232,13 +232,13 @@ def test_unknown_training_mode_rejected(modes, tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("field,value", [
-    ("train_seed", -1), ("eval_seed", -3), ("train_seeds", (101, -2)),
+@pytest.mark.parametrize("field,value,refused", [
+    ("train_seed", -1, -1), ("eval_seed", -3, -3), ("train_seeds", (101, -2), -2),
 ], ids=["train-seed", "eval-seed", "train-seeds-entry"])
-def test_negative_seed_rejected(field, value, tmp_path, monkeypatch):
+def test_negative_seed_rejected(field, value, refused, tmp_path, monkeypatch):
     # numpy would refuse it only after every world was simulated
     monkeypatch.setattr(scenario, "run_scenario", _no_world)
-    with pytest.raises(ValueError, match=f"^{field} must be non-negative$"):
+    with pytest.raises(ValueError, match=f"^{field} {refused} is not at least 0$"):
         experiment.run_experiment(experiment.ExperimentConfig(
             **{"train_seeds": (421,), "eval_seed": 422, field: value}, world=_small_world(),
             dataset_modes=(DatasetMode.AL,), epochs=1), tmp_path)

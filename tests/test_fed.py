@@ -509,7 +509,7 @@ def test_hello_phase_timeout_counts_the_hellos_and_names_the_refusals():
         with pytest.raises(fed.ProtocolError, match="1 of 2") as exc:
             server.serve()
     honest.join(timeout=10.0)
-    assert "hello examples 0 is not above 0" in str(exc.value)
+    assert "hello: examples 0 is not above 0" in str(exc.value)
     assert time.monotonic() - start < 10.0
     assert not honest.is_alive()
 
@@ -547,7 +547,7 @@ def test_client_of_an_empty_shard_fails_before_its_hello():
     data = _toy_dataset(n=20)
     empty = labeling.TrainingArrays(X=data.X[:0], FB=data.FB[:0], Y=data.Y[:0])
     with socket.create_server(("127.0.0.1", 0)) as listener:
-        with pytest.raises(ValueError, match="^hello examples 0 is not above 0$"):
+        with pytest.raises(ValueError, match="^examples 0 is not above 0$"):
             fed.FedClient(1, empty, mdl.OptConfig(), seed=60).run(*listener.getsockname(), 1.0)
         listener.settimeout(0.0)
         with pytest.raises(BlockingIOError):
@@ -1073,7 +1073,7 @@ def test_one_blob_is_received_and_decoded_with_few_copies():
 
 @pytest.mark.parametrize("line, message", [
     ('{"type":"hello","client_id":"one","examples":4}', "hello: client_id 'one' is not int"),
-    ('{"type":"hello","client_id":2,"examples":0}', "hello examples 0 is not above 0"),
+    ('{"type":"hello","client_id":2,"examples":0}', "hello: examples 0 is not above 0"),
     ('{"type":"update","round":1,"params_b64":"AA==","examples":4}',
      "update: unknown key 'examples'"),
     ('{"type":"round_begin","round":1}', "round_begin: missing key 'params_b64'"),

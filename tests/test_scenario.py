@@ -646,7 +646,7 @@ def test_read_run_names_line_of_repeated_vehicle_ref(tmp_path):
     (lambda lines: [], "malformed header: missing key 'world'"),
     (lambda lines: lines[1:], "malformed header: missing key 'world'"),
     (lambda lines: ['{"world": {"seed": 19, "weather": "sunny"}, "ticks": 10}\n', *lines[1:]],
-     "malformed header: unknown weather 'sunny'"),
+     "malformed header: weather 'sunny' is not one of ('clear', 'high_clouds', 'overcast', ...)"),
     (lambda lines: ['{"world": {"seed": 19, "fog": 1}, "ticks": 10}\n', *lines[1:]],
      "malformed header: "),
     (lambda lines: ['{"world": {"seed": 19}, "ticks": "10"}\n', *lines[1:]],
@@ -680,7 +680,7 @@ def test_world_config_takes_an_int_for_a_float_field():
 
 
 def test_world_config_refuses_a_negative_seed():
-    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+    with pytest.raises(ValueError, match="^seed -1 is not at least 0$"):
         scenario.WorldConfig(seed=-1)
     assert scenario.WorldConfig(seed=0).seed == 0
 
@@ -698,9 +698,9 @@ def test_enum_field_refuses_what_is_not_one_of_its_values(value):
 _WORLD_TYPES = typing.get_type_hints(scenario.WorldConfig)
 _CAMERA_TYPES = typing.get_type_hints(scenario.CameraModel)
 _UNKNOWN_KEYS = ["fog", "nmu_vehicles", "zoom"]
-_WORDS = {"road_layout": ["straight", "grid"], "weather": list(scenario.WEATHER_DEGRADATION),
-          "speed_profile": ["varied", "constant"], "ocr_channel": ["builtin", "identity"],
-          "facing": ["front", "rear"]}
+# the choices of each string field, read from its annotation's rule
+_WORDS = {name: list(rule.limit) for cls in (scenario.WorldConfig, scenario.CameraModel)
+          for name, _, rule in records.field_rules(cls) if rule.relation == "one of"}
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=6), st.integers(),
     st.sampled_from([10**400, -10**400]), st.floats(allow_nan=False, allow_infinity=False),
