@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen (simulate a scenario to a run.jsonl file), label (build the
-conversion table and a dataset from a recorded run), train (fit the model on
-a dataset file), serve/client (federated server and participant), and eval
-(correctness ratios of a model on a scenario).
+Subcommands: gen (simulate a scenario to a run.jsonl file), label (auto-label
+a recorded run into a dataset file), train (fit the model on a dataset file),
+serve/client (federated server and participant), and eval (correctness ratios
+of a model on a scenario).
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -27,27 +26,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(low: int, high: float = math.inf):
-    """argparse type of an integer flag of at least `low` and at most `high`."""
-    def parse(text: str) -> int:
+def _flag(tp: type, *rules: records.Rule):
+    """argparse type of a number flag: a `tp` (int or float) that meets `rules`."""
+    def parse(text: str):
         try:
-            if low <= (n := int(text)) <= high:
-                return n
+            records.check_value(text, x := tp(text), *rules)
+            return x
         except ValueError:
             pass
-        at_most = f" and at most {high}" if high < math.inf else ""
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least {low}{at_most}")
+        kind = "an integer" if tp is int else "a number"
+        meets = " and ".join(f"{rel} {records.brief(limit)}" for rel, limit in rules)
+        of = " of" if meets.startswith("at ") else ""   # "of at least 1", but "above 0.0"
+        raise argparse.ArgumentTypeError(f"{text!r} is not {kind}{of} {meets}".rstrip())
     return parse
-
-
-def _seconds(text: str) -> float:
-    """argparse type of a timeout: a positive finite number of seconds."""
-    try:
-        if 0 < (x := float(text)) < math.inf:
-            return x
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number of seconds")
 
 
 def _check_global_flags(args) -> None:
@@ -103,14 +94,11 @@ def cmd_gen(args) -> int:
 
 def cmd_label(args) -> int:
     cfg, observations = scenario.read_run(args.run)
-    cct = plates.default_conversion_table()
-    run = labeling.label_run(observations, cct, cfg)
+    run = labeling.label_run(observations, plates.default_conversion_table(), cfg)
     examples = labeling.assemble_dataset(run, labeling.DatasetMode(args.mode))
     if not examples:   # `train` refuses an empty dataset file; write none
         raise ValueError(f"{args.run}: no {args.mode} examples to write")
     out = _out_dir(args)
-    (out / "confusion.json").write_text(plates.builtin_confusion_table().to_json())
-    (out / "cct.json").write_text(cct.to_json())
     labeling.write_dataset_jsonl(out / "dataset.jsonl", examples)
     print(f"wrote {len(examples)} {args.mode} examples to {out / 'dataset.jsonl'}")
     return 0
@@ -177,8 +165,11 @@ def cmd_eval(args) -> int:
 
 
 def build_parser() -> _Parser:
+    def field(name, cls=experiment.ExperimentConfig):   # a flag that sets an int config field
+        return _flag(int, *(rule for f, _, rule in records.field_rules(cls) if f == name))
+
     parser = _Parser(prog="fedvid", description=__doc__)
-    parser.add_argument("--seed", type=_at_least(0), default=None, help=(
+    parser.add_argument("--seed", type=field("train_seed"), default=None, help=(
         "the scenario seed of gen and of eval without --run; the training seed "
         f"of train, serve and client (default {experiment.ExperimentConfig.train_seed})"))
     parser.add_argument("--config", default=None, help=(
@@ -187,9 +178,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--out", default=None,
                         help="output directory of gen, label, train, serve and eval")
     sub = parser.add_subparsers(dest="command")
+    timeout = _flag(float, *fed.TIMEOUT_RULES)
 
     p = sub.add_parser("gen", help="simulate a scenario into run.jsonl")
-    p.add_argument("--ticks", type=_at_least(1, scenario.MAX_TICKS), default=None)
+    p.add_argument("--ticks", type=_flag(int, records.Rule("at least", 1),
+                                         records.Rule("at most", scenario.MAX_TICKS)))
     p.set_defaults(func=cmd_gen, reads=("seed", "config", "out"))
 
     p = sub.add_parser("label", help="auto-label a recorded run into a dataset")
@@ -199,25 +192,25 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the model on a dataset file")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--epochs", type=_at_least(1), default=200)
+    p.add_argument("--epochs", type=field("epochs"), default=200)
     p.set_defaults(func=cmd_train, reads=("seed", "out"))
 
     p = sub.add_parser("serve", help="run the federated parameter server")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
-    p.add_argument("--clients", type=_at_least(1), required=True)
-    p.add_argument("--rounds", type=_at_least(1), default=50)
-    p.add_argument("--min-clients", type=_at_least(1), default=1)
-    p.add_argument("--timeout", type=_seconds, default=fed.PROTOCOL_TIMEOUT_S)
+    p.add_argument("--port", type=_flag(int), default=0)
+    p.add_argument("--clients", type=_flag(int, records.Rule("at least", 1)), required=True)
+    p.add_argument("--rounds", type=field("rounds"), default=50)
+    p.add_argument("--min-clients", type=_flag(int, records.Rule("at least", 1)), default=1)
+    p.add_argument("--timeout", type=timeout, default=fed.PROTOCOL_TIMEOUT_S)
     p.set_defaults(func=cmd_serve, reads=("seed", "config", "out"))
 
     p = sub.add_parser("client", help="run one federated client")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
-    p.add_argument("--id", type=_at_least(1), required=True)
+    p.add_argument("--port", type=_flag(int), required=True)
+    p.add_argument("--id", type=field("client_id", fed.Hello), required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--local-epochs", type=_at_least(1), default=1)
-    p.add_argument("--timeout", type=_seconds, default=fed.PROTOCOL_TIMEOUT_S)
+    p.add_argument("--local-epochs", type=field("local_epochs"), default=1)
+    p.add_argument("--timeout", type=timeout, default=fed.PROTOCOL_TIMEOUT_S)
     p.set_defaults(func=cmd_client, reads=("seed",))
 
     p = sub.add_parser("eval", help="evaluate a model on a scenario")

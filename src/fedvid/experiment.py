@@ -31,9 +31,9 @@ class ExperimentConfig:
         seed=0, num_vehicles=40, duration=300.0, weather="light_haze"))
     dataset_modes: tuple[DatasetMode, ...] = (DatasetMode.AL, DatasetMode.ALDA, DatasetMode.MANUAL)
     training_modes: tuple[str, ...] = ("central",)
-    epochs: int = 60
-    rounds: int = 30
-    local_epochs: int = 2
+    epochs: Annotated[int, Rule("at least", 1)] = 60
+    rounds: Annotated[int, Rule("at least", 1)] = 30
+    local_epochs: Annotated[int, Rule("at least", 1)] = 2
     model_cfg: mdl.ModelConfig = field(default_factory=mdl.ModelConfig)
     opt_cfg: mdl.OptConfig = field(default_factory=mdl.OptConfig)
     mapping_cfg: mapping.MappingConfig = field(default_factory=mapping.MappingConfig)
@@ -42,9 +42,8 @@ class ExperimentConfig:
     def __post_init__(self):
         check(self)
         if self.eval_seed in self.train_seeds:
-            raise ValueError(
-                f"eval seed {self.eval_seed} overlaps the training seeds {self.train_seeds}"
-            )
+            raise ValueError(f"eval seed {self.eval_seed} overlaps the training seeds "
+                             f"{self.train_seeds}")
         for training_mode in self.training_modes:
             federated_clients(training_mode)
 

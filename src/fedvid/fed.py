@@ -23,12 +23,13 @@ from typing import TYPE_CHECKING, Annotated
 import numpy as np
 
 from . import model as mdl
-from .records import Rule, brief, check, decode_record, from_record
+from .records import Rule, brief, check, check_value, decode_record, from_record
 
 if TYPE_CHECKING:
     from .labeling import TrainingArrays
 
 PROTOCOL_TIMEOUT_S = 30.0
+TIMEOUT_RULES = (Rule("above", 0.0), Rule("below", math.inf))   # of every timeout, in seconds
 ENVELOPE_BYTES = 4096   # what a frame may hold beside the params_b64 payload
 REFUSALS_KEPT = 8       # refused hellos a hello phase names and logs; the rest it counts
 
@@ -106,7 +107,7 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class Hello:
-    client_id: int
+    client_id: Annotated[int, Rule("at least", 1)]
     examples: Annotated[int, Rule("above", 0)]   # the client's FedAvg weight for the session
     __post_init__ = check
 
@@ -276,7 +277,7 @@ class FedServer:
     closed for the rest of the session; a client that a send fails on is
     closed without one. Each round averages the updates that arrived,
     provided at least `min_clients` did, which must be in
-    `1..expected_clients`; `timeout_s` must be positive and finite. A hello
+    `1..expected_clients`; `timeout_s` must meet `TIMEOUT_RULES`. A hello
     phase in which no further client connects for `timeout_s` ends the
     session with a `ProtocolError` that counts the hellos kept and gives the
     reason of each of the first `REFUSALS_KEPT` refused hellos, then counts
@@ -302,8 +303,7 @@ class FedServer:
         if not 1 <= min_clients <= expected_clients:
             raise ValueError(f"min_clients {min_clients} must be between 1 and "
                              f"expected_clients {expected_clients}")
-        if not 0 < timeout_s < math.inf:
-            raise ValueError(f"timeout_s {timeout_s} must be a positive finite number")
+        check_value("timeout_s", timeout_s, *TIMEOUT_RULES)
         self.global_params = global_params
         self.records: list[RoundRecord] = []
         self.weights: dict[int, int] = {}
@@ -457,6 +457,7 @@ class FedClient:
 
     def run(self, host: str, port: int, timeout: float = PROTOCOL_TIMEOUT_S) -> int:
         """Participate until shutdown; returns the number of rounds trained."""
+        check_value("timeout", timeout, *TIMEOUT_RULES)
         rounds = 0
         hello = Hello(self.client_id, int(self.dataset.X.shape[0]))   # an empty shard fails here
         with socket.create_connection((host, port), timeout=timeout) as sock:

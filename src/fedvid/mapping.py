@@ -39,7 +39,7 @@ class ConfidenceTable:
 @dataclass(frozen=True)
 class MappingConfig:
     omega: Annotated[float, Rule("at least", 0.0), Rule("at most", 1.0)] = 0.5
-    threshold_inside: float = 0.5
+    threshold_inside: Annotated[float, Rule("at least", 0.0), Rule("at most", 1.0)] = 0.5
     __post_init__ = check
 
 

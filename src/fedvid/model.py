@@ -19,9 +19,11 @@ import math
 import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated
 
 import numpy as np
+
+from .records import Rule, check
 
 if TYPE_CHECKING:
     from .labeling import TrainingArrays
@@ -33,21 +35,18 @@ OUTPUT_DIM = 5     # four box coordinates and the inside probability
 EVAL_ROWS = 1024   # the most rows that `mean_loss` sends forward at once
 
 
-class ConfigError(ValueError):
-    """Invalid model configuration (e.g. zero-width layer)."""
-
-
 class DecodeError(ValueError):
     """Malformed parameter blob; message names the failing byte offset."""
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    input_dim: int = 11
-    hidden_width: int = 64
-    hidden_layers: int = 10
-    dropout: float = 0.3
-    mu: float = 1.0
+    input_dim: Annotated[int, Rule("at least", 1)] = 11
+    hidden_width: Annotated[int, Rule("at least", 1)] = 64
+    hidden_layers: Annotated[int, Rule("at least", 1)] = 10
+    dropout: Annotated[float, Rule("at least", 0.0), Rule("below", 1.0)] = 0.3
+    mu: Annotated[float, Rule("at least", 0.0), Rule("below", math.inf)] = 1.0
+    __post_init__ = check
 
     def widths(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) of every affine layer, feedback concat included."""
@@ -103,8 +102,6 @@ class ModelParams:
 def init_model(cfg: ModelConfig, rng) -> ModelParams:
     """He-style fan-in scaled uniform initialization; biases start at zero."""
     shapes = cfg.widths()
-    if any(fi <= 0 or fo <= 0 for fi, fo in shapes):
-        raise ConfigError(f"zero-width layer in {shapes}")
     params = ModelParams(np.zeros(sum((fi + 1) * fo for fi, fo in shapes)), shapes,
                          dropout=cfg.dropout, mu=cfg.mu)
     for w, (fan_in, fan_out) in zip(params.weights, shapes):
@@ -317,11 +314,12 @@ def backward_batch(params: ModelParams, cache: Workspace, dy: np.ndarray) -> Mod
 
 @dataclass(frozen=True)
 class OptConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 32
+    lr: Annotated[float, Rule("at least", 0.0)] = 1e-3
+    beta1: Annotated[float, Rule("at least", 0.0), Rule("below", 1.0)] = 0.9
+    beta2: Annotated[float, Rule("at least", 0.0), Rule("below", 1.0)] = 0.999
+    eps: Annotated[float, Rule("above", 0.0)] = 1e-8
+    batch_size: Annotated[int, Rule("at least", 1)] = 32
+    __post_init__ = check
 
 
 class Adam:
@@ -473,6 +471,10 @@ def params_from_bytes(buf: bytes) -> ModelParams:
             raise DecodeError(f"bias {i} length does not match layer width at offset {r.off - 4}")
         chunks.append(r.f64s(cols, f"bias {i}"))
     mu, dropout = struct.unpack("<dd", r.take(16, "config block"))
+    try:
+        ModelConfig(dropout=dropout, mu=mu)   # the config block meets the model's rules
+    except ValueError as exc:
+        raise DecodeError(f"{exc} in the config block at offset {r.off - 16}") from None
     if r.off != len(buf):
         raise DecodeError(f"trailing bytes at offset {r.off}")
     return ModelParams(np.concatenate(chunks, dtype=np.float64), shapes, dropout=dropout, mu=mu)

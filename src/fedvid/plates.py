@@ -9,7 +9,6 @@ characters into shared class tokens, plate canonicalization, and the stable
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -68,9 +67,6 @@ class ConfusionTable:
             if pick < 0:
                 return observed
         raise AssertionError("unreachable: counts exhausted")
-
-    def to_json(self) -> str:
-        return json.dumps(self.counts, indent=2, sort_keys=True)
 
 
 # Bundled character confusion counts for the default OCR error channel,
@@ -152,9 +148,6 @@ class ConversionTable:
     token are treated as equal after canonicalization."""
 
     entries: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(self.entries, indent=2, sort_keys=True)
 
 
 def build_conversion_table(pairs) -> ConversionTable:

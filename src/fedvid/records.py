@@ -1,6 +1,6 @@
 """The record rule, the one reader of records taken from outside: run files,
 dataset files, `--config` files and federated wire frames; the one writer
-of a record's fields; and `check`, the one reader of config value rules."""
+of a record's fields; and `check_value`, the one reader of value rules."""
 
 from __future__ import annotations
 
@@ -29,14 +29,19 @@ RELATIONS = {"above": operator.gt, "at least": operator.ge, "below": operator.lt
 
 
 def check(obj) -> None:
-    """Apply `field_rules`: the first value refused raises ValueError `<field>
-    <value> is not <rule>`. A checked config takes it as its `__post_init__`,
-    so built and decoded objects meet the same rules."""
-    for name, each, (relation, limit) in field_rules(type(obj)):
+    """Apply `field_rules` by `check_value`. A checked config takes it as its
+    `__post_init__`, so built and decoded objects meet the same rules."""
+    for name, each, rule in field_rules(type(obj)):
         value = getattr(obj, name)
         for v in value if each else (value,):
-            if not RELATIONS[relation](v, limit):
-                raise ValueError(f"{name} {brief(v)} is not {relation} {brief(limit)}")
+            check_value(name, v, rule)
+
+
+def check_value(name: str, value, *rules: Rule) -> None:
+    """ValueError `<name> <value> is not <rule>` of the first rule `value` breaks."""
+    for relation, limit in rules:
+        if not RELATIONS[relation](value, limit):
+            raise ValueError(f"{name} {brief(value)} is not {relation} {brief(limit)}")
 
 
 @functools.cache
@@ -108,10 +113,10 @@ def _field_names(cls) -> tuple[str, ...]:
 
 
 @functools.cache
-def _decoder(tp):
+def _decoder(tp, named: bool = False):
     """The `(value, key)` function that `from_record` applies for `tp`."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    subs = [_decoder(a) for a in args if a not in (type(None), ...)]
+    subs = [_decoder(a, named) for a in args if a not in (type(None), ...)]
     if type(None) in args:   # X | None
         return lambda v, key: None if v is None else subs[0](v, key)
     if isinstance(tp, type) and issubclass(tp, Enum):   # a member by its exact value
@@ -125,15 +130,21 @@ def _decoder(tp):
         return _shaped((list,), f"an array of {len(subs)}", lambda v, key: tuple(
             sub(x, key) for sub, x in zip(subs, v)), lambda v: len(v) == len(subs))
     hints = typing.get_type_hints(tp)   # a dataclass: fields() refuses any other type
-    members = {f.name: _decoder(hints[f.name]) for f in fields(tp)}
+    # in a config, a refusal inside a dataclass field names the field: a world has two cameras
+    members = {f.name: _decoder(hints[f.name], bool(field_rules(tp))) for f in fields(tp)}
     required = [f.name for f in fields(tp) if f.default is f.default_factory is MISSING]
 
     def build(v, key):
-        if missing := [name for name in required if name not in v]:
-            raise TypeError(f"missing key {missing[0]!r}")
-        if unknown := [name for name in v if name not in members]:
-            raise TypeError(f"unknown key {brief(unknown[0])}")
-        return tp(**{name: members[name](x, name) for name, x in v.items()})
+        try:
+            if missing := [name for name in required if name not in v]:
+                raise TypeError(f"missing key {missing[0]!r}")
+            if unknown := [name for name in v if name not in members]:
+                raise TypeError(f"unknown key {brief(unknown[0])}")
+            return tp(**{name: members[name](x, name) for name, x in v.items()})
+        except (TypeError, ValueError) as exc:
+            if not named:
+                raise
+            raise type(exc)(f"{key}: {exc}") from None
     return _shaped((dict,), tp.__name__, build)
 
 

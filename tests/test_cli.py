@@ -1,8 +1,11 @@
+import argparse
 import hashlib
 import json
+import math
 import socket
 import threading
 import time
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -79,12 +82,16 @@ _CAMERA = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720, "facing": "front",
 
 @pytest.mark.parametrize("world,message", [
     ({"nmu_vehicles": 5}, "unknown key 'nmu_vehicles'"),
-    ({"front_camera": {**_CAMERA, "hfov_deg": 200.0}}, "hfov_deg 200.0 is not below 180.0"),
+    ({"front_camera": {**_CAMERA, "hfov_deg": 200.0}},
+     "front_camera: hfov_deg 200.0 is not below 180.0"),
     ({"front_camera": {k: v for k, v in _CAMERA.items() if k != "image_w"}},
-     "missing key 'image_w'"),
-    ({"front_camera": {**_CAMERA, "max_range": -5.0}}, "max_range -5.0 is not above 0.0"),
+     "front_camera: missing key 'image_w'"),
+    ({"front_camera": {**_CAMERA, "max_range": -5.0}},
+     "front_camera: max_range -5.0 is not above 0.0"),
     ({"rear_camera": {**_CAMERA, "facing": "rear", "max_range": 0}},
-     "max_range 0.0 is not above 0.0"),
+     "rear_camera: max_range 0.0 is not above 0.0"),
+    ({"rear_camera": {**_CAMERA, "facing": "rear", "image_w": "x"}},
+     "rear_camera: image_w 'x' is not int"),
     # a world of no tick: gen would write an empty run and exit 0
     ({"duration": -5}, "duration -5.0 gives -10 ticks of 0.5 s; at least 1 is needed"),
     ({"duration": 0.1}, "duration 0.1 gives 0 ticks of 0.5 s; at least 1 is needed"),
@@ -97,7 +104,7 @@ _CAMERA = {"hfov_deg": 60.0, "image_w": 1280, "image_h": 720, "facing": "front",
     ({"duration": 1e12}, "duration 1000000000000.0 gives 2000000000000 ticks of 0.5 s; "
                          "at most 100000 are allowed"),
 ], ids=["unknown-key", "bad-camera", "camera-missing-key", "negative-range", "zero-range",
-        "negative-duration", "sub-tick-duration", "negative-overflow-duration",
+        "camera-field-type", "negative-duration", "sub-tick-duration", "negative-overflow-duration",
         "overflow-duration", "too-many-ticks"])
 def test_gen_config_that_builds_no_world_is_named(world, message, tmp_path, capsys):
     cfg_path = tmp_path / "w.json"
@@ -154,6 +161,63 @@ def test_gen_ticks_at_the_bound_parses():
     assert args.ticks == scenario.MAX_TICKS
 
 
+def _rules(cls, name):
+    return [rule for field, _, rule in records.field_rules(cls) if field == name]
+
+
+# the rules that each flag reads, with the type it parses: a config field's, or
+# the one timeout rule of `fed`
+_FLAG_RULES = {"--timeout": ("timeout", float, fed.TIMEOUT_RULES)} | {
+    flag: (name, typing.get_type_hints(cls)[name], _rules(cls, name))
+    for flag, cls, name in [("--seed", experiment.ExperimentConfig, "train_seed"),
+                            ("--epochs", experiment.ExperimentConfig, "epochs"),
+                            ("--rounds", experiment.ExperimentConfig, "rounds"),
+                            ("--local-epochs", experiment.ExperimentConfig, "local_epochs"),
+                            ("--id", fed.Hello, "client_id")]}
+
+
+def _near(tp, rules):
+    """Each limit of `rules` and its neighbours, and for a float NaN."""
+    if tp is int:
+        return [rule.limit + step for rule in rules for step in (-1, 0, 1)]
+    return [math.nan, *(x for rule in rules for x in (
+        math.nextafter(rule.limit, -math.inf), rule.limit, math.nextafter(rule.limit, math.inf)))]
+
+
+def test_every_number_flag_parses_by_flag_and_admits_what_its_rules_admit():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    typed = [action for p in [parser, *subparsers.choices.values()] for action in p._actions
+             if action.type is not None]
+    assert {a.type.__qualname__ for a in typed} == {"_flag.<locals>.parse"}
+    assert {a.option_strings[0] for a in typed} == {
+        "--seed", "--ticks", "--epochs", "--port", "--clients", "--rounds", "--min-clients",
+        "--timeout", "--id", "--local-epochs"}
+    # --seed is the scenario seed too
+    seed_rules = _rules(scenario.WorldConfig, "seed")
+    assert _rules(experiment.ExperimentConfig, "train_seed") == seed_rules
+    checked = set()
+    for action in typed:
+        if (flag := action.option_strings[0]) not in _FLAG_RULES:
+            continue
+        name, tp, rules = _FLAG_RULES[flag]
+        for value in _near(tp, rules):
+            try:
+                records.check_value(name, value, *rules)
+                admitted = True
+            except ValueError:
+                admitted = False
+            try:
+                parsed = action.type(str(value))
+            except argparse.ArgumentTypeError as exc:
+                assert not admitted, (flag, value)
+                assert str(exc).startswith(f"{str(value)!r} is not ")
+            else:
+                assert admitted and type(parsed) is tp and parsed == value, (flag, value)
+        checked.add(flag)
+    assert checked == set(_FLAG_RULES)
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
 @pytest.mark.parametrize("argv", [
     ["serve", "--clients", "1"], ["client", "--port", "9", "--id", "1", "--dataset", "x.jsonl"],
@@ -163,8 +227,8 @@ def test_timeout_that_is_not_a_positive_finite_number_is_a_usage_error(argv, val
     out = tmp_path / "out"
     assert cli.cli_main(["--out", str(out), *argv, "--timeout", value]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"usage error: argument --timeout: '{value}' is not a positive "
-                          "finite number of seconds")
+    assert err.startswith(f"usage error: argument --timeout: '{value}' is not a number "
+                          "above 0.0 and below inf\n")
     assert not out.exists()
 
 
@@ -238,10 +302,8 @@ def test_full_cli_pipeline(tmp_path, capsys):
     label_dir = tmp_path / "labels"
     assert cli.cli_main(["--out", str(label_dir), "label", "--run", str(run_path),
                          "--mode", "MANUAL"]) == 0
-    assert (label_dir / "dataset.jsonl").exists()
-    assert (label_dir / "cct.json").exists()
-    assert (label_dir / "confusion.json").exists()
-    cct = json.loads((label_dir / "cct.json").read_text())
+    assert [p.name for p in label_dir.iterdir()] == ["dataset.jsonl"]
+    cct = plates.default_conversion_table().entries
     assert cct["0"] == cct["O"] == cct["D"] == cct["Q"]
 
     model_dir = tmp_path / "model"

@@ -234,8 +234,18 @@ def test_tcp_session_ended_by_a_failing_client_raises_its_error():
 @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"), float("inf")])
 def test_server_refuses_a_timeout_that_is_not_positive_and_finite(timeout_s):
     init = mdl.init_model(NARROW, np.random.default_rng(12))
-    with pytest.raises(ValueError, match=f"^timeout_s {timeout_s} must be a positive finite"):
+    refused = "below inf" if timeout_s == float("inf") else "above 0.0"
+    with pytest.raises(ValueError, match=f"^timeout_s {timeout_s} is not {refused}$"):
         fed.FedServer(init, expected_clients=1, rounds=1, timeout_s=timeout_s)
+
+
+def test_client_refuses_a_timeout_that_is_not_positive_before_it_connects(monkeypatch):
+    def connect(*args, **kwargs):
+        raise AssertionError("connected")
+    monkeypatch.setattr(fed.socket, "create_connection", connect)
+    client = fed.FedClient(1, _toy_dataset(n=4), mdl.OptConfig(), seed=3)
+    with pytest.raises(ValueError, match="^timeout 0 is not above 0.0$"):
+        client.run("127.0.0.1", 9, timeout=0)
 
 
 @pytest.mark.parametrize("min_clients", [0, 3])
@@ -711,6 +721,12 @@ def _bad_hello_then_honest_client(init, hello):
 
 _HELLO_EXAMPLES = {"zero": b"0", "negative": b"-1", "true": b"true", "float": b"1.5",
                    "string": b'"4"'}
+_CLIENT_ID_REFUSED = {   # hello -> the reason of its refusal
+    b'{"type":"hello","client_id":0,"examples":4}\n':
+        "bad frame: hello: client_id 0 is not at least 1",
+    b'{"type":"hello","client_id":-7,"examples":3}\n':
+        "bad frame: hello: client_id -7 is not at least 1",
+}
 
 
 @pytest.mark.parametrize("hello", [
@@ -718,14 +734,17 @@ _HELLO_EXAMPLES = {"zero": b"0", "negative": b"-1", "true": b"true", "float": b"
     b'["hello"]\n',
     b'{"type":"hello","examples":4}\n',
     b'{"type":"hello","client_id":"one","examples":4}\n',
+    *_CLIENT_ID_REFUSED,
     b"",
     *(b'{"type":"hello","client_id":2,"examples":%s}\n' % v for v in _HELLO_EXAMPLES.values()),
     b'{"type":"hello","client_id":2}\n',
     b'{"type":"update","round":1,"params_b64":"\\ud800"}\n',
-], ids=["not-json", "not-object", "no-client-id", "string-client-id", "silent",
+], ids=["not-json", "not-object", "no-client-id", "string-client-id", "client-id-zero",
+        "client-id-negative", "silent",
         *(f"examples-{name}" for name in _HELLO_EXAMPLES), "no-examples", "surrogate-update"])
 def test_tcp_bad_hello_gets_error_and_server_keeps_accepting(hello):
-    _bad_hello_then_honest_client(mdl.init_model(NARROW, np.random.default_rng(21)), hello)
+    reply = _bad_hello_then_honest_client(mdl.init_model(NARROW, np.random.default_rng(21)), hello)
+    assert reply.reason == _CLIENT_ID_REFUSED.get(hello, reply.reason)
 
 
 def test_tcp_deeply_nested_hello_to_a_default_size_server_is_refused():
@@ -952,7 +971,7 @@ def test_transcript_carries_no_training_payloads():
 _WIRE_KEYS = {"type"} | {f.name for tp in fed.FRAMES.values() for f in dataclasses.fields(tp)}
 _B64 = st.binary(max_size=48).map(lambda b: base64.b64encode(b).decode("ascii"))
 _FRAME_VALUES = {
-    fed.Hello: st.builds(fed.Hello, st.integers(), st.integers(min_value=1)),
+    fed.Hello: st.builds(fed.Hello, st.integers(min_value=1), st.integers(min_value=1)),
     fed.RoundBegin: st.builds(fed.RoundBegin, st.integers(), _B64),
     fed.Update: st.builds(fed.Update, st.integers(), _B64),
     fed.RoundEnd: st.builds(fed.RoundEnd, st.integers(), st.integers()),

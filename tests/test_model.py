@@ -1,3 +1,7 @@
+import math
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,7 +61,7 @@ def test_init_zero_variance_stub():
 
 
 def test_init_rejects_zero_width():
-    with pytest.raises(mdl.ConfigError):
+    with pytest.raises(ValueError, match="^hidden_width 0 is not at least 1$"):
         mdl.init_model(mdl.ModelConfig(hidden_width=0), np.random.default_rng(0))
 
 
@@ -628,3 +632,21 @@ def test_decoder_rejects_or_round_trips_damaged_blobs(blob):
     except mdl.DecodeError:
         return
     assert mdl.params_to_bytes(params) == blob
+    assert 0.0 <= params.dropout < 1.0 and 0.0 <= params.mu < math.inf
+
+
+@pytest.mark.parametrize("mu, dropout, refused", [
+    (1.0, 1.0, "dropout 1.0 is not below 1.0"), (1.0, -0.1, "dropout -0.1 is not at least 0.0"),
+    (1.0, math.nan, "dropout nan is not at least 0.0"), (-2.0, 0.3, "mu -2.0 is not at least 0.0"),
+    (math.inf, 0.3, "mu inf is not below inf"), (math.nan, 0.3, "mu nan is not at least 0.0"),
+    (0.0, 0.0, None), (1e300, math.nextafter(1.0, 0.0), None),
+])
+def test_decoder_holds_the_config_block_to_the_model_config_rules(mu, dropout, refused):
+    blob = _NARROW_BLOB[:-16] + struct.pack("<dd", mu, dropout)
+    if refused is None:
+        params = mdl.params_from_bytes(blob)
+        assert (params.mu, params.dropout) == (mu, dropout)
+        return
+    with pytest.raises(mdl.DecodeError, match=(f"^{re.escape(refused)} in the config block "
+                                               f"at offset {len(blob) - 16}$")):
+        mdl.params_from_bytes(blob)

@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import numpy as np
@@ -189,8 +188,3 @@ def test_canonical_tokens_are_never_conversion_keys(plate):
     cct = plates.default_conversion_table()
     canon = plates.canonicalize_plate(plate, cct)
     assert not set(canon.tokens) & cct.entries.keys()
-
-
-def test_json_roundtrips(builtin, cct):
-    assert json.loads(builtin.to_json()) == builtin.counts
-    assert json.loads(cct.to_json()) == cct.entries

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvid import experiment, fed, mapping, records, scenario
+from fedvid import experiment, fed, mapping, model as mdl, records, scenario
 
 # each checked config, and a record of it that every rule admits
 CHECKED = {
@@ -21,6 +21,8 @@ CHECKED = {
     experiment.ExperimentConfig: {},
     fed.Hello: {"client_id": 1, "examples": 1},
     mapping.MappingConfig: {},
+    mdl.ModelConfig: {},
+    mdl.OptConfig: {},
 }
 
 
@@ -45,8 +47,13 @@ def test_rule_table_reads_every_checked_field():
             "gps_noise_sigma", "miss_rate", "merge_threshold", "speed_profile", "ocr_channel")
     } | {("CameraModel", name) for name in ("hfov_deg", "image_w", "image_h", "facing",
                                            "max_range")} | {
-        ("ExperimentConfig", "train_seeds"), ("ExperimentConfig", "eval_seed"),
-        ("ExperimentConfig", "train_seed"), ("Hello", "examples"), ("MappingConfig", "omega")}
+        ("ExperimentConfig", name) for name in (
+            "train_seeds", "eval_seed", "epochs", "rounds", "local_epochs", "train_seed")
+    } | {("ModelConfig", name) for name in (
+        "input_dim", "hidden_width", "hidden_layers", "dropout", "mu")} | {
+        ("OptConfig", name) for name in ("lr", "beta1", "beta2", "eps", "batch_size")} | {
+        ("Hello", "client_id"), ("Hello", "examples"), ("MappingConfig", "omega"),
+        ("MappingConfig", "threshold_inside")}
     assert records.field_rules(scenario.WorldConfig) is records.field_rules(scenario.WorldConfig)
 
 
@@ -82,6 +89,24 @@ def test_a_numpy_scalar_built_in_python_passes():
 def test_refusal_names_the_field_the_value_and_the_rule(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+_REAR = records.to_record(scenario.default_rear_camera())
+
+
+@pytest.mark.parametrize("record, exc, message", [
+    ({"model_cfg": {"dropout": 1.0}}, ValueError, "model_cfg: dropout 1.0 is not below 1.0"),
+    ({"world": {"seed": 1, "rear_camera": {**_REAR, "image_w": "x"}}}, TypeError,
+     "world: rear_camera: image_w 'x' is not int"),
+    ({"world": {"seed": 1, "rear_camera": {**_REAR, "max_range": 0}}}, ValueError,
+     "world: rear_camera: max_range 0.0 is not above 0.0"),
+    ({"opt_cfg": {"lr": 0.1, "bta1": 0.5}}, TypeError, "opt_cfg: unknown key 'bta1'"),
+    ({"opt_cfg": 5}, TypeError, "opt_cfg 5 is not OptConfig"),   # refused whole: named once
+    ({"epochs": 0}, ValueError, "epochs 0 is not at least 1"),
+], ids=["model", "camera-type", "camera-rule", "unknown-key", "whole", "top-level"])
+def test_a_refusal_inside_a_nested_config_names_each_config_that_holds_it(record, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        records.from_record(experiment.ExperimentConfig, record)
 
 
 def test_tuple_of_any_length_decodes_each_entry():
