@@ -179,6 +179,7 @@ def build_parser() -> _Parser:
                         help="output directory of gen, label, train, serve and eval")
     sub = parser.add_subparsers(dest="command")
     timeout = _flag(float, *fed.TIMEOUT_RULES)
+    max_port = records.Rule("at most", 65535)   # a server's port may be 0, any free one
 
     p = sub.add_parser("gen", help="simulate a scenario into run.jsonl")
     p.add_argument("--ticks", type=_flag(int, records.Rule("at least", 1),
@@ -197,7 +198,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("serve", help="run the federated parameter server")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_flag(int), default=0)
+    p.add_argument("--port", type=_flag(int, records.Rule("at least", 0), max_port), default=0)
     p.add_argument("--clients", type=_flag(int, records.Rule("at least", 1)), required=True)
     p.add_argument("--rounds", type=field("rounds"), default=50)
     p.add_argument("--min-clients", type=_flag(int, records.Rule("at least", 1)), default=1)
@@ -206,7 +207,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("client", help="run one federated client")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_flag(int), required=True)
+    p.add_argument("--port", type=_flag(int, records.Rule("at least", 1), max_port), required=True)
     p.add_argument("--id", type=field("client_id", fed.Hello), required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--local-epochs", type=field("local_epochs"), default=1)

@@ -31,9 +31,9 @@ class ExperimentConfig:
         seed=0, num_vehicles=40, duration=300.0, weather="light_haze"))
     dataset_modes: tuple[DatasetMode, ...] = (DatasetMode.AL, DatasetMode.ALDA, DatasetMode.MANUAL)
     training_modes: tuple[str, ...] = ("central",)
-    epochs: Annotated[int, Rule("at least", 1)] = 60
-    rounds: Annotated[int, Rule("at least", 1)] = 30
-    local_epochs: Annotated[int, Rule("at least", 1)] = 2
+    epochs: Annotated[int, fed.COUNT_RULE] = 60
+    rounds: Annotated[int, fed.COUNT_RULE] = 30
+    local_epochs: Annotated[int, fed.COUNT_RULE] = 2
     model_cfg: mdl.ModelConfig = field(default_factory=mdl.ModelConfig)
     opt_cfg: mdl.OptConfig = field(default_factory=mdl.OptConfig)
     mapping_cfg: mapping.MappingConfig = field(default_factory=mapping.MappingConfig)

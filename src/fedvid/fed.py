@@ -2,18 +2,19 @@
 
 Clients train the box-prediction model on their own labeled shards; a server
 broadcasts global parameters each round, collects updates, and installs their
-mean, weighted by each client's hello example count, as the new global model.
-Only model parameters, counts, and control fields ever cross the wire.
-Parameters travel base64-encoded in the same binary format as the on-disk
-model file.
+mean, weighted by each client's hello example count. Only model parameters,
+counts and control fields cross the wire; parameters travel base64-encoded in
+the binary format of the on-disk model file.
 """
 
 from __future__ import annotations
 
 import binascii
+import contextlib
 import hashlib
 import json
 import math
+import selectors
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,8 @@ if TYPE_CHECKING:
 PROTOCOL_TIMEOUT_S = 30.0
 TIMEOUT_RULES = (Rule("above", 0.0), Rule("below", math.inf))   # of every timeout, in seconds
 ENVELOPE_BYTES = 4096   # what a frame may hold beside the params_b64 payload
-REFUSALS_KEPT = 8       # refused hellos a hello phase names and logs; the rest it counts
+REFUSALS_KEPT = 8       # refusals a phase names and logs, and extra hellos it awaits at once
+COUNT_RULE = Rule("at least", 1)   # of rounds and of epochs
 
 
 class ProtocolError(RuntimeError):
@@ -59,25 +61,19 @@ def params_from_b64(text: str) -> mdl.ModelParams:
 
 def local_train(trainer: mdl.Trainer, dataset: TrainingArrays, global_params: mdl.ModelParams,
                 epochs: int) -> mdl.ModelParams:
-    """Install the broadcast parameters in `trainer` and run local epochs on
-    `dataset`; returns the updated parameters. The trainer takes ownership of
-    `global_params`: it trains them in place, with no copy.
-
-    The optimizer moments and the shuffle/dropout stream persist across
-    rounds; only the parameters are replaced by each broadcast. With a single
-    client this makes federated training bitwise equal to centralized runs.
-    """
+    """Install the broadcast parameters in `trainer`, which takes ownership of
+    them and trains them in place, and run `epochs` on `dataset`. The optimizer
+    moments and the shuffle/dropout stream persist across rounds, so a single
+    client's federated training is bitwise equal to a centralized run."""
     trainer.params = global_params
     trainer.run_epochs(dataset, epochs)
     return trainer.params
 
 
 def fed_avg(updates: list[tuple[mdl.ModelParams, int]]) -> mdl.ModelParams:
-    """Example-count-weighted elementwise mean of parameter updates.
-
-    Updates, already checked by the server, are averaged in the given order;
-    callers sort by ascending client id for a documented deterministic reduction.
-    """
+    """Example-count-weighted elementwise mean of checked updates, summed in
+    the given order; callers sort them by ascending client id for a
+    deterministic reduction."""
     if not updates:
         raise ProtocolError("fed_avg requires at least one update")
     first, _ = updates[0]
@@ -91,9 +87,8 @@ def fed_avg(updates: list[tuple[mdl.ModelParams, int]]) -> mdl.ModelParams:
 
 @dataclass
 class RoundRecord:
-    """One completed round. `bytes_in` and `bytes_out` count, per client that
-    began the round (a dropped one included), the bytes read from and written
-    to its socket during the round, newlines included."""
+    """One completed round. `bytes_in` and `bytes_out` count, per client that began it
+    (a dropped one too), the bytes read from and written to its socket, newlines included."""
     round: int
     participants: list[int]
     example_counts: dict[int, int]
@@ -167,14 +162,11 @@ def _tag(data: str | bytes) -> str:
 
 
 def _frame_line(frame, log: bool = False) -> str:
-    """`frame` as one compact JSON line. A `params_b64` field is spliced in
-    last, before the closing brace; with `log`, the blob's `_tag` is spliced
-    in its place, which gives the frame's transcript line.
-
-    A blob sent is always this node's own `params_b64` output. Base64 text
-    holds nothing that `json.dumps` escapes, so the line equals `json.dumps`
-    of the whole frame, without scanning the blob again.
-    """
+    """`frame` as one compact JSON line, with a `params_b64` field spliced in
+    last, before the closing brace; with `log`, the blob's `_tag` takes its
+    place, which gives the frame's transcript line. A sent blob is this node's
+    own base64, which holds nothing that `json.dumps` escapes, so the line
+    equals `json.dumps` of the whole frame without scanning the blob again."""
     record = {"type": _TYPE_OF[type(frame)], **vars(frame)}
     blob = record.pop("params_b64", None)
     line = json.dumps(record, separators=(",", ":"))
@@ -189,112 +181,85 @@ def _wire(frame) -> bytes:
 
 
 class _Conn:
-    """One end of a connection that carries one frame per line.
+    """One end of a connection that carries one frame per line. `read`
+    appends a chunk of the socket to `buf` and `take` cuts the next whole line
+    out of it, searching each byte for the newline once; a line longer than
+    `max_frame` bytes is refused having buffered at most one chunk more.
+    `recv`, the client's reader, waits `timeout` seconds for one frame.
+    `received` and `sent` count the bytes read and written."""
 
-    `send` writes a frame's `_wire` bytes; `send_line` sends bytes encoded
-    once, such as a broadcast's. `recv` gives each frame one deadline,
-    `timeout` seconds from its call, and decodes it with `decode_frame`; every
-    failure is a `ProtocolError`. It searches each buffered byte for the
-    newline once and cuts each line out once, and refuses a frame longer than
-    `max_frame` bytes having buffered at most one chunk more. `received` and
-    `sent` count the bytes read from and written to the socket.
-
-    With a `transcript` list, each frame sent or received is appended to it as
-    one line of at most `ENVELOPE_BYTES` characters: "send " or "recv ", then
-    the frame's `_frame_line` with `log`, which holds the blob's `_tag` in
-    place of the blob. A line that does not decode, or that would be longer,
-    is logged as its own `_tag` instead.
-    """
-
-    def __init__(self, sock: socket.socket, timeout: float,
-                 transcript: list[str] | None = None, max_frame: float = math.inf):
+    def __init__(self, sock: socket.socket, timeout: float, max_frame: float = math.inf):
         self.sock = sock
         self.timeout = timeout
-        self.transcript = transcript
         self.max_frame = max_frame
         self.buf = bytearray()
         self._scanned = 0   # bytes of `buf` known to hold no newline
         self.received = self.sent = 0
 
-    def _log(self, direction: str, line: str) -> None:
-        entry = f"{direction} {line}"
-        self.transcript.append(entry if len(entry) <= ENVELOPE_BYTES
-                               else f"{direction} {_tag(line)}")
-
     def send(self, frame) -> None:
-        self.send_line(_wire(frame),
-                       None if self.transcript is None else _frame_line(frame, log=True))
+        self.send_line(_wire(frame))
 
-    def send_line(self, data: bytes, logged: str | None) -> None:
-        """Send `data`, one frame's `_wire` bytes, and log it as `logged`, its
-        frame's transcript line."""
+    def send_line(self, data: bytes) -> None:
         self.sock.settimeout(self.timeout)
         self.sock.sendall(data)
         self.sent += len(data)
-        if self.transcript is not None:
-            self._log("send", logged)
 
-    def recv(self):
-        deadline = time.monotonic() + self.timeout
-        while (end := self.buf.find(b"\n", self._scanned)) < 0 and len(self.buf) <= self.max_frame:
+    def read(self) -> None:
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise ProtocolError("connection closed mid-frame")
+        self.received += len(chunk)
+        self.buf += chunk
+
+    def take(self, log: bool = False):
+        """None until `buf` holds a whole line, then its frame or the
+        `ProtocolError` that refuses it, and with `log` its transcript line:
+        the frame's `_frame_line` with `log`, or the line's `_tag`."""
+        end = self.buf.find(b"\n", self._scanned)
+        if end < 0 and len(self.buf) <= self.max_frame:
             self._scanned = len(self.buf)
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise ProtocolError(f"frame incomplete after {self.timeout} s")
-            self.sock.settimeout(left)
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                raise ProtocolError("connection closed mid-frame")
-            self.received += len(chunk)
-            self.buf += chunk
+            return None
         if not 0 <= end <= self.max_frame:
-            raise ProtocolError(f"frame longer than {self.max_frame} bytes")
+            return ProtocolError(f"frame longer than {self.max_frame} bytes"), None
         line = self.buf[:end]
         del self.buf[:end + 1]
         self._scanned = 0
         try:   # a blob's lone surrogate escape fails only at `_frame_line`'s `_tag`
             line = line.decode("utf-8")   # the raw bytes die before the JSON decode
             frame = decode_frame(line)
-            logged = None if self.transcript is None else _frame_line(frame, log=True)
+            return frame, _frame_line(frame, log=True) if log else None
         except ValueError as exc:
-            if self.transcript is not None:
-                self._log("recv", _tag(line))
-            raise ProtocolError(f"bad frame: {exc}") from None
-        if logged is not None:
-            self._log("recv", logged)
+            return ProtocolError(f"bad frame: {exc}"), _tag(line) if log else None
+
+    def recv(self):
+        deadline = time.monotonic() + self.timeout
+        while (taken := self.take()) is None:
+            if (left := deadline - time.monotonic()) <= 0:
+                raise ProtocolError(f"frame incomplete after {self.timeout} s")
+            self.sock.settimeout(left)
+            self.read()
+        if isinstance(frame := taken[0], ProtocolError):
+            raise frame
         return frame
 
 
 class FedServer:
     """Synchronous-barrier federated server.
 
-    Accepts `expected_clients` hello frames, then runs `rounds` rounds of
-    broadcast/collect/aggregate. A hello's `examples` is that client's FedAvg
-    weight for the session (`weights`). A peer whose frame `_Conn.recv`
-    refuses, whose hello claims a connected client id, or whose update is not
-    this round's, has another layout or model config than the global model's,
-    or holds a non-finite value gets an error frame with the reason and is
-    closed for the rest of the session; a client that a send fails on is
-    closed without one. Each round averages the updates that arrived,
-    provided at least `min_clients` did, which must be in
-    `1..expected_clients`; `timeout_s` must meet `TIMEOUT_RULES`. A hello
-    phase in which no further client connects for `timeout_s` ends the
-    session with a `ProtocolError` that counts the hellos kept and gives the
-    reason of each of the first `REFUSALS_KEPT` refused hellos, then counts
-    the others.
+    Accepts `expected_clients` hellos, then runs `rounds` rounds of
+    broadcast/collect/aggregate, reading each phase's peers with `_gather`.
+    A hello's `examples` is that client's FedAvg weight (`weights`). A
+    refused peer gets an error frame with the reason and is closed for the
+    session; a client that a send fails on is closed without one. Each round
+    averages the updates that arrived, if at least `min_clients` did.
 
-    Each broadcast line is built once, with the global model's base64 spliced
-    in, and the same line goes to every client. With an `eval_dataset`, the
-    held-out loss of round r's model is computed after round r+1's broadcast,
-    while the clients train on that model, and the final model's after the
-    last round; `eval_losses` holds one loss per completed round.
-
-    The transcript holds one bounded line per frame sent or received, as
-    `_Conn` logs it: each blob is kept as its length and digest, and each
-    round's `RoundRecord` counts the bytes that went over each socket. Kept
-    hellos are logged in client id order once the hello phase ends; the
-    first `REFUSALS_KEPT` refused hellos and their error replies are logged
-    when they happen, and later ones not at all.
+    Each broadcast line is built once and sent to every client. With an
+    `eval_dataset`, the held-out loss of round r's model is computed while
+    the clients train on it in round r+1, and the final model's after the
+    last round: one per round in `eval_losses`. The transcript holds one
+    line of at most `ENVELOPE_BYTES` characters per frame sent or received,
+    "send " or "recv " and what `_Conn.take` logs of it, or its `_tag` if
+    longer. Each `RoundRecord` counts the bytes that went over each socket.
     """
 
     def __init__(self, global_params: mdl.ModelParams, expected_clients: int, rounds: int, *,
@@ -303,6 +268,7 @@ class FedServer:
         if not 1 <= min_clients <= expected_clients:
             raise ValueError(f"min_clients {min_clients} must be between 1 and "
                              f"expected_clients {expected_clients}")
+        check_value("rounds", rounds, COUNT_RULE)
         check_value("timeout_s", timeout_s, *TIMEOUT_RULES)
         self.global_params = global_params
         self.records: list[RoundRecord] = []
@@ -317,39 +283,18 @@ class FedServer:
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
 
-    def _hello(self, conn: _Conn, conns: dict[int, _Conn]) -> str | None:
-        """Read one connection's hello; add the connection to `conns` and keep
-        its weight, or refuse it and return the reason."""
-        try:
-            hello = conn.recv()
-            if not isinstance(hello, Hello):
-                raise ProtocolError(f"expected hello, not {_TYPE_OF[type(hello)]}")
-            if hello.client_id in conns:
-                raise ProtocolError(f"client_id {brief(hello.client_id)} is already connected")
-        except (ProtocolError, OSError) as exc:
-            self._refuse(conn, str(exc))
-            return str(exc)
-        conns[hello.client_id] = conn
-        self.weights[hello.client_id] = hello.examples
-        return None
+    def _log(self, direction: str, line: str) -> None:
+        entry = f"{direction} {line}"
+        self.transcript.append(entry if len(entry) <= ENVELOPE_BYTES
+                               else f"{direction} {_tag(line)}")
 
-    @staticmethod
-    def _refuse(conn: _Conn, reason: str) -> None:
-        """Send `reason` in an error frame, if the peer still reads, and hang up."""
-        try:
-            conn.send(Error(reason))
-        except OSError:
-            pass
-        conn.sock.close()
-
-    @staticmethod
-    def _send_all(conns: dict[int, _Conn], frame) -> None:
-        """Send one line, built and encoded once, to every client; one the
-        send fails on is dropped."""
+    def _send_all(self, conns: dict[int, _Conn], frame) -> None:
+        """Send one line, encoded once, to every client; drop one it fails on."""
         data, logged = _wire(frame), _frame_line(frame, log=True)
         for cid in sorted(conns):
             try:
-                conns[cid].send_line(data, logged)
+                conns[cid].send_line(data)
+                self._log("send", logged)
             except OSError:
                 conns.pop(cid).sock.close()
 
@@ -358,52 +303,122 @@ class FedServer:
             self.eval_losses.append(mdl.mean_loss(params, self.eval_dataset))
 
     def serve(self) -> list[RoundRecord]:
-        max_frame = len(params_b64(self.global_params)) + ENVELOPE_BYTES
         conns: dict[int, _Conn] = {}
         try:
-            self._hello_phase(conns, max_frame)
+            self._gather(0, conns, time.monotonic())
             for r in range(1, self.rounds + 1):
                 self._run_tcp_round(r, conns)
             self._send_all(conns, Shutdown())
-            if self.rounds:
-                self._evaluate(self.global_params)
+            self._evaluate(self.global_params)
             return self.records
         finally:
             for conn in conns.values():
                 conn.sock.close()
             self._listener.close()
 
-    def _hello_phase(self, conns: dict[int, _Conn], max_frame: int) -> None:
-        """Accept connections and read their hellos into `conns` until
-        `expected_clients` are kept; each connection logs to a transcript of
-        its own until its hello is refused or the phase ends. The reasons and
-        transcript lines of the first `REFUSALS_KEPT` refused connections are
-        kept; the rest are only counted."""
-        refused: list[str] = []
-        more = 0   # refusals beyond the kept ones
-        self._listener.settimeout(self.timeout_s)
+    def _gather(self, r: int, conns: dict[int, _Conn], begun: float) -> dict[int, mdl.ModelParams]:
+        """The server's one reader of peer sockets: one selector reads all
+        peers of a phase at once. Phase 0 accepts connections and keeps
+        hellos into `conns` until `expected_clients` are kept; phase r keeps
+        an update of round r from each client and returns them by client id.
+        A peer with no whole frame by its deadline, `timeout_s` after its
+        accept or after `begun` (the broadcast), is refused. The hello phase
+        waits `timeout_s` for the next hello to be kept, a wait that only a
+        kept hello or a silent peer's refusal restarts. New connections are
+        closed while `expected_clients + REFUSALS_KEPT` are pending and once
+        the wait is over, and then a `ProtocolError` ends the phase when none
+        is pending. Kept frames are logged by client id when the phase ends,
+        the first `REFUSALS_KEPT` refusals when they happen; the rest counted."""
+        t, g = self.timeout_s, self.global_params
+        ids = {conn: cid for cid, conn in conns.items()}
+        waiting = dict.fromkeys(ids, begun + t)   # each peer's deadline
+        idle_end, kept, refused, more = begun + t, {}, [], 0
+        sel = selectors.DefaultSelector()
+        for conn in waiting:
+            sel.register(conn.sock, selectors.EVENT_READ, conn)
+        if not r:
+            sel.register(self._listener, selectors.EVENT_READ)
+            max_frame = len(params_b64(g)) + ENVELOPE_BYTES
+
+        def refuse(conn: _Conn, exc: Exception, received: str | None = None) -> None:
+            nonlocal more
+            sel.unregister(conn.sock)
+            del waiting[conn]
+            reason = f"client {brief(ids[conn])}: {exc}" if conn in ids else str(exc)
+            conns.pop(ids.get(conn), None)
+            if log := len(refused) < REFUSALS_KEPT:
+                refused.append(reason)
+                if received is not None:
+                    self._log("recv", received)
+            more += not log
+            with contextlib.suppress(OSError):
+                conn.send(err := Error(reason))
+                if log:
+                    self._log("send", _frame_line(err))
+            conn.sock.close()
+
+        def take(conn: _Conn) -> None:   # read once, then keep or refuse a whole line
+            nonlocal idle_end
+            received = None
+            try:
+                conn.read()
+                frame, received = conn.take(log=True) or (None, None)
+                if frame is None:
+                    return
+                if isinstance(frame, ProtocolError):
+                    raise frame
+                if not r:
+                    if not isinstance(frame, Hello):
+                        raise ProtocolError(f"expected hello, not {_TYPE_OF[type(frame)]}")
+                    if (cid := frame.client_id) in conns:
+                        raise ProtocolError(f"client_id {brief(cid)} is already connected")
+                    conns[cid], self.weights[cid], params = conn, frame.examples, None
+                    idle_end = time.monotonic() + t
+                else:
+                    if not isinstance(frame, Update) or frame.round != r:
+                        raise ProtocolError(f"expected the update of round {r}")
+                    params, cid = params_from_b64(frame.params_b64), ids[conn]
+                    del frame   # the update's text dies once it is decoded
+                    if (params.shapes, params.mu, params.dropout) != (g.shapes, g.mu, g.dropout):
+                        raise ProtocolError(f"layout or model config in round {r}")
+                    if not np.isfinite(params.flat).all():
+                        raise ProtocolError(f"non-finite parameters in round {r}")
+            except (ProtocolError, OSError, ValueError) as exc:
+                return refuse(conn, exc, received)
+            sel.unregister(conn.sock)
+            del waiting[conn]
+            kept[cid] = params, received
+
         try:
-            while len(conns) < self.expected_clients:
-                try:
-                    sock, _ = self._listener.accept()
-                except TimeoutError:
+            while waiting if r else len(conns) < self.expected_clients:
+                now = time.monotonic()
+                if expired := [c for c, end in waiting.items() if end <= now]:
+                    for conn in expired:
+                        refuse(conn, ProtocolError(f"frame incomplete after {t} s"))
+                    idle_end = now + t
+                    continue
+                if not r and now >= idle_end and not waiting:
                     raise ProtocolError(
                         f"{len(conns)} of {self.expected_clients} clients said hello, then none "
-                        f"connected for {self.timeout_s} s; refused hellos: "
-                        f"{'; '.join(refused) or 'none'}"
-                        f"{f'; and {more} more refused' if more else ''}") from None
-                conn = _Conn(sock, self.timeout_s, [], max_frame)
-                if (reason := self._hello(conn, conns)) is None:
-                    continue
-                if len(refused) < REFUSALS_KEPT:
-                    refused.append(reason)
-                    self.transcript += conn.transcript
-                else:
-                    more += 1
-        finally:   # the kept hellos, in client id order
-            for cid in sorted(conns):
-                self.transcript += conns[cid].transcript
-                conns[cid].transcript = self.transcript
+                        f"for {t} s; refused hellos: {'; '.join(refused) or 'none'}"
+                        f"{f'; and {more} more refused' if more else ''}")
+                wake = min(end for end in (idle_end, *waiting.values()) if end > now) - now
+                for key, _ in sel.select(wake)[:1]:   # one, then the phase is checked again
+                    if key.data is not None:
+                        take(key.data)
+                    elif now >= idle_end or len(waiting) >= self.expected_clients + REFUSALS_KEPT:
+                        self._listener.accept()[0].close()
+                    else:
+                        sock, _ = self._listener.accept()
+                        waiting[conn := _Conn(sock, t, max_frame)] = time.monotonic() + t
+                        sel.register(sock, selectors.EVENT_READ, conn)
+        finally:
+            sel.close()
+            for conn in waiting:
+                conn.sock.close()
+            for cid in sorted(kept):
+                self._log("recv", kept[cid][1])
+        return {cid: params for cid, (params, _) in sorted(kept.items())}
 
     def _run_tcp_round(self, r: int, conns: dict[int, _Conn]) -> None:
         g = self.global_params
@@ -411,30 +426,17 @@ class FedServer:
         for conn in began.values():
             conn.received = conn.sent = 0   # this round's bytes
         self._send_all(conns, RoundBegin(r, params_b64(g)))
+        broadcast = time.monotonic()
         if r > 1:   # round r-1's model, evaluated while the clients train on it
             self._evaluate(g)
-        updates: list[tuple[int, mdl.ModelParams]] = []
-        for cid in sorted(conns):
-            try:
-                frame = conns[cid].recv()
-                if not isinstance(frame, Update) or frame.round != r:
-                    raise ProtocolError(f"expected the update of round {r}")
-                params = params_from_b64(frame.params_b64)
-                del frame   # the update's text dies once it is decoded
-                if (params.shapes, params.mu, params.dropout) != (g.shapes, g.mu, g.dropout):
-                    raise ProtocolError(f"layout or model config in round {r}")
-                if not np.isfinite(params.flat).all():
-                    raise ProtocolError(f"non-finite parameters in round {r}")
-                updates.append((cid, params))
-            except (ProtocolError, OSError, ValueError) as exc:
-                self._refuse(conns.pop(cid), f"client {brief(cid)}: {exc}")
+        updates = self._gather(r, conns, broadcast)
         if len(updates) < self.min_clients:
             raise ProtocolError(
                 f"round {r}: only {len(updates)} updates arrived, need {self.min_clients}")
 
         # `updates` is in ascending client id order: a deterministic reduction
-        counts = {cid: self.weights[cid] for cid, _ in updates}
-        self.global_params = fed_avg([(p, counts[cid]) for cid, p in updates])
+        counts = {cid: self.weights[cid] for cid in updates}
+        self.global_params = fed_avg([(p, counts[cid]) for cid, p in updates.items()])
         digest = params_digest(self.global_params)
         self._send_all(conns, RoundEnd(r, digest))
         self.records.append(RoundRecord(
@@ -448,6 +450,7 @@ class FedClient:
 
     def __init__(self, client_id: int, dataset: TrainingArrays, opt_cfg: mdl.OptConfig,
                  seed: int, local_epochs: int = 1):
+        check_value("local_epochs", local_epochs, COUNT_RULE)
         self.client_id = client_id
         self.dataset = dataset
         self.opt_cfg = opt_cfg
@@ -456,12 +459,14 @@ class FedClient:
         self.trainer: mdl.Trainer | None = None
 
     def run(self, host: str, port: int, timeout: float = PROTOCOL_TIMEOUT_S) -> int:
-        """Participate until shutdown; returns the number of rounds trained."""
+        """Participate until shutdown; returns the number of rounds trained.
+        A reply may wait out a whole server phase of the same `timeout` and
+        the server's own work, so each reply and send gets twice `timeout`."""
         check_value("timeout", timeout, *TIMEOUT_RULES)
         rounds = 0
         hello = Hello(self.client_id, int(self.dataset.X.shape[0]))   # an empty shard fails here
         with socket.create_connection((host, port), timeout=timeout) as sock:
-            conn = _Conn(sock, timeout)
+            conn = _Conn(sock, 2 * timeout)
             conn.send(hello)
             while True:
                 match conn.recv():
@@ -478,8 +483,7 @@ class FedClient:
                         raise ProtocolError(f"unexpected frame type {_TYPE_OF[type(frame)]!r}")
                 if self.trainer is None:
                     self.trainer = mdl.Trainer(global_params, self.opt_cfg, self.seed)
-                params = local_train(self.trainer, self.dataset, global_params,
-                                     self.local_epochs)
+                params = local_train(self.trainer, self.dataset, global_params, self.local_epochs)
                 conn.send(Update(rnd, params_b64(params)))
                 rounds += 1
 
@@ -489,28 +493,22 @@ def train_federated_tcp(shards: list, init_params: mdl.ModelParams,
                         local_epochs: int = 1, eval_dataset=None,
                         timeout: float = PROTOCOL_TIMEOUT_S,
                         ) -> tuple[mdl.ModelParams, list[RoundRecord], list[str], list[float]]:
-    """Run a whole federated session on localhost threads.
-
-    Returns the final global parameters, the round records, the server's wire
-    transcript, and (if eval_dataset was given) the per-round held-out loss.
-    A client that fails re-raises its exception here once the server is done.
-    When the server ends the session with a `ProtocolError`, the lowest-id
-    client's own failure (not a `ProtocolError` or `OSError` of the transport)
-    is raised in its place, chained from the server's error.
-    """
+    """Run a whole federated session on localhost threads; returns the final
+    global parameters, the round records, the server's transcript and, with
+    an `eval_dataset`, the per-round held-out losses. A failed client
+    re-raises its exception once the server is done; when the server ends the
+    session with a `ProtocolError`, the lowest-id client's own failure (not a
+    `ProtocolError` or `OSError`) is raised in its place, chained from it."""
     if len(shards) != len(seeds):
         raise ValueError("one seed per shard required")
     server = FedServer(init_params.copy(), expected_clients=len(shards), rounds=rounds,
                        timeout_s=timeout, eval_dataset=eval_dataset)
     host, port = server.address
 
-    clients = [
-        FedClient(client_id=i + 1, dataset=shard, opt_cfg=opt_cfg, seed=seed,
-                  local_epochs=local_epochs)
-        for i, (shard, seed) in enumerate(zip(shards, seeds))
-    ]
+    clients = [FedClient(i + 1, shard, opt_cfg, seed, local_epochs)
+               for i, (shard, seed) in enumerate(zip(shards, seeds))]
     with ThreadPoolExecutor(max_workers=len(clients)) as pool:
-        runs = [pool.submit(c.run, host, port) for c in clients]
+        runs = [pool.submit(c.run, host, port, timeout) for c in clients]
         try:
             records = server.serve()
         except ProtocolError as exc:   # a client's own failure may be what ended it

@@ -165,9 +165,12 @@ def _rules(cls, name):
     return [rule for field, _, rule in records.field_rules(cls) if field == name]
 
 
-# the rules that each flag reads, with the type it parses: a config field's, or
-# the one timeout rule of `fed`
-_FLAG_RULES = {"--timeout": ("timeout", float, fed.TIMEOUT_RULES)} | {
+# the rules that each flag reads, with the type it parses: a config field's, the
+# one timeout rule of `fed`, or a port's, which only a server may leave to the system
+_PORT = records.Rule("at most", 65535)
+_FLAG_RULES = {"--timeout": ("timeout", float, fed.TIMEOUT_RULES),
+               ("serve", "--port"): ("port", int, (records.Rule("at least", 0), _PORT)),
+               ("client", "--port"): ("port", int, (records.Rule("at least", 1), _PORT))} | {
     flag: (name, typing.get_type_hints(cls)[name], _rules(cls, name))
     for flag, cls, name in [("--seed", experiment.ExperimentConfig, "train_seed"),
                             ("--epochs", experiment.ExperimentConfig, "epochs"),
@@ -187,20 +190,21 @@ def _near(tp, rules):
 def test_every_number_flag_parses_by_flag_and_admits_what_its_rules_admit():
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    typed = [action for p in [parser, *subparsers.choices.values()] for action in p._actions
-             if action.type is not None]
-    assert {a.type.__qualname__ for a in typed} == {"_flag.<locals>.parse"}
-    assert {a.option_strings[0] for a in typed} == {
+    typed = [(command, action) for command, p in [(None, parser), *subparsers.choices.items()]
+             for action in p._actions if action.type is not None]
+    assert {a.type.__qualname__ for _, a in typed} == {"_flag.<locals>.parse"}
+    assert {a.option_strings[0] for _, a in typed} == {
         "--seed", "--ticks", "--epochs", "--port", "--clients", "--rounds", "--min-clients",
         "--timeout", "--id", "--local-epochs"}
     # --seed is the scenario seed too
     seed_rules = _rules(scenario.WorldConfig, "seed")
     assert _rules(experiment.ExperimentConfig, "train_seed") == seed_rules
     checked = set()
-    for action in typed:
-        if (flag := action.option_strings[0]) not in _FLAG_RULES:
+    for command, action in typed:
+        flag = action.option_strings[0]
+        if (key := (command, flag)) not in _FLAG_RULES and (key := flag) not in _FLAG_RULES:
             continue
-        name, tp, rules = _FLAG_RULES[flag]
+        name, tp, rules = _FLAG_RULES[key]
         for value in _near(tp, rules):
             try:
                 records.check_value(name, value, *rules)
@@ -210,11 +214,11 @@ def test_every_number_flag_parses_by_flag_and_admits_what_its_rules_admit():
             try:
                 parsed = action.type(str(value))
             except argparse.ArgumentTypeError as exc:
-                assert not admitted, (flag, value)
+                assert not admitted, (key, value)
                 assert str(exc).startswith(f"{str(value)!r} is not ")
             else:
-                assert admitted and type(parsed) is tp and parsed == value, (flag, value)
-        checked.add(flag)
+                assert admitted and type(parsed) is tp and parsed == value, (key, value)
+        checked.add(key)
     assert checked == set(_FLAG_RULES)
 
 
@@ -229,6 +233,18 @@ def test_timeout_that_is_not_a_positive_finite_number_is_a_usage_error(argv, val
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: argument --timeout: '{value}' is not a number "
                           "above 0.0 and below inf\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, value, meets", [
+    (["serve", "--clients", "1"], "70000", "at least 0 and at most 65535"),
+    (["client", "--id", "1", "--dataset", "x.jsonl"], "0", "at least 1 and at most 65535"),
+], ids=["serve", "client"])
+def test_port_outside_its_range_is_a_usage_error(argv, value, meets, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.cli_main(["--out", str(out), *argv, "--port", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument --port: '{value}' is not an integer of {meets}\n")
     assert not out.exists()
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedvid import experiment, fed, labeling, model as mdl
+from fedvid import experiment, fed, labeling, model as mdl, records
 
 NARROW = mdl.ModelConfig(input_dim=11, hidden_width=8, hidden_layers=10)
 
@@ -185,17 +185,18 @@ def test_spliced_params_frame_equals_json_dumps(kind, rnd, width, layers, seed):
                                             hidden_layers=layers), np.random.default_rng(seed))
     blob = fed.params_b64(params)
     expected = json.dumps({"type": kind, "round": rnd, "params_b64": blob}, separators=(",", ":"))
-    transcript = []
+    frame = fed.FRAMES[kind](rnd, blob)
     a, b = socket.socketpair()
     with a, b:
-        fed._Conn(a, 1.0, transcript).send(fed.FRAMES[kind](rnd, blob))
+        fed._Conn(a, 1.0).send(frame)
         wire = b""
         while not wire.endswith(b"\n"):
             wire += b.recv(65536)
     assert wire == expected.encode() + b"\n"
     # the transcript keeps the blob's length and BLAKE2b in its place
     digest = hashlib.blake2b(blob.encode(), digest_size=8).hexdigest()
-    assert transcript == [f"send {expected}".replace(blob, f"{len(blob)} bytes blake2b {digest}")]
+    assert fed._frame_line(frame, log=True) == expected.replace(
+        blob, f"{len(blob)} bytes blake2b {digest}")
 
 
 def test_tcp_single_client_degenerates_to_centralized():
@@ -237,6 +238,17 @@ def test_server_refuses_a_timeout_that_is_not_positive_and_finite(timeout_s):
     refused = "below inf" if timeout_s == float("inf") else "above 0.0"
     with pytest.raises(ValueError, match=f"^timeout_s {timeout_s} is not {refused}$"):
         fed.FedServer(init, expected_clients=1, rounds=1, timeout_s=timeout_s)
+
+
+def test_server_and_client_refuse_counts_below_one():
+    init = mdl.init_model(NARROW, np.random.default_rng(12))
+    with pytest.raises(ValueError, match="^rounds -1 is not at least 1$"):
+        fed.FedServer(init, expected_clients=1, rounds=-1, timeout_s=1.0)
+    with pytest.raises(ValueError, match="^local_epochs -2 is not at least 1$"):
+        fed.FedClient(1, _toy_dataset(n=4), mdl.OptConfig(), seed=1, local_epochs=-2)
+    # one rule, which the experiment config's counts share
+    assert {rule for field, _, rule in records.field_rules(experiment.ExperimentConfig)
+            if field in ("rounds", "local_epochs")} == {fed.COUNT_RULE}
 
 
 def test_client_refuses_a_timeout_that_is_not_positive_before_it_connects(monkeypatch):
@@ -530,15 +542,7 @@ def test_hello_phase_keeps_the_first_refusals_and_counts_the_rest():
     init = mdl.init_model(NARROW, np.random.default_rng(27))
     server = fed.FedServer(init, expected_clients=1, rounds=1, timeout_s=1.0)
     host, port = server.address
-    failed = {}
-
-    def serve():
-        with pytest.raises(fed.ProtocolError) as exc:
-            server.serve()
-        failed["error"] = str(exc.value)
-
-    serving = threading.Thread(target=serve, daemon=True)
-    serving.start()
+    serving, failed = _serve_until_it_fails(server)
     for i in range(50):
         with socket.create_connection((host, port), timeout=5.0) as sock:
             sock.sendall(b"garbage %d\n" % i)
@@ -573,6 +577,21 @@ def _serve_in_thread(server):
     t = threading.Thread(target=run, daemon=True)
     t.start()
     return t, out
+
+
+def _serve_until_it_fails(server):
+    """Run `server.serve()` in a thread that expects a ProtocolError; `failed`
+    gets its text and the time it was raised."""
+    failed = {}
+
+    def run():
+        with pytest.raises(fed.ProtocolError) as exc:
+            server.serve()
+        failed["error"], failed["at"] = str(exc.value), time.monotonic()
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    return t, failed
 
 
 def _session_with_peer(update, rounds=1):
@@ -868,6 +887,137 @@ def test_tcp_slow_or_oversized_frame_drops_its_peer(send, phase):
     assert not serving.is_alive()
     assert isinstance(reply, fed.Error)
     assert [r.participants for r in out["records"]] == [[1]]
+
+
+def _silent(sock, frame):
+    """Send nothing: wait until the peer replies or hangs up, or DRIP_S has passed."""
+    select.select([sock], [], [], DRIP_S)
+
+
+def test_silent_socket_that_connects_first_does_not_delay_an_honest_client():
+    # the server reads every pending connection at once, so the silent one
+    # costs the honest client nothing; one at a time, it cost all of timeout_s
+    init = mdl.init_model(NARROW, np.random.default_rng(29))
+    server = fed.FedServer(init, expected_clients=1, rounds=1, timeout_s=2.0)
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=5.0):
+        start = time.monotonic()
+        serving, out = _serve_in_thread(server)
+        rounds = fed.FedClient(1, _toy_dataset(n=20), mdl.OptConfig(), seed=62).run(host, port, 10.0)
+        serving.join(timeout=10.0)
+        took = time.monotonic() - start
+    assert not serving.is_alive() and rounds == 1
+    assert [r.participants for r in out["records"]] == [[1]]
+    assert took < 1.0
+
+
+@pytest.mark.parametrize("send", [_silent, _drip], ids=["silent", "drip"])
+def test_slow_peers_hold_a_round_for_one_timeout_together(send):
+    # peers 1 and 2 say hello, then send their updates through `send`: the
+    # round ends one timeout_s after its broadcast, not one per slow peer, and
+    # keeps the complete update of the honest client 3
+    timeout_s = 1.0
+    init = mdl.init_model(NARROW, np.random.default_rng(30))
+    server = fed.FedServer(init, expected_clients=3, rounds=1, timeout_s=timeout_s)
+    host, port = server.address
+    serving, out = _serve_in_thread(server)
+    began = {}
+
+    def slow_peer(cid):
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            conn = fed._Conn(sock, 5.0)
+            conn.send(fed.Hello(cid, 4))
+            begin = conn.recv()
+            began[cid] = time.monotonic()
+            send(sock, {"type": "update", "round": 1, "params_b64": begin.params_b64})
+
+    peers = [threading.Thread(target=slow_peer, args=(cid,), daemon=True) for cid in (1, 2)]
+    honest = threading.Thread(target=fed.FedClient(3, _toy_dataset(n=20), mdl.OptConfig(),
+                                                   seed=63).run, args=(host, port, 10.0),
+                              daemon=True)
+    for t in [*peers, honest]:
+        t.start()
+    for t in [*peers, honest, serving]:
+        t.join(timeout=15.0)
+    took = time.monotonic() - min(began.values())
+    assert not any(t.is_alive() for t in [*peers, honest, serving])
+    assert [r.participants for r in out["records"]] == [[3]]
+    assert took < 1.5 * timeout_s
+
+
+def test_garbage_reconnect_loop_cannot_hold_the_hello_phase_open():
+    # client 1 says hello, then a peer reconnects with garbage until the
+    # server stops listening: the phase ends one timeout_s after the kept hello
+    timeout_s = 1.0
+    init = mdl.init_model(NARROW, np.random.default_rng(31))
+    server = fed.FedServer(init, expected_clients=2, rounds=1, timeout_s=timeout_s)
+    host, port = server.address
+    serving, failed = _serve_until_it_fails(server)
+    with socket.create_connection((host, port), timeout=5.0) as honest:
+        honest.sendall(b'{"type":"hello","client_id":1,"examples":4}\n')
+        while 1 not in server.weights:
+            time.sleep(0.01)
+        kept = time.monotonic()
+        while serving.is_alive() and time.monotonic() - kept < 5 * timeout_s:
+            try:
+                with socket.create_connection((host, port), timeout=5.0) as sock:
+                    sock.sendall(b"garbage\n")
+                    fed._Conn(sock, 5.0).recv()
+            except (fed.ProtocolError, OSError):
+                pass   # the server closed the connection, or no longer listens
+        serving.join(timeout=10.0)
+    assert not serving.is_alive()
+    assert failed["error"].startswith("1 of 2 clients said hello")
+    assert failed["at"] - kept < 1.5 * timeout_s
+
+
+def test_hello_phase_closes_connections_beyond_those_it_awaits():
+    # with expected_clients + REFUSALS_KEPT connections pending, the next one is
+    # closed unread, so a peer that opens many sockets cannot use up the
+    # server's file descriptors
+    init = mdl.init_model(NARROW, np.random.default_rng(33))
+    server = fed.FedServer(init, expected_clients=1, rounds=1, timeout_s=2.0)
+    host, port = server.address
+    serving, failed = _serve_until_it_fails(server)
+    pending = [socket.create_connection((host, port), timeout=5.0)
+               for _ in range(1 + fed.REFUSALS_KEPT)]
+    try:
+        with socket.create_connection((host, port), timeout=1.0) as extra:
+            assert extra.recv(1) == b""
+    finally:
+        for sock in pending:
+            sock.close()
+    serving.join(timeout=10.0)
+    assert not serving.is_alive()
+    # the pending connections were refused when they hung up; the extra one was no refusal
+    assert failed["error"].startswith("0 of 1 clients said hello")
+    assert failed["error"].endswith("; and 1 more refused")
+
+
+def test_honest_client_outlasts_the_servers_wait_on_a_silent_peer():
+    # a client waits twice its timeout for a reply, so behind a peer that
+    # says hello and goes silent it still gets round_end from a server of
+    # the same timeout, and trains every round
+    init = mdl.init_model(mdl.ModelConfig(), np.random.default_rng(32))
+    for _ in range(3):
+        server = fed.FedServer(init.copy(), expected_clients=2, rounds=2, timeout_s=1.0)
+        host, port = server.address
+        serving, out = _serve_in_thread(server)
+        trained = {}
+
+        def honest():
+            trained["rounds"] = fed.FedClient(1, _toy_dataset(n=20), mdl.OptConfig(),
+                                              seed=64).run(host, port, timeout=1.0)
+
+        with socket.create_connection((host, port), timeout=5.0) as silent:
+            silent.sendall(b'{"type":"hello","client_id":2,"examples":4}\n')
+            client = threading.Thread(target=honest, daemon=True)
+            client.start()
+            client.join(timeout=15.0)
+            serving.join(timeout=15.0)
+        assert not client.is_alive() and not serving.is_alive()
+        assert trained == {"rounds": 2}
+        assert [r.participants for r in out["records"]] == [[1], [1]]
 
 
 def test_transcript_stays_bounded_whatever_peers_send():
