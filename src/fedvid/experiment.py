@@ -20,8 +20,6 @@ from . import fed, labeling, mapping, metrics, model as mdl, plates, scenario
 from .labeling import DatasetMode
 from .records import Rule, check
 
-PREDICT_ROWS = 256   # sender rows that close a block of ticks in `predict_run`
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -70,11 +68,11 @@ def simulate_and_label(world: scenario.WorldConfig, seed: int,
 
 def _tick_blocks(observations):
     """Consecutive ticks and their sorted sender ids, in blocks closed by the
-    tick that brings them to PREDICT_ROWS senders; each with its sender count."""
+    tick that brings them to `model.EVAL_ROWS` senders; each with its sender count."""
     block, rows = [], 0
     for obs in observations:
         block.append((obs, ids := sorted(m.id for m in obs.messages)))
-        if (rows := rows + len(ids)) >= PREDICT_ROWS:
+        if (rows := rows + len(ids)) >= mdl.EVAL_ROWS:
             yield block, rows
             block, rows = [], 0
     if block:

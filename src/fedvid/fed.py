@@ -233,11 +233,14 @@ class _Conn:
 
     def recv(self):
         deadline = time.monotonic() + self.timeout
-        while (taken := self.take()) is None:
-            if (left := deadline - time.monotonic()) <= 0:
-                raise ProtocolError(f"frame incomplete after {self.timeout} s")
-            self.sock.settimeout(left)
-            self.read()
+        try:
+            while (taken := self.take()) is None:
+                if (left := deadline - time.monotonic()) <= 0:
+                    raise TimeoutError
+                self.sock.settimeout(left)
+                self.read()
+        except TimeoutError:   # the deadline's between chunks, or the socket's within one
+            raise ProtocolError(f"frame incomplete after {self.timeout} s") from None
         if isinstance(frame := taken[0], ProtocolError):
             raise frame
         return frame
@@ -323,16 +326,17 @@ class FedServer:
         an update of round r from each client and returns them by client id.
         A peer with no whole frame by its deadline, `timeout_s` after its
         accept or after `begun` (the broadcast), is refused. The hello phase
-        waits `timeout_s` for the next hello to be kept, a wait that only a
-        kept hello or a silent peer's refusal restarts. New connections are
-        closed while `expected_clients + REFUSALS_KEPT` are pending and once
-        the wait is over, and then a `ProtocolError` ends the phase when none
-        is pending. Kept frames are logged by client id when the phase ends,
-        the first `REFUSALS_KEPT` refusals when they happen; the rest counted."""
+        waits `timeout_s` for the next hello to be kept: a kept hello restarts
+        the wait, and so does the phase's first refusal for silence, not a
+        later one. New connections are closed while `expected_clients +
+        REFUSALS_KEPT` are pending and once the wait is over, and then a
+        `ProtocolError` ends the phase when none is pending. Kept frames are
+        logged by client id when the phase ends, the first `REFUSALS_KEPT`
+        refusals when they happen; the rest counted."""
         t, g = self.timeout_s, self.global_params
         ids = {conn: cid for cid, conn in conns.items()}
         waiting = dict.fromkeys(ids, begun + t)   # each peer's deadline
-        idle_end, kept, refused, more = begun + t, {}, [], 0
+        idle_end, kept, refused, more, restart = begun + t, {}, [], 0, True
         sel = selectors.DefaultSelector()
         for conn in waiting:
             sel.register(conn.sock, selectors.EVENT_READ, conn)
@@ -395,7 +399,8 @@ class FedServer:
                 if expired := [c for c, end in waiting.items() if end <= now]:
                     for conn in expired:
                         refuse(conn, ProtocolError(f"frame incomplete after {t} s"))
-                    idle_end = now + t
+                    if restart:
+                        idle_end, restart = now + t, False
                     continue
                 if not r and now >= idle_end and not waiting:
                     raise ProtocolError(

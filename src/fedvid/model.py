@@ -32,7 +32,7 @@ FMDF_MAGIC = b"FMDF"
 FMDF_VERSION = 1
 FEEDBACK_DIM = 4   # the previous tick's box
 OUTPUT_DIM = 5     # four box coordinates and the inside probability
-EVAL_ROWS = 1024   # the most rows that `mean_loss` sends forward at once
+EVAL_ROWS = 256    # the row bound of every eval forward: `mean_loss`, `experiment.predict_run`
 
 
 class DecodeError(ValueError):
@@ -111,12 +111,8 @@ def init_model(cfg: ModelConfig, rng) -> ModelParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))   # exp(-x) or exp(x), whichever is at most 1
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _rows(buf: np.ndarray, batch: int, widths) -> list[np.ndarray]:
@@ -401,8 +397,8 @@ def mean_loss(params: ModelParams, dataset: TrainingArrays) -> float:
     `keep_layers=False`, and their outputs fill one (n, 5) array; the loss is
     taken once over that array, so it sums in the same order as one batch
     and, by the row rule (module docstring), has one batch's bits. No chunk
-    holds a single row unless n is 1: more than 1024 rows give chunks of
-    over 512."""
+    holds a single row unless n is 1: more than 256 rows give chunks of 128
+    to 256."""
     n = dataset.X.shape[0]
     chunks = max(1, -(-n // EVAL_ROWS))
     y = np.empty((n, OUTPUT_DIM))

@@ -1,5 +1,6 @@
 import ast
 import base64
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -992,6 +993,60 @@ def test_hello_phase_closes_connections_beyond_those_it_awaits():
     # the pending connections were refused when they hung up; the extra one was no refusal
     assert failed["error"].startswith("0 of 1 clients said hello")
     assert failed["error"].endswith("; and 1 more refused")
+
+
+def test_silent_connections_one_after_another_cannot_hold_the_hello_phase_open():
+    # a peer opens a silent connection every 0.25 s, for 3 s at most: each is
+    # refused timeout_s after its accept, and only the phase's first refusal
+    # for silence restarts the phase's wait, so serve fails within a few timeout_s
+    timeout_s = 0.3
+    init = mdl.init_model(NARROW, np.random.default_rng(34))
+    server = fed.FedServer(init, expected_clients=1, rounds=1, timeout_s=timeout_s)
+    host, port = server.address
+    start = time.monotonic()
+    serving, failed = _serve_until_it_fails(server)
+    opened = []
+    try:
+        while serving.is_alive() and time.monotonic() - start < 3.0:
+            with contextlib.suppress(OSError):   # the server no longer listens
+                opened.append(socket.create_connection((host, port), timeout=1.0))
+            time.sleep(0.25)
+    finally:
+        for sock in opened:
+            sock.close()
+    serving.join(timeout=10.0)
+    assert not serving.is_alive()
+    assert failed["error"].startswith("0 of 1 clients said hello")
+    assert failed["at"] - start < 4 * timeout_s
+
+
+def test_a_reply_that_never_comes_is_a_protocol_error():
+    a, b = socket.socketpair()
+    with a, b:
+        start = time.monotonic()
+        with pytest.raises(fed.ProtocolError, match=r"frame incomplete after 0\.5 s"):
+            fed._Conn(a, 0.5).recv()
+        assert time.monotonic() - start < 2.0
+
+
+def test_client_facing_a_server_that_never_replies_raises_protocol_error():
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+    host, port = listener.getsockname()
+    accepted = []
+    t = threading.Thread(target=lambda: accepted.append(listener.accept()[0]), daemon=True)
+    t.start()
+    try:
+        # a client waits twice its timeout for each reply
+        with pytest.raises(fed.ProtocolError, match=r"frame incomplete after 0\.5 s"):
+            fed.FedClient(1, _toy_dataset(n=20), mdl.OptConfig(), seed=65).run(
+                host, port, timeout=0.25)
+    finally:
+        t.join(timeout=5.0)
+        listener.close()
+        for sock in accepted:
+            sock.close()
+    assert not t.is_alive()
 
 
 def test_honest_client_outlasts_the_servers_wait_on_a_silent_peer():

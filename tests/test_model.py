@@ -4,8 +4,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedvid import labeling, model as mdl
 from fedvid.plates import fnv1a64
@@ -459,7 +460,8 @@ def test_a_row_has_the_same_bits_in_every_batch_from_two_rows_up():
                 "so mean_loss and predict_run no longer give one batch's bits")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 2047, 2049, 5000])
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 511, 513, 1023, 1024, 1025, 2047, 2049,
+                               5000])
 def test_chunked_mean_loss_equals_one_batch_bit_for_bit(n, monkeypatch):
     # one batch's bits, as measured with numpy 2.4 and OpenBLAS 0.3.31
     # (scipy-openblas, Haswell kernels); another BLAS may compute a chunk's
@@ -485,6 +487,30 @@ def test_chunked_mean_loss_equals_one_batch_bit_for_bit(n, monkeypatch):
     assert len(chunks) == -(-n // mdl.EVAL_ROWS)
     assert n == 1 or min(len(c) for c in chunks) > 1
     assert np.concatenate(chunks).tobytes() == y.tobytes()
+
+
+def _two_subset_sigmoid(x):
+    """The output sigmoid as two boolean-mask subsets, each through its own exp."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_SIGMOID_EDGES = [0.0, -0.0, 1e308, -1e308, -745.5, 709.8, 710.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(5)),
+                    elements=st.floats(allow_nan=False)))
+@example(x=np.array([_SIGMOID_EDGES[:5], _SIGMOID_EDGES[2:]]))
+@example(x=np.array([[-v for v in _SIGMOID_EDGES[2:]]]))
+@example(x=np.array([[math.inf, -math.inf, 0.0, -0.0, 710.0]]))
+def test_sigmoid_has_the_bits_of_its_two_subset_form(x):
+    # each element meets the same exp in both forms: exp(-|x|) is exp(-x) or exp(x)
+    assert mdl._sigmoid(x).tobytes() == _two_subset_sigmoid(x).tobytes()
 
 
 def test_mean_loss_memory_does_not_grow_with_the_rows():
